@@ -416,7 +416,7 @@ def _run_solve(spec) -> ExperimentResult:
     traj = solve(pb, spec.horizon, spec.quad)
     ts = np.linspace(-spec.cfg.R, spec.horizon, spec.grid)
     header = ["t"] + [f"x{j + 1}" for j in range(spec.cfg.N)]
-    rows = [(float(t), *map(float, traj.x(float(t)))) for t in ts]
+    rows = [(float(t), *map(float, x)) for t, x in zip(ts, traj.x(ts))]
     cont = traj.continuity_defect()
     claims = [
         Claim(spec.name, "solve.continuity-defect", cont, 1e-9, cont <= 1e-9),

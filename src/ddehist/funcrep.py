@@ -613,17 +613,25 @@ def _modulus_intervals(coeffs: np.ndarray):
     return piece.astype(int), lo, hi, mlo.astype(int), mhi.astype(int)
 
 
+def _padded(blocks) -> np.ndarray:
+    """Ragged (deg_i + 1, N) blocks as one zero-padded (n, deg + 1, N) array."""
+    out = np.zeros((len(blocks), max(b.shape[0] for b in blocks), blocks[0].shape[1]))
+    for i, block in enumerate(blocks):
+        out[i, : block.shape[0]] = block
+    return out
+
+
+def _cheb_values(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Chebyshev blocks coeffs (..., deg + 1, N) at local points u, of shape
+    (..., m), by one Chebyshev-Vandermonde product; shape (..., m, N)."""
+    return _cheb.chebvander(u, coeffs.shape[-2] - 1) @ coeffs
+
+
 def _power_values(coeffs, piece, lo, hi, x, p):
     """|f|^p at the points of the rule x mapped onto local sub-intervals
     [lo, hi] of the listed pieces; shape (len(piece), len(x))."""
     u = (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * x
-    vander = np.empty(u.shape + (coeffs.shape[1],))
-    vander[..., 0] = 1.0
-    if coeffs.shape[1] > 1:
-        vander[..., 1] = u
-    for k in range(2, coeffs.shape[1]):
-        vander[..., k] = 2.0 * u * vander[..., k - 1] - vander[..., k - 2]
-    vals = vander @ coeffs[piece]
+    vals = _cheb_values(coeffs[piece], u)
     return np.einsum("snj,snj->sn", vals, vals) ** (0.5 * p)
 
 
@@ -657,9 +665,7 @@ def _power_integral(f: PiecewiseFunction, p: float, quad: QuadratureConfig) -> f
     RuntimeWarning that states their disagreement.
     """
     deg = f.degree
-    coeffs = np.zeros((f.n_pieces, deg + 1, f.n_components))
-    for i, block in enumerate(f.coeffs):
-        coeffs[i, : block.shape[0]] = block
+    coeffs = _padded(f.coeffs)
     scale = 0.5 * np.diff(f.breakpoints)
     n = max(quad.nodes_per_piece, math.ceil((p * deg + 1.0) / 2.0))
     if p % 2.0 == 0.0:

@@ -8,6 +8,11 @@ integrand per cut at Chebyshev points, and antidifferentiates the interpolant
 in closed form.  Because each step re-interpolates at a fixed node count, the
 polynomial degree of trajectory pieces never grows with the step index.
 
+Every delayed cut lies inside one piece of the previous step (or of the
+history), so a step is one batched Chebyshev evaluation of the delayed
+argument, one call of f, two matrix products and a cumulative sum of the cut
+increments.  The trajectory is built once, so a solve is linear in its steps.
+
 Interpolation nodes are strictly interior to the cut intervals, so the
 trajectory depends on the history only through its almost-everywhere class
 and its value at 0, exactly like the underlying equation.
@@ -16,6 +21,7 @@ and its value at 0, exactly like the underlying equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -26,6 +32,8 @@ from .funcrep import (
     QuadratureConfig,
     _cheb_interp_matrix,
     _cheb_nodes,
+    _cheb_values,
+    _padded,
     _scale_tol,
 )
 from .histspace import (
@@ -86,18 +94,13 @@ class Trajectory:
     def continuity_defect(self) -> float:
         """Largest one-sided value gap at breakpoints inside (0, horizon]."""
         x = self.x
-        worst = 0.0
-        tol = _scale_tol(*x.domain)
-        for i in range(x.n_pieces - 1):
-            seam = x.breakpoints[i + 1]
-            if seam <= tol:
-                continue
-            left = _cheb.chebval(1.0, x.coeffs[i])
-            right = _cheb.chebval(-1.0, x.coeffs[i + 1])
-            worst = max(worst, float(np.linalg.norm(left - right)))
-        final = _cheb.chebval(1.0, x.coeffs[-1])
-        worst = max(worst, float(np.linalg.norm(final - x.endpoint_value)))
-        return worst
+        coeffs = _padded(x.coeffs)
+        right = coeffs.sum(axis=1)
+        left = coeffs[:, 0::2].sum(axis=1) - coeffs[:, 1::2].sum(axis=1)
+        seams = x.breakpoints[1:-1] > _scale_tol(*x.domain)
+        gaps = np.linalg.norm(right[:-1][seams] - left[1:][seams], axis=1)
+        final = np.linalg.norm(right[-1] - x.endpoint_value)
+        return float(max(final, gaps.max(initial=0.0)))
 
 
 def step_edges(T: float, r: float) -> np.ndarray:
@@ -118,32 +121,30 @@ def solve(
     """Solve on [0, T] and return the trajectory on [-R, T]."""
     if not T > 0:
         raise ValueError("horizon must be positive")
-    r = problem.r
-    rep = problem.phi.rep
-    breakpoints = list(rep.breakpoints)
-    blocks = list(rep.coeffs)
-    value = np.array(rep.endpoint_value)
-    xcur = rep
-    nodes = _cheb_nodes(quad.nodes_per_piece)
-    fit = _cheb_interp_matrix(quad.nodes_per_piece)
+    r, rep, n = problem.r, problem.phi.rep, quad.nodes_per_piece
+    u, fit, antider, slope = _step_matrices(n)
+    # The known pieces a step reads: the history, then the previous step.
+    window_bp, window, value = rep.breakpoints, _padded(rep.coeffs), rep.endpoint_value
+    breakpoints, blocks, defect = [rep.breakpoints], [], 0.0
     edges = step_edges(T, r)
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        tol = _scale_tol(breakpoints[0], t1)
-        shifted = xcur.breakpoints + r
+        tol = _scale_tol(rep.breakpoints[0], t1)
+        shifted = window_bp + r
         inner = shifted[(shifted > t0 + tol) & (shifted < t1 - tol)]
-        partition = np.concatenate(([t0], inner, [t1]))
-        for c, d in zip(partition[:-1], partition[1:]):
-            halfwidth = 0.5 * (d - c)
-            tq = 0.5 * (c + d) + halfwidth * nodes
-            rhs = problem.nl.fn(xcur(tq - r))
-            integ = _cheb.chebint(fit @ rhs, lbnd=-1, scl=halfwidth, axis=0)
-            integ[0] += value
-            breakpoints.append(float(d))
-            blocks.append(integ)
-            value = np.atleast_1d(_cheb.chebval(1.0, integ))
-        xcur = PiecewiseFunction(np.array(breakpoints), tuple(blocks), value)
-    defect = _integration_defect(xcur, problem, quad)
-    return Trajectory(problem, float(T), xcur, edges, defect)
+        cuts = np.concatenate(([t0], inner, [t1]))
+        half = 0.5 * np.diff(cuts)[:, None, None]
+        rhs = _delayed_rhs(problem, window_bp, window, cuts, u)
+        integ = half * (antider @ (fit @ rhs[:, :n]))
+        chain = np.cumsum(np.vstack((value, integ.sum(axis=1))), axis=0)
+        integ[:, 0] += chain[:-1]
+        value = chain[-1]
+        defect = max(defect, float(np.abs(slope @ integ / half - rhs[:, n:]).max()))
+        breakpoints.append(cuts[1:])
+        blocks.append(integ)
+        window_bp, window = cuts, integ
+    coeffs = tuple(rep.coeffs) + tuple(np.concatenate(blocks))
+    x = PiecewiseFunction(np.concatenate(breakpoints), coeffs, value)
+    return Trajectory(problem, float(T), x, edges, defect)
 
 
 def solve_step(problem: Problem, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> Trajectory:
@@ -151,18 +152,27 @@ def solve_step(problem: Problem, quad: QuadratureConfig = DEFAULT_QUADRATURE) ->
     return solve(problem, problem.r, quad)
 
 
-def _integration_defect(
-    x: PiecewiseFunction, problem: Problem, quad: QuadratureConfig
-) -> float:
-    probe = _cheb_nodes(5)
-    worst = 0.0
-    for i in range(x.n_pieces):
-        c, d = x.piece_interval(i)
-        if c < 0.0:
-            continue
-        halfwidth = 0.5 * (d - c)
-        tq = 0.5 * (c + d) + halfwidth * probe
-        deriv = _cheb.chebval(probe, _cheb.chebder(x.coeffs[i], axis=0)).T / halfwidth
-        rhs = problem.nl.fn(x(tq - problem.r))
-        worst = max(worst, float(np.abs(deriv - rhs).max()))
-    return worst
+@lru_cache(maxsize=None)
+def _step_matrices(n: int):
+    """Local points u (n interpolation nodes, then 5 defect probes) and the
+    matrices fit (values to coefficients), antider (n coefficients to the
+    n + 1 of the antiderivative vanishing at -1) and slope (those n + 1 to
+    the derivative at the probes)."""
+    u = np.concatenate((_cheb_nodes(n), _cheb_nodes(5)))
+    antider = _cheb.chebint(np.eye(n), lbnd=-1, axis=0)
+    slope = _cheb_values(_cheb.chebder(np.eye(n + 1), axis=0), u[n:])
+    for mat in (u, antider, slope):
+        mat.flags.writeable = False
+    return u, _cheb_interp_matrix(n), antider, slope
+
+
+def _delayed_rhs(problem: Problem, bp: np.ndarray, coeffs: np.ndarray, cuts, u) -> np.ndarray:
+    """f(x(t - r)) at the local points u of each cut, shape (cuts, len(u), N),
+    where x is the padded block (bp, coeffs) and holds each delayed cut in
+    one piece, found from the cut's midpoint."""
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    t = (mid[:, None] + 0.5 * np.diff(cuts)[:, None] * u) - problem.r
+    piece = np.clip(np.searchsorted(bp, mid - problem.r, side="right") - 1, 0, bp.size - 2)
+    lo, hi = bp[piece][:, None], bp[piece + 1][:, None]
+    vals = _cheb_values(coeffs[piece], (2.0 * t - (lo + hi)) / (hi - lo))
+    return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)

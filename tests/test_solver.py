@@ -5,17 +5,20 @@ equation symbolically; the midpoint oracle in oracles.py provides an
 independent numerical check for cases without a closed form.
 """
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from ddehist.corpus import null_set_variant, random_history
-from ddehist.funcrep import QuadratureConfig, sup_norm
+from ddehist.funcrep import PiecewiseFunction, QuadratureConfig, sup_norm
 from ddehist.histspace import HistoryConfig, HistoryElement, seminorm
 from ddehist.nonlinear import linear, make, quadratic, saturating
-from ddehist.solver import Problem, solve, solve_step, step_edges
+from ddehist.solver import Problem, Trajectory, solve, solve_step, step_edges
 
 SCALAR = HistoryConfig(R=1.0, p=2.0, N=1)
 
@@ -72,6 +75,51 @@ class TestClosedForms:
         assert traj.x(2.0)[0] == pytest.approx(2.0, abs=1e-12)
 
 
+class TestLongHorizon:
+    def test_growth_matches_its_closed_form_over_twelve_steps(self):
+        # x' = x(t-1), history 1: on [k-1, k] the solution is the polynomial
+        # sum_{j <= k} (t - j + 1)^j / j!, of degree k < 16 nodes, so every
+        # interpolant is exact and only rounding remains.
+        traj = solve(growth_problem(), 12.0)
+        t = np.linspace(-1.0, 12.0, 1301)
+        step = np.maximum(np.ceil(t), 0.0)
+        exact = sum(
+            np.where(j <= step, np.abs(t - j + 1.0) ** j / math.factorial(j), 0.0)
+            for j in range(13)
+        )
+        np.testing.assert_allclose(traj.x(t)[:, 0], exact, rtol=1e-12, atol=0.0)
+
+    def test_system_with_long_memory_and_truncated_step_matches_midpoint_rule(self):
+        # R > r, so the first step reads only part of the history, and the
+        # horizon 2.0 = 3 x 0.6 + 0.2 ends in a truncated step.
+        cfg = HistoryConfig(R=1.5, p=2.0, N=2)
+        phi = random_history(np.random.default_rng(23), cfg, max_degree=2, continuous=True, scale=0.8)
+        pb = Problem(cfg, saturating(2), 0.6, phi)
+        traj = solve(pb, 2.0)
+        np.testing.assert_allclose(traj.step_boundaries, [0.0, 0.6, 1.2, 1.8, 2.0], atol=1e-12)
+        ts, xs = oracles.riemann_solve(pb, 2.0, panels_per_step=20000)
+        idx = np.linspace(0, ts.size - 1, 200).astype(int)
+        assert np.abs(traj.x(ts[idx]) - xs[idx]).max() < 1e-6
+
+    def test_a_solve_builds_the_same_number_of_functions_at_any_horizon(self, monkeypatch):
+        built = []
+        original = PiecewiseFunction.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        pb = Problem(SCALAR, saturating(), 1.0, unit_history(0.8))
+        counts = []
+        for horizon in (5.0, 50.0):
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(PiecewiseFunction, "__post_init__", counting)
+                solve(pb, horizon)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+
 class TestOracleAgreement:
     def test_saturating_feedback_matches_midpoint_rule(self):
         pb = Problem(SCALAR, saturating(), 1.0, unit_history(0.8))
@@ -100,6 +148,45 @@ class TestTrajectoryDiagnostics:
         coarse = solve(pb, 2.0, QuadratureConfig(nodes_per_piece=3))
         assert fine.integration_defect < 1e-9
         assert coarse.integration_defect > fine.integration_defect
+
+    def test_integration_defect_matches_a_per_piece_reference(self):
+        # The largest |x' - f(x(t - r))| over 5 Chebyshev points of every
+        # piece in [0, T], recomputed one piece at a time.  The defect is a
+        # difference of O(1) terms, so the comparison is relative to it where
+        # it is large and absolute near rounding.
+        phi = random_history(np.random.default_rng(4), SCALAR, max_degree=3, scale=0.5)
+        for nl in (saturating(), make("mackey_glass", beta=4.0, k=5)):
+            traj = solve(Problem(SCALAR, nl, 1.0, phi), 3.0, QuadratureConfig(nodes_per_piece=3))
+            x, probe = traj.x, C.chebpts1(5)
+            worst = 0.0
+            for i in range(x.n_pieces):
+                c, d = x.piece_interval(i)
+                if c < 0.0:
+                    continue
+                half = 0.5 * (d - c)
+                slope = C.chebval(probe, C.chebder(x.coeffs[i], axis=0)).T / half
+                rhs = nl.fn(x(0.5 * (c + d) + half * probe - 1.0))
+                worst = max(worst, float(np.abs(slope - rhs).max()))
+            assert worst > 1e-6
+            assert traj.integration_defect == pytest.approx(worst, rel=1e-14, abs=1e-15)
+
+    def test_continuity_defect_reports_jumps_after_zero_only(self):
+        # The history jumps at -0.5 and at 0, where the solution starts from
+        # phi(0) = 1: neither seam is checked.
+        phi = PiecewiseFunction.from_power([-1.0, -0.5, 0.0], [[[0.3]], [[0.0]]], [1.0])
+        pb = Problem(SCALAR, linear(np.array([[1.0]])), 1.0, HistoryElement(phi))
+        traj = solve(pb, 2.0)
+        assert traj.continuity_defect() < 1e-12
+        x = traj.x
+        raised = tuple(
+            block + np.eye(block.shape[0], 1) * 0.25 * (x.breakpoints[i] >= 1.0)
+            for i, block in enumerate(x.coeffs)
+        )
+        jump = PiecewiseFunction(x.breakpoints, raised, x.endpoint_value + 0.25)
+        planted = Trajectory(pb, 2.0, jump, traj.step_boundaries, traj.integration_defect)
+        assert planted.continuity_defect() == pytest.approx(0.25, abs=1e-12)
+        loose_end = Trajectory(pb, 2.0, x.with_endpoint(x.endpoint_value + 0.5), traj.step_boundaries, 0.0)
+        assert loose_end.continuity_defect() == pytest.approx(0.5, abs=1e-12)
 
     def test_continuity_defect_small_everywhere(self):
         for name, value in [("saturating", 0.8), ("quadratic", 0.4)]:
