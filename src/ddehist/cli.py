@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import certify_decay
+from .certify import certify_decay, halving
 from .composition import (
     CompositionContext,
     MeasureDomain,
@@ -38,6 +38,7 @@ from .derivops import (
     DerivativeContext,
     curvature_remainder_bound,
     estimate_operator_norm,
+    halving_solves,
     remainder_schedule,
     tangent_deviation,
     tangent_deviation_bound,
@@ -96,6 +97,22 @@ class Claim:
         return (
             f"{tag} {self.experiment} {self.name} "
             f"measured={self.measured:.6g} {self.relation} limit={self.limit:.6g}"
+        )
+
+    @classmethod
+    def bound(cls, experiment, name, measured, limit, slack=0.0, relation="<="):
+        """measured <= limit + slack, or measured >= limit - slack."""
+        if relation == ">=":
+            passed = measured >= limit - slack
+        else:
+            passed = measured <= limit + slack
+        return cls(experiment, name, measured, limit, bool(passed), relation)
+
+    @classmethod
+    def decay(cls, experiment, name, cert):
+        """A decay certificate's verdict, reported by its final ratio and limit."""
+        return cls(
+            experiment, name, cert.final_over_reference, cert.final_limit, bool(cert.passed)
         )
 
 
@@ -419,44 +436,30 @@ def _run_solve(spec) -> ExperimentResult:
     rows = [(float(t), *map(float, x)) for t, x in zip(ts, traj.x(ts))]
     cont = traj.continuity_defect()
     claims = [
-        Claim(spec.name, "solve.continuity-defect", cont, 1e-9, cont <= 1e-9),
-        Claim(
-            spec.name,
-            "solve.integration-defect",
-            traj.integration_defect,
-            1e-6,
-            traj.integration_defect <= 1e-6,
-        ),
+        Claim.bound(spec.name, "solve.continuity-defect", cont, 1e-9),
+        Claim.bound(spec.name, "solve.integration-defect", traj.integration_defect, 1e-6),
     ]
     return ExperimentResult(spec.name, [("trajectory", header, rows)], claims)
 
 
 def _run_dependence(spec) -> ExperimentResult:
     pb = Problem(spec.cfg, spec.nl, spec.delay, spec.history)
-    base = solve(pb, spec.horizon, spec.quad)
+    base, schedule = halving_solves(pb, spec.direction, spec.horizon, spec.count, spec.quad)
     base_dev = base.deviation()
     fn, n = spec.nl.fn, spec.cfg.N
-    rows, outs, worst = [], [], -math.inf
-    for k in range(spec.count + 1):
-        step = spec.direction.scale(2.0**-k)
-        moved = spec.history + step
-        traj = solve(Problem(spec.cfg, spec.nl, spec.delay, moved), spec.horizon, spec.quad)
+    rows = []
+    for factor, step, traj in schedule:
         gap_in = seminorm(step, spec.cfg, spec.quad)
         gap_out = endpoint_lp_norm(traj.x - base.x, spec.cfg.p, spec.quad)
         ygap = sup_norm(traj.deviation() - base_dev, spec.quad)
-        paired = stack((moved.rep, spec.history.rep))
+        paired = stack((traj.problem.phi.rep, spec.history.rep))
         fgap = LazyComposition(paired, lambda v: fn(v[:, :n]) - fn(v[:, n:]), n)
-        l1 = lp_norm(fgap, 1.0, spec.quad)
-        rows.append((2.0**-k, gap_in, gap_out, ygap, l1))
-        outs.append(gap_out)
-        worst = max(worst, ygap - l1)
-    cert = certify_decay(np.array(outs))
+        rows.append((factor, gap_in, gap_out, ygap, lp_norm(fgap, 1.0, spec.quad)))
+    cert = certify_decay(np.array([row[2] for row in rows]))
+    worst = max(ygap - l1 for *_, ygap, l1 in rows)
     claims = [
-        Claim(
-            spec.name, "dependence.gap-decay",
-            cert.final_over_reference, cert.final_limit, bool(cert.passed),
-        ),
-        Claim(spec.name, "dependence.deviation-l1-bound", worst, 1e-8, worst <= 1e-8),
+        Claim.decay(spec.name, "dependence.gap-decay", cert),
+        Claim.bound(spec.name, "dependence.deviation-l1-bound", worst, 1e-8),
     ]
     header = ["scale", "input_gap", "output_gap", "deviation_gap_sup", "l1_bound"]
     return ExperimentResult(spec.name, [("gaps", header, rows)], claims)
@@ -490,14 +493,8 @@ def _run_lipschitz(spec) -> ExperimentResult:
         worst = max(worst, ratio)
         rows.append((i, gap_in, gap_out, ratio))
     claims = [
-        Claim(
-            spec.name, "lipschitz.stated-constant",
-            worst, stated, worst <= stated + 1e-8,
-        ),
-        Claim(
-            spec.name, "lipschitz.corrected-constant",
-            worst, corrected, worst <= corrected + 1e-8,
-        ),
+        Claim.bound(spec.name, "lipschitz.stated-constant", worst, stated, slack=1e-8),
+        Claim.bound(spec.name, "lipschitz.corrected-constant", worst, corrected, slack=1e-8),
     ]
     header = ["instance", "input_gap", "output_gap", "ratio"]
     return ExperimentResult(spec.name, [("ratios", header, rows)], claims)
@@ -507,36 +504,29 @@ def _run_smooth(spec) -> ExperimentResult:
     pb = Problem(spec.cfg, spec.nl, spec.delay, spec.history)
     ctx = DerivativeContext(pb, spec.horizon, spec.cfg.p)
     table = remainder_schedule(ctx, spec.direction, spec.count, spec.quad)
-    cert = table.certificate()
-    claims = [
-        Claim(
-            spec.name, "smooth.remainder-decay",
-            cert.final_over_reference, cert.final_limit, bool(cert.passed),
-        )
-    ]
     alpha = spec.nl.df_growth.alpha
     bound = tangent_deviation_bound(ctx, spec.quad)
     probed = estimate_operator_norm(
         lambda chi: tangent_deviation(ctx, chi, spec.quad),
         lambda chi: lp_norm(chi.rep, alpha + 1.0, spec.quad),
         lambda f: sup_norm(f, spec.quad),
-        spec.cfg,
+        (-spec.cfg.R, 0.0),
+        spec.cfg.N,
         probes=spec.probes,
         seed=spec.seed,
         extra=[spec.direction],
+        lift=HistoryElement,
     )
-    claims.append(
-        Claim(spec.name, "smooth.gain-bound", probed, bound, probed <= bound + 1e-8)
-    )
+    claims = [
+        Claim.decay(spec.name, "smooth.remainder-decay", table.certificate()),
+        Claim.bound(spec.name, "smooth.gain-bound", probed, bound, slack=1e-8),
+    ]
     if spec.nl.df_lipschitz is not None:
-        worst = -math.inf
-        for k in range(spec.count + 1):
-            chi = spec.direction.scale(2.0**-k)
-            excess = table.remainders[k] - curvature_remainder_bound(ctx, chi, spec.quad)
-            worst = max(worst, float(excess))
-        claims.append(
-            Claim(spec.name, "smooth.curvature-bound", worst, 1e-8, worst <= 1e-8)
+        worst = max(
+            float(rem - curvature_remainder_bound(ctx, spec.direction.scale(f), spec.quad))
+            for f, rem in zip(halving(spec.count), table.remainders)
         )
+        claims.append(Claim.bound(spec.name, "smooth.curvature-bound", worst, 1e-8))
     header = ["scale", "remainder", "ratio"]
     return ExperimentResult(spec.name, [("remainder", header, table.as_rows())], claims)
 
@@ -545,36 +535,25 @@ def _run_composition(spec) -> ExperimentResult:
     ctx = CompositionContext(spec.nl, spec.q, "continuity", spec.domain)
     report = compose(ctx, spec.base_fn, spec.quad)
     gaps = continuity_probe(ctx, spec.base_fn, spec.direction_fn, spec.count, spec.quad)
-    cert = gaps.certificate()
     claims = [
-        Claim(
+        Claim.bound(
             spec.name, "composition.image-power-bound",
-            report.norm**report.q, report.bound_power, bool(report.passed),
+            report.norm**report.q, report.bound_power, slack=1e-8,
         ),
-        Claim(
-            spec.name, "composition.gap-decay",
-            cert.final_over_reference, cert.final_limit, bool(cert.passed),
-        ),
+        Claim.decay(spec.name, "composition.gap-decay", gaps.certificate()),
     ]
     tables = [("continuity", ["input_gap", "output_gap"], gaps.as_rows())]
     if spec.smoothness:
         sctx = CompositionContext(spec.nl, spec.q, "smoothness", spec.domain)
         dreport = apply_derivative(sctx, spec.base_fn, spec.direction_fn, spec.quad)
         rtable = smoothness_probe(sctx, spec.base_fn, spec.direction_fn, spec.count, spec.quad)
-        rcert = rtable.certificate()
         claims.append(
-            Claim(
+            Claim.bound(
                 spec.name, "composition.derivative-gain",
-                dreport.norm, dreport.gain_bound * dreport.direction_size,
-                bool(dreport.passed),
+                dreport.norm, dreport.gain_bound * dreport.direction_size, slack=1e-8,
             )
         )
-        claims.append(
-            Claim(
-                spec.name, "composition.remainder-decay",
-                rcert.final_over_reference, rcert.final_limit, bool(rcert.passed),
-            )
-        )
+        claims.append(Claim.decay(spec.name, "composition.remainder-decay", rtable.certificate()))
         tables.append(("smoothness", ["scale", "remainder", "ratio"], rtable.as_rows()))
     return ExperimentResult(spec.name, tables, claims)
 
@@ -587,15 +566,9 @@ def _run_semiflow(spec) -> ExperimentResult:
     qgap = quotient_invariance(sf, spec.delay, spec.history, variant, spec.quad)
     worst_stage = report.worst_composition_defect
     claims = [
-        Claim(
-            spec.name, "semiflow.identity-defect",
-            report.identity_defect, 1e-12, report.identity_defect <= 1e-12,
-        ),
-        Claim(
-            spec.name, "semiflow.stage-split-defect",
-            worst_stage, 1e-9, worst_stage <= 1e-9,
-        ),
-        Claim(spec.name, "semiflow.quotient-invariance", qgap, 1e-10, qgap <= 1e-10),
+        Claim.bound(spec.name, "semiflow.identity-defect", report.identity_defect, 1e-12),
+        Claim.bound(spec.name, "semiflow.stage-split-defect", worst_stage, 1e-9),
+        Claim.bound(spec.name, "semiflow.quotient-invariance", qgap, 1e-10),
     ]
     axiom_rows = [
         (t, s, float(d))
@@ -622,19 +595,10 @@ def _run_semiflow(spec) -> ExperimentResult:
             all(c.passed for c in certs),
         )
     )
-    claims.append(
-        Claim(
-            spec.name, "semiflow.modulus-bound",
-            worst_excess, 1e-8, worst_excess <= 1e-8,
-        )
-    )
+    claims.append(Claim.bound(spec.name, "semiflow.modulus-bound", worst_excess, 1e-8))
     if report.remainder is not None:
-        cert = report.remainder.certificate()
         claims.append(
-            Claim(
-                spec.name, "semiflow.remainder-decay",
-                cert.final_over_reference, cert.final_limit, bool(cert.passed),
-            )
+            Claim.decay(spec.name, "semiflow.remainder-decay", report.remainder.certificate())
         )
         tables.append(
             ("remainder", ["scale", "remainder", "ratio"], report.remainder.as_rows())
@@ -658,25 +622,14 @@ def _run_discontinuity(spec) -> ExperimentResult:
         output.append(out)
     measured = np.array(measured)
     analytic_err = float(np.max(np.abs(measured - np.array([row[2] for row in rows]))))
-    cert = certify_decay(measured)
     drift = float(np.max(np.abs(np.array(output) - output[0])))
     floor = float(np.min(output))
     claims = [
-        Claim(
-            spec.name, "discontinuity.input-gap-analytic",
-            analytic_err, 1e-12, analytic_err <= 1e-12,
-        ),
-        Claim(
-            spec.name, "discontinuity.input-gap-decay",
-            cert.final_over_reference, cert.final_limit, bool(cert.passed),
-        ),
-        Claim(
-            spec.name, "discontinuity.output-gap-constant",
-            drift, 1e-12, drift <= 1e-12,
-        ),
-        Claim(
-            spec.name, "discontinuity.output-gap-positive",
-            floor, 1e-9, floor >= 1e-9, relation=">=",
+        Claim.bound(spec.name, "discontinuity.input-gap-analytic", analytic_err, 1e-12),
+        Claim.decay(spec.name, "discontinuity.input-gap-decay", certify_decay(measured)),
+        Claim.bound(spec.name, "discontinuity.output-gap-constant", drift, 1e-12),
+        Claim.bound(
+            spec.name, "discontinuity.output-gap-positive", floor, 1e-9, relation=">="
         ),
     ]
     header = ["n", "input_gap", "analytic_gap", "output_gap"]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import BoundPair, GapTable, RemainderTable
-from .corpus import piecewise_constant
+from .certify import BoundPair, GapTable, RemainderTable, halving
+from .derivops import estimate_operator_norm, jacobian_gap
 from .funcrep import (
     DEFAULT_QUADRATURE,
     LazyComposition,
@@ -170,8 +170,7 @@ def continuity_probe(
     """
     ctx._accept(g)
     ctx._accept(direction, "direction")
-    if count < 3:
-        raise ValueError("need at least three halvings")
+    factors = halving(count)
     base_size = lp_norm(direction, ctx.p, quad)
     if base_size < 1e-13:
         raise ValueError("direction must be nonzero")
@@ -182,8 +181,8 @@ def continuity_probe(
         return fn(values[:, :m]) - fn(values[:, m:])
 
     ins, outs = [], []
-    for k in range(count + 1):
-        moved = g + direction.scale(2.0**-k)
+    for factor in factors:
+        moved = g + direction.scale(factor)
         paired = stack((moved, g))
         ins.append(lp_norm(moved - g, ctx.p, quad))
         outs.append(lp_norm(LazyComposition(paired, gap_map, m), ctx.q, quad))
@@ -226,8 +225,7 @@ def smoothness_probe(
         raise ValueError("smoothness probe requires smoothness-mode exponents")
     ctx._accept(g)
     ctx._accept(direction, "direction")
-    if count < 3:
-        raise ValueError("need at least three halvings")
+    factors = halving(count)
     m = ctx.nl.dim
     fn, jac = ctx.nl.fn, ctx.nl.jac
 
@@ -237,8 +235,8 @@ def smoothness_probe(
         return fn(base + step) - fn(base) - linear_part
 
     scales, remainders = [], []
-    for k in range(count + 1):
-        h = direction.scale(2.0**-k)
+    for factor in factors:
+        h = direction.scale(factor)
         paired = stack((g, h))
         scales.append(lp_norm(h, ctx.p, quad))
         remainders.append(lp_norm(LazyComposition(paired, remainder_map, m), ctx.q, quad))
@@ -282,12 +280,7 @@ def derivative_gap(
     ctx._accept(g0, "base point")
     m = ctx.nl.dim
     jac = ctx.nl.jac
-    paired = stack((g, g0))
-
-    def jac_gap(values):
-        return spectral_norm(jac(values[:, :m]) - jac(values[:, m:]))[:, None]
-
-    bound = lp_norm(LazyComposition(paired, jac_gap, 1), ctx.p / ctx.alpha, quad)
+    bound = lp_norm(jacobian_gap(jac, g, g0), ctx.p / ctx.alpha, quad)
 
     def gap_image(h):
         def multiplier(values):
@@ -296,15 +289,14 @@ def derivative_gap(
 
         return LazyComposition(stack((g, g0, h)), multiplier, m)
 
-    rng = np.random.default_rng(seed)
-    span = (ctx.domain.lower, ctx.domain.upper)
-    candidates = list(extra)
-    for _ in range(int(probes)):
-        candidates.append(piecewise_constant(rng, span, n_pieces=8, n_components=m))
-    probed = 0.0
-    for h in candidates:
-        size = lp_norm(h, ctx.p, quad)
-        if size < 1e-13:
-            continue
-        probed = max(probed, lp_norm(gap_image(h), ctx.q, quad) / size)
+    probed = estimate_operator_norm(
+        gap_image,
+        norm_in=lambda h: lp_norm(h, ctx.p, quad),
+        norm_out=lambda image: lp_norm(image, ctx.q, quad),
+        span=(ctx.domain.lower, ctx.domain.upper),
+        n_components=m,
+        probes=probes,
+        seed=seed,
+        extra=extra,
+    )
     return BoundPair(probed, bound)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .certify import BoundPair, RemainderTable
+from .certify import BoundPair, RemainderTable, halving
 from .corpus import piecewise_constant
 from .funcrep import (
     DEFAULT_QUADRATURE,
@@ -44,7 +44,8 @@ __all__ = [
     "curvature_remainder_bound",
     "derivative_gap",
     "estimate_operator_norm",
-    "frechet_remainder",
+    "halving_solves",
+    "jacobian_gap",
     "remainder_function",
     "remainder_schedule",
     "tangent_deviation",
@@ -157,24 +158,25 @@ def estimate_operator_norm(
     op,
     norm_in,
     norm_out,
-    cfg,
+    span,
+    n_components: int,
     probes: int = 12,
     seed: int = 0,
     extra=(),
+    lift=lambda h: h,
 ) -> float:
     """Empirical lower bound for an operator norm via seeded step-function probes.
 
-    Probes are random piecewise-constant histories (dense enough in every
-    L^p and integrated exactly by the quadrature), plus any caller-supplied
-    directions in extra.
+    Probes are random piecewise-constant functions on span with n_components
+    components (dense enough in every L^p and integrated exactly by the
+    quadrature), passed through lift (HistoryElement for operators on
+    histories), plus any caller-supplied directions in extra.
     """
     rng = np.random.default_rng(seed)
     candidates = list(extra)
     for _ in range(int(probes)):
         candidates.append(
-            HistoryElement(
-                piecewise_constant(rng, (-cfg.R, 0.0), n_pieces=8, n_components=cfg.N)
-            )
+            lift(piecewise_constant(rng, span, n_pieces=8, n_components=n_components))
         )
     best = 0.0
     for chi in candidates:
@@ -183,6 +185,36 @@ def estimate_operator_norm(
             continue
         best = max(best, norm_out(op(chi)) / size)
     return best
+
+
+def jacobian_gap(jac, a: PiecewiseFunction, b: PiecewiseFunction) -> LazyComposition:
+    """The spectral norm of Df(a(.)) - Df(b(.)), integrated without materializing."""
+    n = a.n_components
+    return LazyComposition(
+        stack((a, b)), lambda v: spectral_norm(jac(v[:, :n]) - jac(v[:, n:]))[:, None], 1
+    )
+
+
+def halving_solves(
+    pb: Problem,
+    chi: HistoryElement,
+    horizon: float,
+    count: int,
+    quad: QuadratureConfig = DEFAULT_QUADRATURE,
+):
+    """The solves behind every dependence table: from pb.phi and along the
+    halving schedule pb.phi + chi/2^k, k = 0..count.
+
+    Returns the base trajectory and one (2^-k, chi/2^k, trajectory) row per k.
+    """
+    factors = halving(count)
+    base = solve(pb, horizon, quad)
+    rows = []
+    for factor in factors:
+        step = chi.scale(factor)
+        moved = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + step), horizon, quad)
+        rows.append((factor, step, moved))
+    return base, rows
 
 
 def remainder_function(
@@ -197,15 +229,6 @@ def remainder_function(
     return moved - base - tangent_trajectory(ctx, chi, quad)
 
 
-def frechet_remainder(
-    ctx: DerivativeContext,
-    chi: HistoryElement,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """Sup norm of the linearization remainder over history plus horizon."""
-    return sup_norm(remainder_function(ctx, chi, quad), quad)
-
-
 def remainder_schedule(
     ctx: DerivativeContext,
     chi0: HistoryElement,
@@ -217,20 +240,10 @@ def remainder_schedule(
     The first-order response is computed once and rescaled (it is linear by
     construction); each row re-solves the perturbed problem.
     """
-    if count < 3:
-        raise ValueError("need at least three halvings")
-    pb = ctx.problem
-    base = solve(pb, ctx.horizon, quad).x
     tangent0 = tangent_trajectory(ctx, chi0, quad)
-    scales = []
-    remainders = []
-    for k in range(count + 1):
-        factor = 2.0**-k
-        chi = chi0.scale(factor)
-        moved = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + chi), ctx.horizon, quad).x
-        diff = moved - base - tangent0.scale(factor)
-        scales.append(lp_norm(chi.rep, ctx.alpha + 1.0, quad))
-        remainders.append(sup_norm(diff, quad))
+    base, rows = halving_solves(ctx.problem, chi0, ctx.horizon, count, quad)
+    scales = [lp_norm(chi.rep, ctx.alpha + 1.0, quad) for _, chi, _ in rows]
+    remainders = [sup_norm(traj.x - base.x - tangent0.scale(f), quad) for f, _, traj in rows]
     return RemainderTable(np.array(scales), np.array(remainders))
 
 
@@ -266,21 +279,16 @@ def derivative_gap(
     """
     pb = ctx.problem
     ctx0 = DerivativeContext(Problem(pb.cfg, pb.nl, pb.r, phi0), ctx.horizon, ctx.p)
-    n = pb.cfg.N
-    jac = pb.nl.jacobian
-    paired = stack((pb.phi.rep, phi0.rep))
-
-    def jac_gap(values):
-        return spectral_norm(jac(values[:, :n]) - jac(values[:, n:]))[:, None]
-
-    bound = lp_norm(LazyComposition(paired, jac_gap, 1), ctx.q, quad)
+    bound = lp_norm(jacobian_gap(pb.nl.jac, pb.phi.rep, phi0.rep), ctx.q, quad)
     probed = estimate_operator_norm(
         lambda chi: tangent_deviation(ctx, chi, quad) - tangent_deviation(ctx0, chi, quad),
         norm_in=lambda chi: lp_norm(chi.rep, ctx.alpha + 1.0, quad),
         norm_out=lambda gap: sup_norm(gap, quad),
-        cfg=pb.cfg,
+        span=(-pb.cfg.R, 0.0),
+        n_components=pb.cfg.N,
         probes=probes,
         seed=seed,
         extra=extra,
+        lift=HistoryElement,
     )
     return BoundPair(probed, bound)

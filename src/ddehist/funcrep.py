@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "PiecewiseFunction",
     "LazyComposition",
-    "evaluate",
     "lp_norm",
     "sup_norm",
     "materialize",
@@ -453,11 +452,6 @@ class LazyComposition:
 
 
 Representable = Union[PiecewiseFunction, LazyComposition]
-
-
-def evaluate(f: Representable, t):
-    """Pointwise evaluation; arrays of points are evaluated in one call."""
-    return f(t)
 
 
 def lp_norm(f: Representable, p: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

@@ -11,22 +11,20 @@ limit claims are certified along geometric schedules.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import BoundPair, GapTable, RemainderTable
-from .corpus import piecewise_constant
-from .derivops import DerivativeContext, tangent_deviation, tangent_trajectory
-from .funcrep import (
-    DEFAULT_QUADRATURE,
-    LazyComposition,
-    QuadratureConfig,
-    lp_norm,
-    stack,
-    sup_norm,
+from .certify import BoundPair, GapTable, RemainderTable, halving
+from .derivops import (
+    DerivativeContext,
+    estimate_operator_norm,
+    halving_solves,
+    jacobian_gap,
+    tangent_deviation,
+    tangent_trajectory,
 )
+from .funcrep import DEFAULT_QUADRATURE, QuadratureConfig, lp_norm, sup_norm
 from .histspace import (
     HistoryConfig,
     HistoryElement,
@@ -36,7 +34,7 @@ from .histspace import (
     seminorm,
     static_prolongation,
 )
-from .nonlinear import Nonlinearity, spectral_norm
+from .nonlinear import Nonlinearity
 from .solver import Problem, solve
 
 __all__ = [
@@ -69,10 +67,6 @@ class Semiflow:
 
     def problem(self, phi: HistoryElement) -> Problem:
         return Problem(self.cfg, self.nl, self.r, phi)
-
-    def escape_time(self, phi: HistoryElement) -> float:
-        """Certified growth keeps the stepwise integrals finite forever."""
-        return math.inf
 
 
 def evolve(
@@ -148,36 +142,29 @@ def continuity_modulus(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> tuple:
     """Evolution gaps along phi + direction/2^k for each grid time."""
-    if count < 3:
-        raise ValueError("need at least three halvings")
+    factors = halving(count)
     if seminorm(direction, sf.cfg, quad) < 1e-13:
         raise ValueError("direction must be nonzero")
     tables = []
     for t in times:
         if t < 0:
             raise ValueError("grid times must be nonnegative")
-        ins, outs, bounds = [], [], []
         if t == 0.0:
-            for k in range(count + 1):
-                gap = seminorm(direction.scale(2.0**-k), sf.cfg, quad)
-                ins.append(gap)
-                outs.append(gap)
-                bounds.append(gap)
-        else:
-            base_x = solve(sf.problem(phi), float(t), quad).x
-            base_seg = history_segment(base_x, t, sf.cfg.R)
-            window = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p)
-            inflate = prolongation_constant(float(t), sf.cfg.p)
-            for k in range(count + 1):
-                step = direction.scale(2.0**-k)
-                moved = phi + step
-                xk = solve(sf.problem(moved), float(t), quad).x
-                gap_in = seminorm(step, sf.cfg, quad)
-                seg = history_segment(xk, t, sf.cfg.R)
-                outs.append(seminorm(seg - base_seg, sf.cfg, quad))
-                ydiff = (xk - base_x) - static_prolongation(step, float(t))
-                bounds.append(window * sup_norm(ydiff, quad) + inflate * gap_in)
-                ins.append(gap_in)
+            gaps = np.array([seminorm(direction.scale(f), sf.cfg, quad) for f in factors])
+            tables.append(ModulusTable(0.0, GapTable(gaps, gaps), gaps))
+            continue
+        base, rows = halving_solves(sf.problem(phi), direction, float(t), count, quad)
+        base_seg = history_segment(base.x, t, sf.cfg.R)
+        window = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p)
+        inflate = prolongation_constant(float(t), sf.cfg.p)
+        ins, outs, bounds = [], [], []
+        for _, step, traj in rows:
+            gap_in = seminorm(step, sf.cfg, quad)
+            seg = history_segment(traj.x, t, sf.cfg.R)
+            outs.append(seminorm(seg - base_seg, sf.cfg, quad))
+            ydiff = (traj.x - base.x) - static_prolongation(step, float(t))
+            bounds.append(window * sup_norm(ydiff, quad) + inflate * gap_in)
+            ins.append(gap_in)
         tables.append(ModulusTable(float(t), GapTable(np.array(ins), np.array(outs)), np.array(bounds)))
     return tuple(tables)
 
@@ -195,19 +182,14 @@ def time_map_remainder(
     Sizes are measured in the endpoint-augmented seminorm on both sides,
     which is the norm the induced quotient map is differentiable in.
     """
-    if count < 3:
-        raise ValueError("need at least three halvings")
     ctx = DerivativeContext(sf.problem(phi), float(t), sf.cfg.p)
-    base = solve(ctx.problem, float(t), quad).x
     tangent0 = tangent_trajectory(ctx, chi0, quad)
-    scales, remainders = [], []
-    for k in range(count + 1):
-        factor = 2.0**-k
-        chi = chi0.scale(factor)
-        moved = solve(sf.problem(phi + chi), float(t), quad).x
-        rem_fn = moved - base - tangent0.scale(factor)
-        scales.append(seminorm(chi, sf.cfg, quad))
-        remainders.append(seminorm(history_segment(rem_fn, t, sf.cfg.R), sf.cfg, quad))
+    base, rows = halving_solves(ctx.problem, chi0, float(t), count, quad)
+    scales = [seminorm(chi, sf.cfg, quad) for _, chi, _ in rows]
+    remainders = [
+        seminorm(history_segment(traj.x - base.x - tangent0.scale(f), t, sf.cfg.R), sf.cfg, quad)
+        for f, _, traj in rows
+    ]
     return RemainderTable(np.array(scales), np.array(remainders))
 
 
@@ -229,32 +211,24 @@ def time_map_derivative_gap(
     """
     ctx = DerivativeContext(sf.problem(phi), float(t), sf.cfg.p)
     ctx0 = DerivativeContext(sf.problem(phi0), float(t), sf.cfg.p)
-    n = sf.cfg.N
-    jac = sf.nl.jac
-    paired = stack((phi.rep, phi0.rep))
-
-    def jac_gap(values):
-        return spectral_norm(jac(values[:, :n]) - jac(values[:, n:]))[:, None]
-
-    holder_gap = lp_norm(LazyComposition(paired, jac_gap, 1), ctx.q, quad)
+    holder_gap = lp_norm(jacobian_gap(sf.nl.jac, phi.rep, phi0.rep), ctx.q, quad)
     bound = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p) * holder_gap
 
-    rng = np.random.default_rng(seed)
-    candidates = list(extra)
-    for _ in range(int(probes)):
-        candidates.append(
-            HistoryElement(
-                piecewise_constant(rng, (-sf.cfg.R, 0.0), n_pieces=8, n_components=n)
-            )
-        )
-    probed = 0.0
-    for chi in candidates:
-        size = seminorm(chi, sf.cfg, quad)
-        if size < 1e-13:
-            continue
+    def window_gap(chi):
         gap_fn = tangent_deviation(ctx, chi, quad) - tangent_deviation(ctx0, chi, quad)
-        out = seminorm(history_segment(gap_fn, t, sf.cfg.R), sf.cfg, quad)
-        probed = max(probed, out / size)
+        return history_segment(gap_fn, t, sf.cfg.R)
+
+    probed = estimate_operator_norm(
+        window_gap,
+        norm_in=lambda chi: seminorm(chi, sf.cfg, quad),
+        norm_out=lambda seg: seminorm(seg, sf.cfg, quad),
+        span=(-sf.cfg.R, 0.0),
+        n_components=sf.cfg.N,
+        probes=probes,
+        seed=seed,
+        extra=extra,
+        lift=HistoryElement,
+    )
     return BoundPair(probed, bound)
 
 

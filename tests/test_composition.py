@@ -265,11 +265,15 @@ class TestDerivativeGap:
         rng = np.random.default_rng(12)
         g = random_piecewise(rng, (0.0, 1.0), n_pieces=2, scale=0.5)
         bump = random_piecewise(rng, (0.0, 1.0), n_pieces=2, scale=0.5)
-        bounds = [
-            derivative_gap(ctx, g, g + bump.scale(2.0**-k), probes=2, seed=k).bound
+        pairs = [
+            derivative_gap(ctx, g, g + bump.scale(2.0**-k), probes=2, seed=k)
             for k in range(5)
         ]
+        bounds = [pair.bound for pair in pairs]
         assert all(b2 < b1 for b1, b2 in zip(bounds[:-1], bounds[1:]))
+        # Seeded probe draws, recorded before the probe loop moved into
+        # derivops.estimate_operator_norm.
+        assert pairs[0].probed == 0.22724079802524733
 
 
 class TestExponents:

@@ -16,7 +16,6 @@ from ddehist.derivops import (
     curvature_remainder_bound,
     derivative_gap,
     estimate_operator_norm,
-    frechet_remainder,
     remainder_function,
     remainder_schedule,
     tangent_deviation,
@@ -167,7 +166,9 @@ class TestOperatorNormEstimate:
             lambda chi: PiecewiseFunction.zero(1, (-1.0, 1.0)),
             norm_in=lambda chi: lp_norm(chi.rep, 2.0),
             norm_out=sup_norm,
-            cfg=SCALAR,
+            span=(-SCALAR.R, 0.0),
+            n_components=SCALAR.N,
+            lift=HistoryElement,
         )
         assert probed == 0.0
 
@@ -177,7 +178,9 @@ class TestOperatorNormEstimate:
             lambda chi: tangent_deviation(ctx, chi),
             norm_in=lambda chi: lp_norm(chi.rep, 2.0),
             norm_out=sup_norm,
-            cfg=SCALAR,
+            span=(-SCALAR.R, 0.0),
+            n_components=SCALAR.N,
+            lift=HistoryElement,
             probes=6,
             extra=[unit_direction()],
         )
@@ -191,7 +194,9 @@ class TestOperatorNormEstimate:
                 lambda chi: tangent_deviation(ctx, chi),
                 norm_in=lambda chi: lp_norm(chi.rep, ctx.alpha + 1.0),
                 norm_out=sup_norm,
-                cfg=SCALAR,
+                span=(-SCALAR.R, 0.0),
+            n_components=SCALAR.N,
+            lift=HistoryElement,
                 seed=seed,
             )
             assert probed <= tangent_deviation_bound(ctx) + 1e-8
@@ -201,12 +206,12 @@ class TestRemainder:
     def test_constant_direction_frozen_square(self):
         # Remainder h^2 t / 2 for Df(y) = y; sup at the horizon.
         ctx = scalar_ctx(quadratic())
-        rem = frechet_remainder(ctx, unit_direction(0.25))
+        rem = sup_norm(remainder_function(ctx, unit_direction(0.25)))
         assert rem == pytest.approx(0.25**2 / 2.0, abs=1e-10)
 
     def test_zero_direction_gives_zero(self):
         ctx = scalar_ctx(quadratic())
-        assert frechet_remainder(ctx, unit_direction(0.0)) < 1e-14
+        assert sup_norm(remainder_function(ctx, unit_direction(0.0))) < 1e-14
 
     def test_linear_rhs_has_no_remainder(self):
         cfg = HistoryConfig(R=1.0, p=2.0, N=2)
@@ -215,7 +220,7 @@ class TestRemainder:
         phi = random_history(rng, cfg, continuous=True)
         ctx = DerivativeContext(Problem(cfg, rotation, 1.0, phi), 1.0, 2.0)
         chi = random_history(rng, cfg, continuous=True)
-        assert frechet_remainder(ctx, chi) < 1e-10
+        assert sup_norm(remainder_function(ctx, chi)) < 1e-10
 
     def test_remainder_function_vanishes_on_history(self):
         ctx = scalar_ctx(quadratic())
@@ -327,12 +332,16 @@ class TestDerivativeGap:
         ctx = scalar_ctx(make("mackey_glass", beta=2.0), phi_value=0.5)
         rng = np.random.default_rng(6)
         bump = random_history(rng, SCALAR, continuous=True, scale=0.4)
-        bounds = []
-        for k in range(5):
-            phi0 = ctx.problem.phi + bump.scale(2.0**-k)
-            bounds.append(derivative_gap(ctx, phi0, probes=3, seed=k).bound)
+        pairs = [
+            derivative_gap(ctx, ctx.problem.phi + bump.scale(2.0**-k), probes=3, seed=k)
+            for k in range(5)
+        ]
+        bounds = [pair.bound for pair in pairs]
         assert all(b2 < b1 for b1, b2 in zip(bounds[:-1], bounds[1:]))
         assert bounds[-1] < 0.2 * bounds[0]
+        # The seeded probe draws are part of the contract: this value was
+        # recorded before the probe loop moved into estimate_operator_norm.
+        assert pairs[0].probed == 0.6793185665778031
 
 
 class TestSegmentBound:

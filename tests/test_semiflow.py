@@ -89,10 +89,9 @@ class TestEvolve:
         with pytest.raises(ValueError):
             Semiflow(SCALAR, saturating(dim=2), 1.0)
 
-    def test_escape_time_is_infinite_and_long_runs_succeed(self):
+    def test_long_runs_succeed(self):
         sf = scalar_flow(mackey_glass(), r=0.5)
         for phi in small_corpus(seed=11, size=3, scale=1.5):
-            assert sf.escape_time(phi) == math.inf
             traj = solve(sf.problem(phi), 5.0)
             assert traj.horizon == pytest.approx(5.0)
             assert traj.continuity_defect() < 1e-8
@@ -272,13 +271,17 @@ class TestTimeMapDerivativeGap:
         assert pair.bound < 1e-12
 
     def test_bound_dominates_on_random_pairs(self):
+        # The probed values pin the seeded probe draws; they were recorded
+        # before the probe loop moved into derivops.estimate_operator_norm.
         rng = np.random.default_rng(17)
-        for nl, r in [(saturating(), 1.0), (mackey_glass(), 0.8)]:
+        cases = [(saturating(), 1.0, 0.08233570091020043), (mackey_glass(), 0.8, 0.38549910627328793)]
+        for nl, r, probed in cases:
             sf = scalar_flow(nl, r)
             phi = random_history(rng, SCALAR, scale=0.7)
             phi0 = random_history(rng, SCALAR, scale=0.7)
             pair = time_map_derivative_gap(sf, r, phi, phi0, probes=8, seed=2)
             assert pair.passed, pair.slack
+            assert pair.probed == probed
 
 
 class TestVerifyBattery:
