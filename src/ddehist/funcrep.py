@@ -493,6 +493,10 @@ def lp_norm(f: Representable, p: float, quad: QuadratureConfig = DEFAULT_QUADRAT
 # count as real.  Double roots come out of the colleague matrix with a
 # spread of about sqrt(machine epsilon).
 _ROOT_TOL = 1e-6
+# Zeros this close to an end of the piece (in local coordinates) lie on it
+# up to rounding.  Moving a zero at distance d onto the end moves the
+# integral by about d times the coefficient scale.
+_END_TOL = 1e-12
 # Complex zeros this close to the real axis put a sharp bend into |f|^p;
 # pieces are also split around them.
 _NEAR_TOL = 1e-2
@@ -536,11 +540,13 @@ def _zeros_of_modulus(block: np.ndarray):
 
     The zeros are those of the component when N = 1 and of sum_j f_j^2
     (the common zeros, each counted twice) when N > 1, from the colleague
-    matrix.  Real zeros within _ROOT_TOL of each other are merged and those
-    within _ROOT_TOL of an end are snapped onto it.  Each complex zero
-    x + iy with y within _NEAR_TOL of the axis adds the points x - y, x,
-    x + y with multiplicity 0: |f| does not vanish there but bends sharply
-    over a width of about y.
+    matrix.  Real zeros within _ROOT_TOL of each other are merged, those
+    within _END_TOL of an end are snapped onto it, and those outside the
+    piece are dropped: |f| does not vanish on the piece there, and the bend
+    such a zero puts near the end is left to the zero-free margin and the
+    bisection.  Each complex zero x + iy with y within _NEAR_TOL of the axis
+    adds the points x - y, x, x + y with multiplicity 0: |f| does not vanish
+    there but bends sharply over a width of about y.
     """
     if block.shape[1] == 1:
         c, per_zero = block[:, 0], 1
@@ -567,9 +573,10 @@ def _zeros_of_modulus(block: np.ndarray):
             at.append(float(x))
             mults.append(0)
     at, mults = np.array(at), np.array(mults, dtype=int)
-    at[np.abs(at + 1.0) <= _ROOT_TOL] = -1.0
-    at[np.abs(at - 1.0) <= _ROOT_TOL] = 1.0
-    order = np.argsort(at)
+    at[np.abs(at + 1.0) <= _END_TOL] = -1.0
+    at[np.abs(at - 1.0) <= _END_TOL] = 1.0
+    inside = np.flatnonzero(np.abs(at) <= 1.0)
+    order = inside[np.argsort(at[inside])]
     return at[order], mults[order]
 
 

@@ -307,6 +307,10 @@ def small_piecewise(draw, n_components=1):
 # g = 0 carries a breakpoint at -0.75, so f + g is f on a refined partition.
 SIGN_CHANGE = PiecewiseFunction(np.array([-1.0, 0.0]), (np.array([[-0.625], [-1.0], [0.125]]),), [0.0])
 ZERO_REFINED = PiecewiseFunction(np.array([-1.0, -0.75, 0.0]), (np.zeros((1, 1)), np.zeros((1, 1))), [0.0])
+# -1, and -(0.5 + 2^-23) + 0.5 T_1, whose zero lies 2.4e-7 past the right end
+# of its piece (hypothesis seed 135).
+MINUS_ONE = PiecewiseFunction(np.array([-1.0, 0.0]), (np.array([[-1.0]]),), [0.0])
+ZERO_PAST_END = PiecewiseFunction(np.array([-1.0, 0.0]), (np.array([[-0.5 - 2.0**-23], [0.5]]),), [0.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,6 +318,7 @@ ZERO_REFINED = PiecewiseFunction(np.array([-1.0, -0.75, 0.0]), (np.zeros((1, 1))
 @example(f=SIGN_CHANGE, g=ZERO_REFINED, p=1.0)
 @example(f=SIGN_CHANGE, g=ZERO_REFINED, p=1.5)
 @example(f=SIGN_CHANGE, g=ZERO_REFINED, p=3.0)
+@example(f=MINUS_ONE, g=ZERO_PAST_END, p=1.0)
 def test_lp_norm_triangle_inequality(f, g, p):
     # f + g lives on the merged partition of f and g, so the two sides are
     # integrated over different pieces.  The inequality holds to rounding
@@ -321,6 +326,19 @@ def test_lp_norm_triangle_inequality(f, g, p):
     # partition; a fixed-node rule on the pieces would not be enough, since
     # its error changes when a breakpoint is added.
     assert lp_norm(f + g, p) <= lp_norm(f, p) + lp_norm(g, p) + 1e-10
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("c0", [-0.50000012, -0.49999988])
+def test_lp_norm_zero_next_to_a_piece_end(c0, p):
+    # g = c0 + 0.5 T_1 on [-1, 0] vanishes at local x0 = -2 c0, 2.4e-7 past
+    # or before the right end.  A zero outside the piece must not get a
+    # Jacobi weight, and one inside must not be moved onto the end.
+    g = PiecewiseFunction(np.array([-1.0, 0.0]), (np.array([[c0], [0.5]]),), [0.0])
+    x0 = -2.0 * c0
+    inner = (x0 + 1.0) ** (p + 1.0) + np.sign(1.0 - x0) * abs(1.0 - x0) ** (p + 1.0)
+    exact = (0.5 ** (p + 1.0) * inner / (p + 1.0)) ** (1.0 / p)
+    assert lp_norm(g, p) == pytest.approx(exact, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
