@@ -288,7 +288,13 @@ def parse_experiment(doc, index, global_seed) -> ExperimentSpec:
     history = _history(doc.get("history", {"constant": [1.0] * cfg.N}), cfg, rng, "history")
 
     if kind == "discontinuity":
-        count = _int_field(doc, "count", max(12, math.ceil(5.0 * cfg.p)), 3, 20)
+        default = max(12, math.ceil(5.0 * cfg.p))
+        _require(
+            "count" in doc or default <= 20,
+            f"{name}: at p = {cfg.p:g} the default count would be {default}, "
+            "above the limit of 20 halvings; set count explicitly",
+        )
+        count = _int_field(doc, "count", default, 3, 20)
         spec = ExperimentSpec(
             name=name, kind=kind, seed=seed, nl=nl, cfg=cfg, delay=delay,
             count=count, quad=quad,

@@ -123,6 +123,15 @@ class TestKindValidation:
         cfg = write_config(tmp_path, [exp])
         assert main(["verify", "--config", cfg]) == 2
 
+    def test_discontinuity_default_count_beyond_its_range_names_p(self):
+        # max(12, ceil(5p)) = 23 at p = 4.5: the config never set count, so
+        # the error must be about p, not about the range of count.
+        exp = dict(DEMO_EXPERIMENT, space={"R": 1.0, "p": 4.5, "N": 1})
+        with pytest.raises(ConfigError, match=r"p = 4\.5.*set count explicitly"):
+            parse_config({"experiments": [exp]}, 0)
+        (spec,) = parse_config({"experiments": [dict(exp, count=20)]}, 0)
+        assert spec.count == 20
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         exp = dict(SOLVE_EXPERIMENT, space={"R": 1.0, "p": 2.0, "N": 2})
         cfg = write_config(tmp_path, [exp])
