@@ -38,13 +38,10 @@ from .derivops import (
     tangent_trajectory,
 )
 from .funcrep import (
-    DEFAULT_QUADRATURE,
     DomainError,
     LazyComposition,
     PiecewiseFunction,
-    QuadratureConfig,
     lp_norm,
-    materialize,
     stack,
     sup_norm,
 )
@@ -82,14 +79,13 @@ from .semiflow import (
     time_map_remainder,
     verify_semiflow,
 )
-from .solver import Problem, Trajectory, solve, solve_step, step_edges
+from .solver import Problem, Trajectory, solve, step_edges
 
 __all__ = [
     "BoundPair",
     "Certificate",
     "CompositionContext",
     "CompositionReport",
-    "DEFAULT_QUADRATURE",
     "DerivativeContext",
     "DerivativeReport",
     "DomainError",
@@ -103,7 +99,6 @@ __all__ = [
     "Nonlinearity",
     "PiecewiseFunction",
     "Problem",
-    "QuadratureConfig",
     "QuotientPair",
     "RemainderTable",
     "Semiflow",
@@ -126,7 +121,6 @@ __all__ = [
     "lipschitz_on_ball",
     "lp_norm",
     "make",
-    "materialize",
     "pair_norm",
     "from_pair",
     "prolongation_constant",
@@ -138,7 +132,6 @@ __all__ = [
     "seminorm",
     "smoothness_probe",
     "solve",
-    "solve_step",
     "spectral_norm",
     "stack",
     "static_prolongation",

@@ -39,17 +39,14 @@ from .derivops import (
     curvature_remainder_bound,
     estimate_operator_norm,
     halving_solves,
+    map_gap,
     remainder_schedule,
     tangent_deviation,
     tangent_deviation_bound,
 )
 from .funcrep import (
-    DEFAULT_QUADRATURE,
-    LazyComposition,
     PiecewiseFunction,
-    QuadratureConfig,
     lp_norm,
-    stack,
     sup_norm,
 )
 from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norm, seminorm
@@ -125,7 +122,7 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One parsed experiment with everything materialized up front."""
+    """One parsed experiment with everything built up front."""
 
     name: str
     kind: str
@@ -147,7 +144,6 @@ class ExperimentSpec:
     base_fn: PiecewiseFunction = None
     direction_fn: PiecewiseFunction = None
     smoothness: bool = True
-    quad: QuadratureConfig = DEFAULT_QUADRATURE
 
 
 # -- config parsing ---------------------------------------------------------
@@ -235,19 +231,24 @@ def _float_field(doc, key, default=None):
         raise ConfigError(f"{key} must be a number") from exc
 
 
-def _quadrature(doc) -> QuadratureConfig:
-    if "quadrature" not in doc:
-        return DEFAULT_QUADRATURE
-    opts = doc["quadrature"]
-    _require(isinstance(opts, dict), "quadrature must be an object")
-    try:
-        return QuadratureConfig(
-            nodes_per_piece=int(opts.get("nodes_per_piece", 16)),
-            sup_samples_per_piece=int(opts.get("sup_samples_per_piece", 64)),
-            tolerance=float(opts.get("tolerance", 1e-10)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad quadrature: {exc}") from exc
+# The experiment fields each kind reads besides _COMMON_FIELDS; any other
+# field is a config error.  Kinds not listed in _FIELDS read _PROBLEM_FIELDS.
+_COMMON_FIELDS = {"name", "kind", "seed", "nonlinearity"}
+_FIELDS = {
+    "composition": {"domain", "q", "base", "direction", "smoothness", "count", "probes"},
+    "discontinuity": {"space", "delay", "count"},
+}
+_PROBLEM_FIELDS = {
+    "space", "delay", "history", "direction", "horizon", "count", "grid", "probes",
+    "instances", "scale", "adversarial",
+}
+
+
+def _indicator_width(R: float, r: float, k: int) -> float:
+    """Length of the k-th `discontinuity` indicator, [-r - 4^-k, -r + 4^-k]
+    clipped to [-R, 0]."""
+    h = 1.0 / 4**k
+    return min(-r + h, 0.0) - max(-r - h, -R)
 
 
 def parse_experiment(doc, index, global_seed) -> ExperimentSpec:
@@ -257,8 +258,9 @@ def parse_experiment(doc, index, global_seed) -> ExperimentSpec:
     name = str(doc.get("name", f"exp{index + 1:02d}"))
     _require(_NAME_RE.match(name), f"experiment name {name!r} is not filename-safe")
     seed = _int_field(doc, "seed", global_seed + index, 0, 2**64 - 1)
+    unknown = sorted(set(doc) - _COMMON_FIELDS - _FIELDS.get(kind, _PROBLEM_FIELDS))
+    _require(not unknown, f"{name}: unknown field(s) {unknown} for kind {kind!r}")
     rng = np.random.default_rng(seed)
-    quad = _quadrature(doc)
     nl = _nonlinearity(doc.get("nonlinearity", {"name": "missing"}))
 
     if kind == "composition":
@@ -278,14 +280,13 @@ def parse_experiment(doc, index, global_seed) -> ExperimentSpec:
         spec = ExperimentSpec(
             name=name, kind=kind, seed=seed, nl=nl, q=q, domain=domain,
             base_fn=base_fn, direction_fn=direction_fn, smoothness=smoothness,
-            count=count, probes=_int_field(doc, "probes", 12, 1, 64), quad=quad,
+            count=count, probes=_int_field(doc, "probes", 12, 1, 64),
         )
         _validate_composition(spec)
         return spec
 
     cfg = _space(doc.get("space", {}))
     delay = _float_field(doc, "delay", cfg.R)
-    history = _history(doc.get("history", {"constant": [1.0] * cfg.N}), cfg, rng, "history")
 
     if kind == "discontinuity":
         default = max(12, math.ceil(5.0 * cfg.p))
@@ -297,11 +298,12 @@ def parse_experiment(doc, index, global_seed) -> ExperimentSpec:
         count = _int_field(doc, "count", default, 3, 20)
         spec = ExperimentSpec(
             name=name, kind=kind, seed=seed, nl=nl, cfg=cfg, delay=delay,
-            count=count, quad=quad,
+            count=count,
         )
         _validate_discontinuity(spec)
         return spec
 
+    history = _history(doc.get("history", {"constant": [1.0] * cfg.N}), cfg, rng, "history")
     direction = _history(
         doc.get("direction", {"constant": [1.0] * cfg.N}), cfg, rng, "direction"
     )
@@ -315,7 +317,6 @@ def parse_experiment(doc, index, global_seed) -> ExperimentSpec:
         instances=_int_field(doc, "instances", 20, 1, 10**4),
         scale=_float_field(doc, "scale", 1.0),
         adversarial=bool(doc.get("adversarial", True)),
-        quad=quad,
     )
     _VALIDATORS[kind](spec)
     return spec
@@ -410,6 +411,14 @@ def _validate_discontinuity(spec):
         0 < spec.delay <= spec.cfg.R + 1e-12,
         f"{spec.name}: delay must lie in (0, R]",
     )
+    R, r, count = spec.cfg.R, spec.delay, spec.count
+    width, tol = _indicator_width(R, r, count), 1e-12 * max(1.0, R)
+    _require(
+        width > tol,
+        f"{spec.name}: at count = {count} the last indicator around -r = {-r:g} on [-R, 0] = "
+        f"[{-R:g}, 0] is {width:.3g} wide, not above the breakpoint tolerance {tol:.3g}; "
+        "set a smaller count",
+    )
 
 
 _VALIDATORS = {
@@ -436,7 +445,7 @@ def parse_config(doc, global_seed):
 
 def _run_solve(spec) -> ExperimentResult:
     pb = Problem(spec.cfg, spec.nl, spec.delay, spec.history)
-    traj = solve(pb, spec.horizon, spec.quad)
+    traj = solve(pb, spec.horizon)
     ts = np.linspace(-spec.cfg.R, spec.horizon, spec.grid)
     header = ["t"] + [f"x{j + 1}" for j in range(spec.cfg.N)]
     rows = [(float(t), *map(float, x)) for t, x in zip(ts, traj.x(ts))]
@@ -450,17 +459,15 @@ def _run_solve(spec) -> ExperimentResult:
 
 def _run_dependence(spec) -> ExperimentResult:
     pb = Problem(spec.cfg, spec.nl, spec.delay, spec.history)
-    base, schedule = halving_solves(pb, spec.direction, spec.horizon, spec.count, spec.quad)
+    base, schedule = halving_solves(pb, spec.direction, spec.horizon, spec.count)
     base_dev = base.deviation()
-    fn, n = spec.nl.fn, spec.cfg.N
     rows = []
     for factor, step, traj in schedule:
-        gap_in = seminorm(step, spec.cfg, spec.quad)
-        gap_out = endpoint_lp_norm(traj.x - base.x, spec.cfg.p, spec.quad)
-        ygap = sup_norm(traj.deviation() - base_dev, spec.quad)
-        paired = stack((traj.problem.phi.rep, spec.history.rep))
-        fgap = LazyComposition(paired, lambda v: fn(v[:, :n]) - fn(v[:, n:]), n)
-        rows.append((factor, gap_in, gap_out, ygap, lp_norm(fgap, 1.0, spec.quad)))
+        gap_in = seminorm(step, spec.cfg)
+        gap_out = endpoint_lp_norm(traj.x - base.x, spec.cfg.p)
+        ygap = sup_norm(traj.deviation() - base_dev)
+        fgap = map_gap(spec.nl.fn, traj.problem.phi.rep, spec.history.rep)
+        rows.append((factor, gap_in, gap_out, ygap, lp_norm(fgap, 1.0)))
     cert = certify_decay(np.array([row[2] for row in rows]))
     worst = max(ygap - l1 for *_, ygap, l1 in rows)
     claims = [
@@ -489,12 +496,12 @@ def _run_lipschitz(spec) -> ExperimentResult:
             phi2 = phi1 + bump_history(spec.cfg, -spec.delay + width, width, height)
         else:
             phi2 = random_history(rng, spec.cfg, scale=spec.scale)
-        gap_in = seminorm(phi1 - phi2, spec.cfg, spec.quad)
+        gap_in = seminorm(phi1 - phi2, spec.cfg)
         if gap_in < 1e-13:
             continue
-        x1 = solve(Problem(spec.cfg, spec.nl, spec.delay, phi1), T, spec.quad).x
-        x2 = solve(Problem(spec.cfg, spec.nl, spec.delay, phi2), T, spec.quad).x
-        gap_out = endpoint_lp_norm(x1 - x2, spec.cfg.p, spec.quad)
+        x1 = solve(Problem(spec.cfg, spec.nl, spec.delay, phi1), T).x
+        x2 = solve(Problem(spec.cfg, spec.nl, spec.delay, phi2), T).x
+        gap_out = endpoint_lp_norm(x1 - x2, spec.cfg.p)
         ratio = gap_out / gap_in
         worst = max(worst, ratio)
         rows.append((i, gap_in, gap_out, ratio))
@@ -509,13 +516,13 @@ def _run_lipschitz(spec) -> ExperimentResult:
 def _run_smooth(spec) -> ExperimentResult:
     pb = Problem(spec.cfg, spec.nl, spec.delay, spec.history)
     ctx = DerivativeContext(pb, spec.horizon, spec.cfg.p)
-    table = remainder_schedule(ctx, spec.direction, spec.count, spec.quad)
+    table = remainder_schedule(ctx, spec.direction, spec.count)
     alpha = spec.nl.df_growth.alpha
-    bound = tangent_deviation_bound(ctx, spec.quad)
+    bound = tangent_deviation_bound(ctx)
     probed = estimate_operator_norm(
-        lambda chi: tangent_deviation(ctx, chi, spec.quad),
-        lambda chi: lp_norm(chi.rep, alpha + 1.0, spec.quad),
-        lambda f: sup_norm(f, spec.quad),
+        lambda chi: tangent_deviation(ctx, chi),
+        lambda chi: lp_norm(chi.rep, alpha + 1.0),
+        sup_norm,
         (-spec.cfg.R, 0.0),
         spec.cfg.N,
         probes=spec.probes,
@@ -529,7 +536,7 @@ def _run_smooth(spec) -> ExperimentResult:
     ]
     if spec.nl.df_lipschitz is not None:
         worst = max(
-            float(rem - curvature_remainder_bound(ctx, spec.direction.scale(f), spec.quad))
+            float(rem - curvature_remainder_bound(ctx, spec.direction.scale(f)))
             for f, rem in zip(halving(spec.count), table.remainders)
         )
         claims.append(Claim.bound(spec.name, "smooth.curvature-bound", worst, 1e-8))
@@ -539,8 +546,8 @@ def _run_smooth(spec) -> ExperimentResult:
 
 def _run_composition(spec) -> ExperimentResult:
     ctx = CompositionContext(spec.nl, spec.q, "continuity", spec.domain)
-    report = compose(ctx, spec.base_fn, spec.quad)
-    gaps = continuity_probe(ctx, spec.base_fn, spec.direction_fn, spec.count, spec.quad)
+    report = compose(ctx, spec.base_fn)
+    gaps = continuity_probe(ctx, spec.base_fn, spec.direction_fn, spec.count)
     claims = [
         Claim.bound(
             spec.name, "composition.image-power-bound",
@@ -551,8 +558,8 @@ def _run_composition(spec) -> ExperimentResult:
     tables = [("continuity", ["input_gap", "output_gap"], gaps.as_rows())]
     if spec.smoothness:
         sctx = CompositionContext(spec.nl, spec.q, "smoothness", spec.domain)
-        dreport = apply_derivative(sctx, spec.base_fn, spec.direction_fn, spec.quad)
-        rtable = smoothness_probe(sctx, spec.base_fn, spec.direction_fn, spec.count, spec.quad)
+        dreport = apply_derivative(sctx, spec.base_fn, spec.direction_fn)
+        rtable = smoothness_probe(sctx, spec.base_fn, spec.direction_fn, spec.count)
         claims.append(
             Claim.bound(
                 spec.name, "composition.derivative-gain",
@@ -566,10 +573,10 @@ def _run_composition(spec) -> ExperimentResult:
 
 def _run_semiflow(spec) -> ExperimentResult:
     sf = Semiflow(spec.cfg, spec.nl, spec.delay)
-    report = verify_semiflow(sf, spec.history, spec.direction, spec.count, spec.quad)
+    report = verify_semiflow(sf, spec.history, spec.direction, spec.count)
     rng = np.random.default_rng(spec.seed)
     variant = null_set_variant(spec.history, rng)
-    qgap = quotient_invariance(sf, spec.delay, spec.history, variant, spec.quad)
+    qgap = quotient_invariance(sf, spec.delay, spec.history, variant)
     worst_stage = report.worst_composition_defect
     claims = [
         Claim.bound(spec.name, "semiflow.identity-defect", report.identity_defect, 1e-12),
@@ -618,10 +625,9 @@ def _run_discontinuity(spec) -> ExperimentResult:
     rows, measured, output = [], [], []
     for k in range(spec.count + 1):
         n = 4**k
-        lo, hi = -r - 1.0 / n, -r + 1.0 / n
-        phi_n = indicator_history(cfg, lo, hi)
-        gap = seminorm(phi_n - zero, cfg, spec.quad)
-        analytic = (min(hi, 0.0) - max(lo, -cfg.R)) ** (1.0 / cfg.p)
+        phi_n = indicator_history(cfg, -r - 1.0 / n, -r + 1.0 / n)
+        gap = seminorm(phi_n - zero, cfg)
+        analytic = _indicator_width(cfg.R, r, k) ** (1.0 / cfg.p)
         out = float(np.linalg.norm(spec.nl(phi_n(-r)) - spec.nl(zero(-r))))
         rows.append((n, gap, analytic, out))
         measured.append(gap)

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import BoundPair, GapTable, RemainderTable, halving
-from .derivops import estimate_operator_norm, jacobian_gap
+from .derivops import estimate_operator_norm, jacobian_gap, map_gap
 from .funcrep import (
-    DEFAULT_QUADRATURE,
     LazyComposition,
     PiecewiseFunction,
-    QuadratureConfig,
     _scale_tol,
     lp_norm,
     stack,
@@ -139,18 +137,14 @@ class DerivativeReport:
         return self.norm <= self.gain_bound * self.direction_size + 1e-8
 
 
-def compose(
-    ctx: CompositionContext,
-    g: PiecewiseFunction,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> CompositionReport:
+def compose(ctx: CompositionContext, g: PiecewiseFunction) -> CompositionReport:
     """The image f(g(.)), its L^q size, and the well-definedness bound."""
     ctx._accept(g)
     image = LazyComposition(g, ctx.nl.fn, ctx.nl.dim)
-    norm = lp_norm(image, ctx.q, quad)
+    norm = lp_norm(image, ctx.q)
     growth = ctx.nl.f_growth
     power = growth.alpha * ctx.q
-    big = growth.c1**ctx.q * lp_norm(g, power, quad) ** power
+    big = growth.c1**ctx.q * lp_norm(g, power) ** power
     small = growth.c2**ctx.q * ctx.domain.measure
     bound_power = 2.0 ** (ctx.q - 1.0) * (big + small)
     return CompositionReport(image, norm, bound_power, ctx.q)
@@ -161,7 +155,6 @@ def continuity_probe(
     g: PiecewiseFunction,
     direction: PiecewiseFunction,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> GapTable:
     """Output gaps of the composition along g + direction/2^k.
 
@@ -171,21 +164,14 @@ def continuity_probe(
     ctx._accept(g)
     ctx._accept(direction, "direction")
     factors = halving(count)
-    base_size = lp_norm(direction, ctx.p, quad)
+    base_size = lp_norm(direction, ctx.p)
     if base_size < 1e-13:
         raise ValueError("direction must be nonzero")
-    m = ctx.nl.dim
-    fn = ctx.nl.fn
-
-    def gap_map(values):
-        return fn(values[:, :m]) - fn(values[:, m:])
-
     ins, outs = [], []
     for factor in factors:
         moved = g + direction.scale(factor)
-        paired = stack((moved, g))
-        ins.append(lp_norm(moved - g, ctx.p, quad))
-        outs.append(lp_norm(LazyComposition(paired, gap_map, m), ctx.q, quad))
+        ins.append(lp_norm(moved - g, ctx.p))
+        outs.append(lp_norm(map_gap(ctx.nl.fn, moved, g), ctx.q))
     return GapTable(np.array(ins), np.array(outs))
 
 
@@ -193,7 +179,6 @@ def apply_derivative(
     ctx: CompositionContext,
     g: PiecewiseFunction,
     h: PiecewiseFunction,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> DerivativeReport:
     """The derivative image Df(g(.)) h(.) with the multiplier gain bound."""
     if ctx.mode != "smoothness":
@@ -207,10 +192,10 @@ def apply_derivative(
         return np.einsum("kij,kj->ki", jac(values[:, :m]), values[:, m:])
 
     image = LazyComposition(stack((g, h)), multiplier, m)
-    norm = lp_norm(image, ctx.q, quad)
+    norm = lp_norm(image, ctx.q)
     gains = LazyComposition(g, lambda v: spectral_norm(jac(v))[:, None], 1)
-    gain_bound = lp_norm(gains, ctx.p / ctx.alpha, quad)
-    return DerivativeReport(image, norm, gain_bound, lp_norm(h, ctx.p, quad))
+    gain_bound = lp_norm(gains, ctx.p / ctx.alpha)
+    return DerivativeReport(image, norm, gain_bound, lp_norm(h, ctx.p))
 
 
 def smoothness_probe(
@@ -218,7 +203,6 @@ def smoothness_probe(
     g: PiecewiseFunction,
     direction: PiecewiseFunction,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> RemainderTable:
     """Linearization remainders of the composition along a halving schedule."""
     if ctx.mode != "smoothness":
@@ -238,16 +222,12 @@ def smoothness_probe(
     for factor in factors:
         h = direction.scale(factor)
         paired = stack((g, h))
-        scales.append(lp_norm(h, ctx.p, quad))
-        remainders.append(lp_norm(LazyComposition(paired, remainder_map, m), ctx.q, quad))
+        scales.append(lp_norm(h, ctx.p))
+        remainders.append(lp_norm(LazyComposition(paired, remainder_map, m), ctx.q))
     return RemainderTable(np.array(scales), np.array(remainders))
 
 
-def curvature_image_bound(
-    ctx: CompositionContext,
-    h: PiecewiseFunction,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def curvature_image_bound(ctx: CompositionContext, h: PiecewiseFunction) -> float:
     """Taylor bound for the composition remainder when Df is Lipschitz.
 
     Pointwise the remainder is at most half the Lipschitz constant times
@@ -257,7 +237,7 @@ def curvature_image_bound(
     lip = ctx.nl.df_lipschitz
     if lip is None:
         raise ValueError("nonlinearity does not certify a jacobian Lipschitz constant")
-    return 0.5 * lip * lp_norm(h, 2.0 * ctx.q, quad) ** 2
+    return 0.5 * lip * lp_norm(h, 2.0 * ctx.q) ** 2
 
 
 def derivative_gap(
@@ -267,7 +247,6 @@ def derivative_gap(
     probes: int = 12,
     seed: int = 0,
     extra=(),
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> BoundPair:
     """Distance between the derivative multipliers at two base points.
 
@@ -280,7 +259,7 @@ def derivative_gap(
     ctx._accept(g0, "base point")
     m = ctx.nl.dim
     jac = ctx.nl.jac
-    bound = lp_norm(jacobian_gap(jac, g, g0), ctx.p / ctx.alpha, quad)
+    bound = lp_norm(jacobian_gap(jac, g, g0), ctx.p / ctx.alpha)
 
     def gap_image(h):
         def multiplier(values):
@@ -291,8 +270,8 @@ def derivative_gap(
 
     probed = estimate_operator_norm(
         gap_image,
-        norm_in=lambda h: lp_norm(h, ctx.p, quad),
-        norm_out=lambda image: lp_norm(image, ctx.q, quad),
+        norm_in=lambda h: lp_norm(h, ctx.p),
+        norm_out=lambda image: lp_norm(image, ctx.q),
         span=(ctx.domain.lower, ctx.domain.upper),
         n_components=m,
         probes=probes,

@@ -24,10 +24,9 @@ from numpy.polynomial import chebyshev as _cheb
 from .certify import BoundPair, RemainderTable, halving
 from .corpus import piecewise_constant
 from .funcrep import (
-    DEFAULT_QUADRATURE,
     LazyComposition,
     PiecewiseFunction,
-    QuadratureConfig,
+    _NODES_PER_PIECE,
     _cheb_interp_matrix,
     _cheb_nodes,
     _scale_tol,
@@ -46,6 +45,7 @@ __all__ = [
     "estimate_operator_norm",
     "halving_solves",
     "jacobian_gap",
+    "map_gap",
     "remainder_function",
     "remainder_schedule",
     "tangent_deviation",
@@ -90,11 +90,7 @@ class DerivativeContext:
         return holder_conjugate(self.alpha + 1.0)
 
 
-def tangent_deviation(
-    ctx: DerivativeContext,
-    chi: HistoryElement,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> PiecewiseFunction:
+def tangent_deviation(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
     """The integral part of the first-order response, zero on the history.
 
     Linear in chi; the integrand is interpolated on the union of the shifted
@@ -113,8 +109,8 @@ def tangent_deviation(
     if inner.size:
         inner = inner[np.concatenate(([True], np.diff(inner) > tol))]
     partition = np.concatenate(([0.0], inner, [T]))
-    nodes = _cheb_nodes(quad.nodes_per_piece)
-    fit = _cheb_interp_matrix(quad.nodes_per_piece)
+    nodes = _cheb_nodes(_NODES_PER_PIECE)
+    fit = _cheb_interp_matrix(_NODES_PER_PIECE)
     breakpoints = [-R, 0.0]
     blocks = [np.zeros((1, n))]
     value = np.zeros(n)
@@ -131,18 +127,12 @@ def tangent_deviation(
     return PiecewiseFunction(np.array(breakpoints), tuple(blocks), value)
 
 
-def tangent_trajectory(
-    ctx: DerivativeContext,
-    chi: HistoryElement,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> PiecewiseFunction:
+def tangent_trajectory(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
     """The full first-order response: prolongation of chi plus integral part."""
-    return static_prolongation(chi, ctx.horizon) + tangent_deviation(ctx, chi, quad)
+    return static_prolongation(chi, ctx.horizon) + tangent_deviation(ctx, chi)
 
 
-def tangent_deviation_bound(
-    ctx: DerivativeContext, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def tangent_deviation_bound(ctx: DerivativeContext) -> float:
     """Analytic gain bound for the integral part: the L^q size of Df along phi.
 
     By Hoelder, the integral part is dominated in sup norm by this number
@@ -151,7 +141,7 @@ def tangent_deviation_bound(
     pb = ctx.problem
     jac = pb.nl.jacobian
     gains = LazyComposition(pb.phi.rep, lambda v: spectral_norm(jac(v))[:, None], 1)
-    return lp_norm(gains, ctx.q, quad)
+    return lp_norm(gains, ctx.q)
 
 
 def estimate_operator_norm(
@@ -195,63 +185,51 @@ def jacobian_gap(jac, a: PiecewiseFunction, b: PiecewiseFunction) -> LazyComposi
     )
 
 
-def halving_solves(
-    pb: Problem,
-    chi: HistoryElement,
-    horizon: float,
-    count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-):
+def map_gap(fn, a: PiecewiseFunction, b: PiecewiseFunction) -> LazyComposition:
+    """The gap f(a(.)) - f(b(.)) of a map f from R^N to R^N, integrated without
+    materializing it."""
+    n = a.n_components
+    return LazyComposition(stack((a, b)), lambda v: fn(v[:, :n]) - fn(v[:, n:]), n)
+
+
+def halving_solves(pb: Problem, chi: HistoryElement, horizon: float, count: int):
     """The solves behind every dependence table: from pb.phi and along the
     halving schedule pb.phi + chi/2^k, k = 0..count.
 
     Returns the base trajectory and one (2^-k, chi/2^k, trajectory) row per k.
     """
     factors = halving(count)
-    base = solve(pb, horizon, quad)
+    base = solve(pb, horizon)
     rows = []
     for factor in factors:
         step = chi.scale(factor)
-        moved = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + step), horizon, quad)
+        moved = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + step), horizon)
         rows.append((factor, step, moved))
     return base, rows
 
 
-def remainder_function(
-    ctx: DerivativeContext,
-    chi: HistoryElement,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> PiecewiseFunction:
+def remainder_function(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
     """Perturbed trajectory minus base trajectory minus first-order response."""
     pb = ctx.problem
-    base = solve(pb, ctx.horizon, quad).x
-    moved = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + chi), ctx.horizon, quad).x
-    return moved - base - tangent_trajectory(ctx, chi, quad)
+    base = solve(pb, ctx.horizon).x
+    moved = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + chi), ctx.horizon).x
+    return moved - base - tangent_trajectory(ctx, chi)
 
 
-def remainder_schedule(
-    ctx: DerivativeContext,
-    chi0: HistoryElement,
-    count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> RemainderTable:
+def remainder_schedule(ctx: DerivativeContext, chi0: HistoryElement, count: int) -> RemainderTable:
     """Linearization remainders along the halving schedule chi0, chi0/2, ...
 
     The first-order response is computed once and rescaled (it is linear by
     construction); each row re-solves the perturbed problem.
     """
-    tangent0 = tangent_trajectory(ctx, chi0, quad)
-    base, rows = halving_solves(ctx.problem, chi0, ctx.horizon, count, quad)
-    scales = [lp_norm(chi.rep, ctx.alpha + 1.0, quad) for _, chi, _ in rows]
-    remainders = [sup_norm(traj.x - base.x - tangent0.scale(f), quad) for f, _, traj in rows]
+    tangent0 = tangent_trajectory(ctx, chi0)
+    base, rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
+    scales = [lp_norm(chi.rep, ctx.alpha + 1.0) for _, chi, _ in rows]
+    remainders = [sup_norm(traj.x - base.x - tangent0.scale(f)) for f, _, traj in rows]
     return RemainderTable(np.array(scales), np.array(remainders))
 
 
-def curvature_remainder_bound(
-    ctx: DerivativeContext,
-    chi: HistoryElement,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def curvature_remainder_bound(ctx: DerivativeContext, chi: HistoryElement) -> float:
     """Quadratic remainder bound available when Df is Lipschitz.
 
     Taylor with the integral form of the remainder gives half the Lipschitz
@@ -260,7 +238,7 @@ def curvature_remainder_bound(
     lip = ctx.problem.nl.df_lipschitz
     if lip is None:
         raise ValueError("nonlinearity does not certify a jacobian Lipschitz constant")
-    return 0.5 * lip * lp_norm(chi.rep, 2.0, quad) ** 2
+    return 0.5 * lip * lp_norm(chi.rep, 2.0) ** 2
 
 
 def derivative_gap(
@@ -269,7 +247,6 @@ def derivative_gap(
     probes: int = 12,
     seed: int = 0,
     extra=(),
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> BoundPair:
     """Distance between the integral parts at two base histories.
 
@@ -279,11 +256,11 @@ def derivative_gap(
     """
     pb = ctx.problem
     ctx0 = DerivativeContext(Problem(pb.cfg, pb.nl, pb.r, phi0), ctx.horizon, ctx.p)
-    bound = lp_norm(jacobian_gap(pb.nl.jac, pb.phi.rep, phi0.rep), ctx.q, quad)
+    bound = lp_norm(jacobian_gap(pb.nl.jac, pb.phi.rep, phi0.rep), ctx.q)
     probed = estimate_operator_norm(
-        lambda chi: tangent_deviation(ctx, chi, quad) - tangent_deviation(ctx0, chi, quad),
-        norm_in=lambda chi: lp_norm(chi.rep, ctx.alpha + 1.0, quad),
-        norm_out=lambda gap: sup_norm(gap, quad),
+        lambda chi: tangent_deviation(ctx, chi) - tangent_deviation(ctx0, chi),
+        norm_in=lambda chi: lp_norm(chi.rep, ctx.alpha + 1.0),
+        norm_out=sup_norm,
         span=(-pb.cfg.R, 0.0),
         n_components=pb.cfg.N,
         probes=probes,

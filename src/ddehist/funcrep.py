@@ -12,6 +12,10 @@ piecewise polynomials they are exact up to rounding whatever the partition, so
 two representatives that agree almost everywhere and share the endpoint value
 are indistinguishable to every norm in this module.
 
+Resolution is a property of the program, not a per-call setting: the node
+count _NODES_PER_PIECE and the sup_norm grid constants _SUP_SAMPLES and
+_SUP_TOL below are the same for every caller.
+
 All instances are immutable and every operation returns a new value.
 """
 
@@ -28,13 +32,10 @@ from numpy.polynomial import chebyshev as _cheb
 
 __all__ = [
     "DomainError",
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
     "PiecewiseFunction",
     "LazyComposition",
     "lp_norm",
     "sup_norm",
-    "materialize",
     "stack",
 ]
 
@@ -43,35 +44,16 @@ class DomainError(ValueError):
     """Raised when an argument lies outside the domain of a function."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings shared by every integral and supremum computed here.
-
-    nodes_per_piece: Gauss-Legendre node count used on each piece for
-        integral norms of compositions (a lower bound on the node count for
-        piecewise polynomials, which get as many as exactness needs), and
-        the Chebyshev node count used when interpolating compositions.  A
-        rule with n nodes integrates polynomials of degree 2n - 1 exactly.
-    sup_samples_per_piece: starting sample count per piece for supremum
-        estimates; the grid is doubled until two successive levels agree.
-    tolerance: agreement threshold for the supremum grid doubling.
-    """
-
-    nodes_per_piece: int = 16
-    sup_samples_per_piece: int = 64
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.nodes_per_piece < 2:
-            raise ValueError("nodes_per_piece must be at least 2")
-        if self.sup_samples_per_piece < 8:
-            raise ValueError("sup_samples_per_piece must be at least 8")
-        if not self.tolerance >= 0.0:
-            raise ValueError("tolerance must be nonnegative")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
+# Gauss-Legendre nodes per piece for integral norms of compositions (a lower
+# bound for piecewise polynomials, which get as many as exactness needs), and
+# Chebyshev nodes per cut when the solver and tangent_deviation interpolate an
+# integrand.  A rule with n nodes integrates polynomials of degree 2n - 1
+# exactly.
+_NODES_PER_PIECE = 16
+# Starting sample count per piece for sup_norm; the grid is doubled until two
+# successive levels agree within _SUP_TOL.
+_SUP_SAMPLES = 64
+_SUP_TOL = 1e-10
 # Grid-doubling levels for sup_norm before giving up on agreement.
 _SUP_MAX_LEVELS = 7
 
@@ -406,7 +388,7 @@ def _merge_partitions(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LazyComposition:
-    """A pointwise map applied to a piecewise function, never materialized.
+    """A pointwise map applied to a piecewise function, never interpolated.
 
     fn maps a (k, base.n_components) batch of values to a (k, n_out) batch.
     Evaluation and quadrature sample the base strictly inside its pieces and
@@ -454,7 +436,7 @@ class LazyComposition:
 Representable = Union[PiecewiseFunction, LazyComposition]
 
 
-def lp_norm(f: Representable, p: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def lp_norm(f: Representable, p: float) -> float:
     """The L^p norm of |f| (Euclidean norm across components) over the domain.
 
     For a PiecewiseFunction the integral of |f|^p is exact up to rounding,
@@ -464,9 +446,9 @@ def lp_norm(f: Representable, p: float, quad: QuadratureConfig = DEFAULT_QUADRAT
     leaves the norm unchanged to rounding.
 
     For a LazyComposition the rule is composite Gauss-Legendre with
-    quad.nodes_per_piece nodes per piece of the base, applied without
+    _NODES_PER_PIECE = 16 nodes per piece of the base, applied without
     materializing the composition.  That rule is exact for polynomial
-    integrands of degree below 2 * nodes_per_piece and otherwise carries a
+    integrands of degree below 32 and otherwise carries a
     quadrature error that is neither bounded nor reported here; in
     particular it is not invariant under refinement when |f| has kinks
     inside a piece.
@@ -478,8 +460,8 @@ def lp_norm(f: Representable, p: float, quad: QuadratureConfig = DEFAULT_QUADRAT
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
     if isinstance(f, PiecewiseFunction):
-        return _power_integral(f, p, quad) ** (1.0 / p)
-    u, w = _gauss_rule(quad.nodes_per_piece)
+        return _power_integral(f, p) ** (1.0 / p)
+    u, w = _gauss_rule(_NODES_PER_PIECE)
     total = 0.0
     for i in range(f.n_pieces):
         c, d = f.piece_interval(i)
@@ -650,7 +632,7 @@ def _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, n):
     return out
 
 
-def _power_integral(f: PiecewiseFunction, p: float, quad: QuadratureConfig) -> float:
+def _power_integral(f: PiecewiseFunction, p: float) -> float:
     """The integral of |f|^p over the domain, exact up to rounding.
 
     When p is an even integer, |f|^p = (sum_j f_j^2)^(p/2) is a polynomial
@@ -668,7 +650,7 @@ def _power_integral(f: PiecewiseFunction, p: float, quad: QuadratureConfig) -> f
     deg = f.degree
     coeffs = _padded(f.coeffs)
     scale = 0.5 * np.diff(f.breakpoints)
-    n = max(quad.nodes_per_piece, math.ceil((p * deg + 1.0) / 2.0))
+    n = max(_NODES_PER_PIECE, math.ceil((p * deg + 1.0) / 2.0))
     if p % 2.0 == 0.0:
         x, w = _gauss_rule(n)
         ones = np.ones(f.n_pieces)
@@ -723,18 +705,19 @@ def _parabolic_vertex(u: np.ndarray, r: np.ndarray, k: int) -> float | None:
     return float(np.clip(u[k] - shift, -1.0, 1.0))
 
 
-def sup_norm(f: Representable, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def sup_norm(f: Representable) -> float:
     """Supremum of |f| by Chebyshev sampling with refinement.
 
     Meaningful for continuous representatives (the caller asserts
-    continuity).  Each piece is sampled on a closed Chebyshev extrema grid,
-    the discrete maximum is polished by one parabolic vertex step, and the
-    grid is doubled until two successive levels agree within quad.tolerance.
+    continuity).  Each piece is sampled on a closed Chebyshev extrema grid of
+    _SUP_SAMPLES = 64 points, the discrete maximum is polished by one
+    parabolic vertex step, and the grid is doubled, at most _SUP_MAX_LEVELS
+    times, until two successive levels agree within _SUP_TOL = 1e-10.
     The stored endpoint value always participates.  The result can
     under-estimate the true supremum by no more than the final grid
     agreement error.
     """
-    samples = quad.sup_samples_per_piece
+    samples = _SUP_SAMPLES
     previous = None
     for _ in range(_SUP_MAX_LEVELS):
         grid = _extrema_grid(samples)
@@ -750,38 +733,11 @@ def sup_norm(f: Representable, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> f
                         f.piece_values(i, np.array([vertex])), axis=-1
                     )
                     best = max(best, float(polished[0]))
-        if previous is not None and abs(best - previous) <= quad.tolerance:
+        if previous is not None and abs(best - previous) <= _SUP_TOL:
             return max(best, previous)
         previous = best
         samples = 2 * samples
     return previous
-
-
-def materialize(
-    f: LazyComposition,
-    degree: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-):
-    """Interpolate a composition piecewise at the given degree.
-
-    Returns (function, defect) where defect is the largest sampled deviation
-    between the interpolant and the composition on a dense per-piece grid.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    nodes = _cheb_nodes(degree + 1)
-    fit = _cheb_interp_matrix(degree + 1)
-    blocks = []
-    defect = 0.0
-    check = _extrema_grid(max(quad.sup_samples_per_piece, 2 * degree + 4))
-    for i in range(f.n_pieces):
-        coeffs = fit @ f.piece_values(i, nodes)
-        blocks.append(coeffs)
-        approx = _cheb.chebval(check, coeffs).T
-        exact = f.piece_values(i, check)
-        defect = max(defect, float(np.abs(approx - exact).max()))
-    out = PiecewiseFunction(f.breakpoints, tuple(blocks), f.endpoint_value)
-    return out, defect
 
 
 def stack(functions: Sequence[PiecewiseFunction]) -> PiecewiseFunction:

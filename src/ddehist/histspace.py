@@ -13,16 +13,13 @@ measures solution segments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .funcrep import (
-    DEFAULT_QUADRATURE,
     DomainError,
     PiecewiseFunction,
-    QuadratureConfig,
     lp_norm,
 )
 
@@ -135,21 +132,17 @@ def _check(phi: HistoryElement, cfg: HistoryConfig) -> None:
         raise ValueError("history component count does not match config")
 
 
-def endpoint_lp_norm(
-    x: PiecewiseFunction, p: float, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def endpoint_lp_norm(x: PiecewiseFunction, p: float) -> float:
     """L^p norm over the domain augmented by the value at the right endpoint."""
-    integral = lp_norm(x, p, quad) ** p
+    integral = lp_norm(x, p) ** p
     tip = float(np.linalg.norm(np.atleast_1d(x.endpoint_value)))
     return (integral + tip**p) ** (1.0 / p)
 
 
-def seminorm(
-    phi: HistoryElement, cfg: HistoryConfig, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def seminorm(phi: HistoryElement, cfg: HistoryConfig) -> float:
     """The history seminorm at exponent cfg.p."""
     _check(phi, cfg)
-    return endpoint_lp_norm(phi.rep, cfg.p, quad)
+    return endpoint_lp_norm(phi.rep, cfg.p)
 
 
 def static_prolongation(phi: HistoryElement, T: float) -> PiecewiseFunction:
@@ -194,11 +187,9 @@ def from_pair(pair: QuotientPair) -> HistoryElement:
     return HistoryElement(pair.ae_class.with_endpoint(pair.eta))
 
 
-def pair_norm(
-    pair: QuotientPair, p: float, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def pair_norm(pair: QuotientPair, p: float) -> float:
     """Product norm of the quotient coordinates; equals the seminorm exactly."""
-    integral = lp_norm(pair.ae_class, p, quad) ** p
+    integral = lp_norm(pair.ae_class, p) ** p
     tip = float(np.linalg.norm(pair.eta))
     return (integral + tip**p) ** (1.0 / p)
 

@@ -24,7 +24,7 @@ from .derivops import (
     tangent_deviation,
     tangent_trajectory,
 )
-from .funcrep import DEFAULT_QUADRATURE, QuadratureConfig, lp_norm, sup_norm
+from .funcrep import lp_norm, sup_norm
 from .histspace import (
     HistoryConfig,
     HistoryElement,
@@ -69,50 +69,33 @@ class Semiflow:
         return Problem(self.cfg, self.nl, self.r, phi)
 
 
-def evolve(
-    sf: Semiflow,
-    t: float,
-    phi: HistoryElement,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> HistoryElement:
+def evolve(sf: Semiflow, t: float, phi: HistoryElement) -> HistoryElement:
     """The history window after running the equation for time t."""
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
     if t == 0.0:
         return phi
-    return solve(sf.problem(phi), float(t), quad).history_at(t)
+    return solve(sf.problem(phi), float(t)).history_at(t)
 
 
-def semigroup_defect(
-    sf: Semiflow,
-    t: float,
-    s: float,
-    phi: HistoryElement,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def semigroup_defect(sf: Semiflow, t: float, s: float, phi: HistoryElement) -> float:
     """Seminorm gap between evolving by t + s and evolving in two stages."""
-    direct = evolve(sf, t + s, phi, quad)
-    staged = evolve(sf, s, evolve(sf, t, phi, quad), quad)
-    return seminorm(direct - staged, sf.cfg, quad)
+    direct = evolve(sf, t + s, phi)
+    staged = evolve(sf, s, evolve(sf, t, phi))
+    return seminorm(direct - staged, sf.cfg)
 
 
-def quotient_invariance(
-    sf: Semiflow,
-    t: float,
-    phi: HistoryElement,
-    psi: HistoryElement,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def quotient_invariance(sf: Semiflow, t: float, phi: HistoryElement, psi: HistoryElement) -> float:
     """Evolution gap between two representatives of the same class.
 
     The inputs must agree almost everywhere and at 0; the returned gap is
     what makes the induced map on classes well defined.
     """
-    if seminorm(phi - psi, sf.cfg, quad) > 1e-9:
+    if seminorm(phi - psi, sf.cfg) > 1e-9:
         raise ValueError("histories are not representatives of the same class")
-    moved_phi = evolve(sf, t, phi, quad)
-    moved_psi = evolve(sf, t, psi, quad)
-    return seminorm(moved_phi - moved_psi, sf.cfg, quad)
+    moved_phi = evolve(sf, t, phi)
+    moved_psi = evolve(sf, t, psi)
+    return seminorm(moved_phi - moved_psi, sf.cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,31 +122,30 @@ def continuity_modulus(
     phi: HistoryElement,
     direction: HistoryElement,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> tuple:
     """Evolution gaps along phi + direction/2^k for each grid time."""
     factors = halving(count)
-    if seminorm(direction, sf.cfg, quad) < 1e-13:
+    if seminorm(direction, sf.cfg) < 1e-13:
         raise ValueError("direction must be nonzero")
     tables = []
     for t in times:
         if t < 0:
             raise ValueError("grid times must be nonnegative")
         if t == 0.0:
-            gaps = np.array([seminorm(direction.scale(f), sf.cfg, quad) for f in factors])
+            gaps = np.array([seminorm(direction.scale(f), sf.cfg) for f in factors])
             tables.append(ModulusTable(0.0, GapTable(gaps, gaps), gaps))
             continue
-        base, rows = halving_solves(sf.problem(phi), direction, float(t), count, quad)
+        base, rows = halving_solves(sf.problem(phi), direction, float(t), count)
         base_seg = history_segment(base.x, t, sf.cfg.R)
         window = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p)
         inflate = prolongation_constant(float(t), sf.cfg.p)
         ins, outs, bounds = [], [], []
         for _, step, traj in rows:
-            gap_in = seminorm(step, sf.cfg, quad)
+            gap_in = seminorm(step, sf.cfg)
             seg = history_segment(traj.x, t, sf.cfg.R)
-            outs.append(seminorm(seg - base_seg, sf.cfg, quad))
+            outs.append(seminorm(seg - base_seg, sf.cfg))
             ydiff = (traj.x - base.x) - static_prolongation(step, float(t))
-            bounds.append(window * sup_norm(ydiff, quad) + inflate * gap_in)
+            bounds.append(window * sup_norm(ydiff) + inflate * gap_in)
             ins.append(gap_in)
         tables.append(ModulusTable(float(t), GapTable(np.array(ins), np.array(outs)), np.array(bounds)))
     return tuple(tables)
@@ -175,7 +157,6 @@ def time_map_remainder(
     phi: HistoryElement,
     chi0: HistoryElement,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> RemainderTable:
     """Linearization remainders of the time-t map in the evolved seminorm.
 
@@ -183,11 +164,11 @@ def time_map_remainder(
     which is the norm the induced quotient map is differentiable in.
     """
     ctx = DerivativeContext(sf.problem(phi), float(t), sf.cfg.p)
-    tangent0 = tangent_trajectory(ctx, chi0, quad)
-    base, rows = halving_solves(ctx.problem, chi0, float(t), count, quad)
-    scales = [seminorm(chi, sf.cfg, quad) for _, chi, _ in rows]
+    tangent0 = tangent_trajectory(ctx, chi0)
+    base, rows = halving_solves(ctx.problem, chi0, float(t), count)
+    scales = [seminorm(chi, sf.cfg) for _, chi, _ in rows]
     remainders = [
-        seminorm(history_segment(traj.x - base.x - tangent0.scale(f), t, sf.cfg.R), sf.cfg, quad)
+        seminorm(history_segment(traj.x - base.x - tangent0.scale(f), t, sf.cfg.R), sf.cfg)
         for f, _, traj in rows
     ]
     return RemainderTable(np.array(scales), np.array(remainders))
@@ -201,7 +182,6 @@ def time_map_derivative_gap(
     probes: int = 12,
     seed: int = 0,
     extra=(),
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> BoundPair:
     """Gap between time-t map derivatives at two base histories.
 
@@ -211,17 +191,17 @@ def time_map_derivative_gap(
     """
     ctx = DerivativeContext(sf.problem(phi), float(t), sf.cfg.p)
     ctx0 = DerivativeContext(sf.problem(phi0), float(t), sf.cfg.p)
-    holder_gap = lp_norm(jacobian_gap(sf.nl.jac, phi.rep, phi0.rep), ctx.q, quad)
+    holder_gap = lp_norm(jacobian_gap(sf.nl.jac, phi.rep, phi0.rep), ctx.q)
     bound = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p) * holder_gap
 
     def window_gap(chi):
-        gap_fn = tangent_deviation(ctx, chi, quad) - tangent_deviation(ctx0, chi, quad)
+        gap_fn = tangent_deviation(ctx, chi) - tangent_deviation(ctx0, chi)
         return history_segment(gap_fn, t, sf.cfg.R)
 
     probed = estimate_operator_norm(
         window_gap,
-        norm_in=lambda chi: seminorm(chi, sf.cfg, quad),
-        norm_out=lambda seg: seminorm(seg, sf.cfg, quad),
+        norm_in=lambda chi: seminorm(chi, sf.cfg),
+        norm_out=lambda seg: seminorm(seg, sf.cfg),
         span=(-sf.cfg.R, 0.0),
         n_components=sf.cfg.N,
         probes=probes,
@@ -258,7 +238,6 @@ def verify_semiflow(
     phi: HistoryElement,
     direction: HistoryElement,
     count: int = 12,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> SemiflowReport:
     """Run the standard evidence battery for one problem.
 
@@ -266,16 +245,16 @@ def verify_semiflow(
     continuity modulus at half and full delay, and (when the right-hand
     side supports it) the time-map linearization remainders.
     """
-    identity = seminorm(evolve(sf, 0.0, phi, quad) - phi, sf.cfg, quad)
+    identity = seminorm(evolve(sf, 0.0, phi) - phi, sf.cfg)
     stages = [0.0, 0.3 * sf.r, 0.5 * sf.r, sf.r]
     pairs, defects = [], []
     for t in stages:
         for s in stages:
             pairs.append((t, s))
-            defects.append(semigroup_defect(sf, t, s, phi, quad))
-    modulus = continuity_modulus(sf, [0.5 * sf.r, sf.r], phi, direction, count, quad)
+            defects.append(semigroup_defect(sf, t, s, phi))
+    modulus = continuity_modulus(sf, [0.5 * sf.r, sf.r], phi, direction, count)
     remainder = None
     differentiable = sf.nl.jac is not None and sf.nl.df_growth is not None
     if differentiable and sf.cfg.p >= sf.nl.df_growth.alpha + 1 - 1e-12:
-        remainder = time_map_remainder(sf, sf.r, phi, direction, count, quad)
+        remainder = time_map_remainder(sf, sf.r, phi, direction, count)
     return SemiflowReport(identity, np.array(defects), tuple(pairs), modulus, remainder)

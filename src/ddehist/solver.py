@@ -27,9 +27,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .funcrep import (
-    DEFAULT_QUADRATURE,
     PiecewiseFunction,
-    QuadratureConfig,
+    _NODES_PER_PIECE,
     _cheb_interp_matrix,
     _cheb_nodes,
     _cheb_values,
@@ -45,7 +44,7 @@ from .histspace import (
 )
 from .nonlinear import Nonlinearity
 
-__all__ = ["Problem", "Trajectory", "solve", "solve_step", "step_edges"]
+__all__ = ["Problem", "Trajectory", "solve", "step_edges"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,13 +114,11 @@ def step_edges(T: float, r: float) -> np.ndarray:
     return np.array(edges)
 
 
-def solve(
-    problem: Problem, T: float, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> Trajectory:
+def solve(problem: Problem, T: float) -> Trajectory:
     """Solve on [0, T] and return the trajectory on [-R, T]."""
     if not T > 0:
         raise ValueError("horizon must be positive")
-    r, rep, n = problem.r, problem.phi.rep, quad.nodes_per_piece
+    r, rep, n = problem.r, problem.phi.rep, _NODES_PER_PIECE
     u, fit, antider, slope = _step_matrices(n)
     # The known pieces a step reads: the history, then the previous step.
     window_bp, window, value = rep.breakpoints, _padded(rep.coeffs), rep.endpoint_value
@@ -145,11 +142,6 @@ def solve(
     coeffs = tuple(rep.coeffs) + tuple(np.concatenate(blocks))
     x = PiecewiseFunction(np.concatenate(breakpoints), coeffs, value)
     return Trajectory(problem, float(T), x, edges, defect)
-
-
-def solve_step(problem: Problem, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> Trajectory:
-    """Solve exactly one step, up to the delay."""
-    return solve(problem, problem.r, quad)
 
 
 @lru_cache(maxsize=None)

@@ -132,6 +132,33 @@ class TestKindValidation:
         (spec,) = parse_config({"experiments": [dict(exp, count=20)]}, 0)
         assert spec.count == 20
 
+    def test_unknown_fields_are_config_errors(self, tmp_path, capsys):
+        # Resolution is fixed by the program: a quadrature setting, like a
+        # typo, is a field no kind reads and must not be ignored.
+        for exp, field in (
+            (dict(SOLVE_EXPERIMENT, quadrature={"tolerance": 1e-10}), "quadrature"),
+            (dict(DEMO_EXPERIMENT, cout=3), "cout"),
+        ):
+            cfg = write_config(tmp_path, [exp])
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert f"unknown field(s) ['{field}']" in capsys.readouterr().err
+
+    def test_discontinuity_indicator_narrower_than_the_tolerance_rejected(self, tmp_path, capsys):
+        # R = r = 1: the k-th indicator is [-1, -1 + 4^-k], 2^-40 = 9.1e-13
+        # wide at the default count 20 for p = 4, below the 1e-12 breakpoint
+        # tolerance, so its measured seminorm would be 0.
+        exp = dict(DEMO_EXPERIMENT, space={"R": 1.0, "p": 4.0, "N": 1}, delay=1.0)
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "count = 20" in err and "-r = -1" in err and "[-R, 0] = [-1, 0]" in err
+        # R = 10, r = 5: the indicator is 2 * 4^-k wide against 1e-11.
+        exp = dict(DEMO_EXPERIMENT, space={"R": 10.0, "p": 1.0, "N": 1}, delay=5.0)
+        with pytest.raises(ConfigError, match="count = 19"):
+            parse_config({"experiments": [dict(exp, count=19)]}, 0)
+        (spec,) = parse_config({"experiments": [dict(exp, count=18)]}, 0)
+        assert spec.count == 18
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         exp = dict(SOLVE_EXPERIMENT, space={"R": 1.0, "p": 2.0, "N": 2})
         cfg = write_config(tmp_path, [exp])

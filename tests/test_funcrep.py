@@ -13,13 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ddehist import funcrep
 from ddehist.funcrep import (
-    DEFAULT_QUADRATURE,
     DomainError,
     LazyComposition,
     PiecewiseFunction,
-    QuadratureConfig,
     lp_norm,
-    materialize,
     stack,
     sup_norm,
 )
@@ -231,24 +228,6 @@ def test_lazy_composition_lp_norm_without_materializing():
     assert lp_norm(comp, 2.0) == pytest.approx(0.2**0.5, abs=1e-12)
 
 
-def test_materialize_polynomial_is_exact():
-    base = PiecewiseFunction.identity((0.0, 1.0))
-    comp = LazyComposition(base, lambda v: v**2, 1)
-    fn, defect = materialize(comp, 2)
-    assert defect <= 1e-12
-    rng = np.random.default_rng(7)
-    ts = rng.uniform(0.0, 1.0, 100)
-    assert np.allclose(fn(ts), comp(ts), atol=1e-9)
-
-
-def test_materialize_reports_defect_for_nonpolynomial():
-    base = PiecewiseFunction.identity((0.0, 1.0))
-    comp = LazyComposition(base, lambda v: np.exp(v), 1)
-    fn_hi, defect_hi = materialize(comp, 12)
-    fn_lo, defect_lo = materialize(comp, 2)
-    assert defect_hi < 1e-10 < defect_lo
-
-
 # ---------------------------------------------------------------- stack
 
 
@@ -259,19 +238,6 @@ def test_stack_concatenates_components():
     assert s.n_components == 2
     for t in np.linspace(0.0, 1.0, 17):
         assert np.allclose(s(t), np.concatenate([f(t), g(t)]), atol=1e-13)
-
-
-# ---------------------------------------------------------------- config
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(nodes_per_piece=1)
-    with pytest.raises(ValueError):
-        QuadratureConfig(sup_samples_per_piece=4)
-    with pytest.raises(ValueError):
-        QuadratureConfig(tolerance=-1.0)
-    assert DEFAULT_QUADRATURE.nodes_per_piece == 16
 
 
 # -------------------------------------------------------- property checks

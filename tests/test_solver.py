@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ddehist import solver
 from ddehist.corpus import null_set_variant, random_history
-from ddehist.funcrep import PiecewiseFunction, QuadratureConfig, sup_norm
+from ddehist.funcrep import PiecewiseFunction, sup_norm
 from ddehist.histspace import HistoryConfig, HistoryElement, seminorm
 from ddehist.nonlinear import linear, make, quadratic, saturating
-from ddehist.solver import Problem, Trajectory, solve, solve_step, step_edges
+from ddehist.solver import Problem, Trajectory, solve, step_edges
 
 SCALAR = HistoryConfig(R=1.0, p=2.0, N=1)
 
@@ -142,21 +143,23 @@ class TestOracleAgreement:
 
 
 class TestTrajectoryDiagnostics:
-    def test_integration_defect_reflects_node_count(self):
+    def test_integration_defect_reflects_node_count(self, monkeypatch):
         pb = Problem(SCALAR, make("mackey_glass", beta=2.0), 1.0, unit_history(0.5))
         fine = solve(pb, 2.0)
-        coarse = solve(pb, 2.0, QuadratureConfig(nodes_per_piece=3))
+        monkeypatch.setattr(solver, "_NODES_PER_PIECE", 3)
+        coarse = solve(pb, 2.0)
         assert fine.integration_defect < 1e-9
         assert coarse.integration_defect > fine.integration_defect
 
-    def test_integration_defect_matches_a_per_piece_reference(self):
+    def test_integration_defect_matches_a_per_piece_reference(self, monkeypatch):
         # The largest |x' - f(x(t - r))| over 5 Chebyshev points of every
         # piece in [0, T], recomputed one piece at a time.  The defect is a
         # difference of O(1) terms, so the comparison is relative to it where
         # it is large and absolute near rounding.
         phi = random_history(np.random.default_rng(4), SCALAR, max_degree=3, scale=0.5)
+        monkeypatch.setattr(solver, "_NODES_PER_PIECE", 3)
         for nl in (saturating(), make("mackey_glass", beta=4.0, k=5)):
-            traj = solve(Problem(SCALAR, nl, 1.0, phi), 3.0, QuadratureConfig(nodes_per_piece=3))
+            traj = solve(Problem(SCALAR, nl, 1.0, phi), 3.0)
             x, probe = traj.x, C.chebpts1(5)
             worst = 0.0
             for i in range(x.n_pieces):
@@ -244,8 +247,9 @@ class TestStructuralProperties:
         np.testing.assert_allclose(a.x(probes), b.x(probes), atol=1e-12)
         assert sup_norm(a.x - b.x) < 1e-11
 
-    def test_solve_step_stops_at_the_delay(self):
-        traj = solve_step(growth_problem())
+    def test_solving_to_the_delay_stops_after_one_step(self):
+        pb = growth_problem()
+        traj = solve(pb, pb.r)
         assert traj.horizon == 1.0
         assert traj.x.domain == (-1.0, 1.0)
 
