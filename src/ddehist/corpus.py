@@ -94,8 +94,7 @@ def piecewise_constant(
     """A random step function; the probe shape used for operator norm estimates."""
     bp = random_breakpoints(rng, domain, n_pieces)
     values = rng.standard_normal((n_pieces, n_components)) * scale
-    pieces = tuple(values[i][None, :] for i in range(n_pieces))
-    return PiecewiseFunction(bp, pieces, values[-1])
+    return PiecewiseFunction(bp, values[:, None, :], values[-1])
 
 
 def indicator_history(cfg: HistoryConfig, lo: float, hi: float, height=1.0) -> HistoryElement:
@@ -120,7 +119,7 @@ def indicator_history(cfg: HistoryConfig, lo: float, hi: float, height=1.0) -> H
         blocks.append(np.zeros((1, cfg.N)))
     cuts.append(0.0)
     bp = np.array(cuts, dtype=float)
-    return HistoryElement(PiecewiseFunction(bp, tuple(blocks), np.zeros(cfg.N)))
+    return HistoryElement(PiecewiseFunction(bp, blocks, np.zeros(cfg.N)))
 
 
 def bump_history(cfg: HistoryConfig, center: float, halfwidth: float, height=1.0):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .certify import BoundPair, RemainderTable, halving
 from .corpus import piecewise_constant
@@ -27,7 +26,6 @@ from .funcrep import (
     LazyComposition,
     PiecewiseFunction,
     _NODES_PER_PIECE,
-    _cheb_interp_matrix,
     _cheb_nodes,
     _scale_tol,
     lp_norm,
@@ -36,7 +34,7 @@ from .funcrep import (
 )
 from .histspace import HistoryElement, _check, static_prolongation
 from .nonlinear import holder_conjugate, spectral_norm
-from .solver import Problem, solve
+from .solver import Problem, _chained_antiderivative, solve
 
 __all__ = [
     "DerivativeContext",
@@ -104,27 +102,19 @@ def tangent_deviation(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseF
     r, T, R = pb.r, ctx.horizon, pb.cfg.R
     n = phi_rep.n_components
     tol = _scale_tol(-R, T)
-    cuts = np.concatenate([phi_rep.breakpoints + r, chi_rep.breakpoints + r])
-    inner = np.unique(cuts[(cuts > tol) & (cuts < T - tol)])
+    shifted = np.concatenate([phi_rep.breakpoints + r, chi_rep.breakpoints + r])
+    inner = np.unique(shifted[(shifted > tol) & (shifted < T - tol)])
     if inner.size:
         inner = inner[np.concatenate(([True], np.diff(inner) > tol))]
-    partition = np.concatenate(([0.0], inner, [T]))
+    cuts = np.concatenate(([0.0], inner, [T]))
+    # One step of the method of steps, linear in chi: Df(phi(s - r)) chi(s - r)
+    # at the nodes of every cut, integrated from 0 as the solver does.
     nodes = _cheb_nodes(_NODES_PER_PIECE)
-    fit = _cheb_interp_matrix(_NODES_PER_PIECE)
-    breakpoints = [-R, 0.0]
-    blocks = [np.zeros((1, n))]
-    value = np.zeros(n)
-    for c, d in zip(partition[:-1], partition[1:]):
-        halfwidth = 0.5 * (d - c)
-        args = 0.5 * (c + d) + halfwidth * nodes - r
-        mats = pb.nl.jacobian(phi_rep(args))
-        rates = np.einsum("kij,kj->ki", mats, chi_rep(args))
-        integ = _cheb.chebint(fit @ rates, lbnd=-1, scl=halfwidth, axis=0)
-        integ[0] += value
-        breakpoints.append(float(d))
-        blocks.append(integ)
-        value = np.atleast_1d(_cheb.chebval(1.0, integ))
-    return PiecewiseFunction(np.array(breakpoints), tuple(blocks), value)
+    half = 0.5 * np.diff(cuts)[:, None, None]
+    args = ((0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half[:, :, 0] * nodes - r).ravel()
+    rates = np.einsum("kij,kj->ki", pb.nl.jacobian(phi_rep(args)), chi_rep(args))
+    integ, value = _chained_antiderivative(rates.reshape(cuts.size - 1, -1, n), half, np.zeros(n))
+    return PiecewiseFunction(np.concatenate(([-R], cuts)), [np.zeros((1, n)), integ], value)
 
 
 def tangent_trajectory(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:

@@ -2,7 +2,13 @@
 
 A function on a closed interval [a, b] is stored as one polynomial per
 component on each sub-interval of a breakpoint partition, in a Chebyshev basis
-on the piece mapped to [-1, 1].  Pieces are half open [t_i, t_{i+1}):
+on the piece mapped to [-1, 1], as in Chebfun (Battles & Trefethen, SIAM J.
+Sci. Comput. 25(5), 2004).  All pieces share one read-only (n_pieces, deg + 1,
+N) coefficient array, zero-padded to the largest degree.  Evaluation,
+re-expansion onto a finer partition, sums, stacking, sup_norm and the
+quadratures of lp_norm work on that array for all pieces at once; only the
+zero search of lp_norm at exponents other than even integers goes piece by
+piece.  Pieces are half open [t_i, t_{i+1}):
 evaluation at an interior breakpoint uses the piece to its right, and
 evaluation at b returns a separately stored endpoint value which may differ
 from the polynomial limit.  The stored endpoint is what makes these objects
@@ -102,19 +108,51 @@ def _extrema_grid(n: int):
     return x
 
 
-def _as_matrix(values, n_components: int | None = None) -> np.ndarray:
-    arr = np.array(values, dtype=float, ndmin=2)
-    if arr.ndim != 2:
-        raise ValueError("coefficient blocks must be two dimensional")
-    if n_components is not None and arr.shape[1] != n_components:
-        raise ValueError("component count mismatch in coefficients")
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    # Read-only float copy; an array that is already read-only float is
+    # shared, since no holder can write to it.
+    if arr.dtype != float or arr.flags.writeable:
+        arr = np.array(arr, dtype=float)
+        arr.flags.writeable = False
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
+def _padded(parts) -> np.ndarray:
+    """Ragged (deg_i + 1, N) blocks, or (n_i, deg_i + 1, N) runs of them, as
+    one zero-padded (n, deg + 1, N) array."""
+    parts = [np.atleast_2d(np.asarray(c, dtype=float)) for c in parts]
+    parts = [c[None] if c.ndim == 2 else c for c in parts]
+    n = parts[0].shape[2]
+    if any(c.ndim != 3 or c.shape[2] != n for c in parts):
+        raise ValueError("all pieces must share a component count")
+    out = np.zeros((sum(c.shape[0] for c in parts), max(c.shape[1] for c in parts), n))
+    at = 0
+    for c in parts:
+        out[at : at + c.shape[0], : c.shape[1]] = c
+        at += c.shape[0]
     return out
+
+
+def _piece_index(bp: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The piece of the partition bp holding each t (from the right at an
+    interior breakpoint); points beyond an end go to the end piece."""
+    return bp[1:-1].searchsorted(t, side="right")
+
+
+def _cheb_values(coeffs: np.ndarray, u) -> np.ndarray:
+    """Chebyshev coefficients (..., deg + 1, N) at local points u of shape
+    (..., m): the Chebyshev-Vandermonde matrix of u, built by the recurrence
+    T_k = 2u T_(k-1) - T_(k-2), times coeffs; shape (..., m, N)."""
+    u = np.asarray(u, dtype=float)
+    deg = coeffs.shape[-2] - 1
+    vander = np.empty((deg + 1,) + u.shape)
+    vander[0] = 1.0
+    if deg:
+        vander[1] = u
+        two_u = 2.0 * u
+        for k in range(2, deg + 1):
+            vander[k] = vander[k - 1] * two_u - vander[k - 2]
+    return vander.transpose(tuple(range(1, vander.ndim)) + (0,)) @ coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,34 +160,34 @@ class PiecewiseFunction:
     """Vector-valued piecewise polynomial on [breakpoints[0], breakpoints[-1]].
 
     breakpoints: strictly increasing, at least two entries.
-    coeffs: one (degree_i + 1, n_components) Chebyshev coefficient block per
-        piece, in the local coordinate mapping the piece onto [-1, 1].
+    coeffs: read-only (n_pieces, deg + 1, N) array of Chebyshev coefficients,
+        piece i in the local coordinate mapping it onto [-1, 1], zero-padded
+        to the largest degree.  A sequence of ragged (deg_i + 1, N) blocks
+        or (n_i, deg_i + 1, N) runs of them is accepted and padded.
     endpoint_value: the value returned at the right domain endpoint.
     """
 
     breakpoints: np.ndarray
-    coeffs: tuple
+    coeffs: np.ndarray
     endpoint_value: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
+        bp = _frozen(np.asarray(self.breakpoints, dtype=float))
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
-        if not np.all(np.diff(bp) > 0):
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        blocks = tuple(_freeze(np.atleast_2d(c)) for c in self.coeffs)
-        if len(blocks) != bp.size - 1:
+        coeffs = self.coeffs
+        if not (isinstance(coeffs, np.ndarray) and coeffs.ndim == 3):
+            coeffs = _padded(coeffs)
+        if coeffs.shape[0] != bp.size - 1:
             raise ValueError("piece count does not match breakpoints")
-        n = blocks[0].shape[1]
-        for c in blocks:
-            if c.ndim != 2 or c.shape[1] != n:
-                raise ValueError("all pieces must share a component count")
         ev = np.asarray(self.endpoint_value, dtype=float).reshape(-1)
-        if ev.size != n:
+        if ev.size != coeffs.shape[2]:
             raise ValueError("endpoint value has wrong component count")
-        object.__setattr__(self, "breakpoints", _freeze(bp))
-        object.__setattr__(self, "coeffs", blocks)
-        object.__setattr__(self, "endpoint_value", _freeze(ev))
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "coeffs", _frozen(coeffs))
+        object.__setattr__(self, "endpoint_value", _frozen(ev))
 
     # -- constructors -----------------------------------------------------
 
@@ -176,13 +214,13 @@ class PiecewiseFunction:
             blocks.append(_cheb_interp_matrix(deg + 1) @ vals.T)
         if endpoint_value is None:
             endpoint_value = _cheb.chebval(1.0, blocks[-1])
-        return cls(bp, tuple(blocks), endpoint_value)
+        return cls(bp, blocks, endpoint_value)
 
     @classmethod
     def constant(cls, values, domain):
         values = np.atleast_1d(np.asarray(values, dtype=float))
         a, b = float(domain[0]), float(domain[1])
-        return cls(np.array([a, b]), (values[None, :],), values)
+        return cls(np.array([a, b]), values[None, None, :], values)
 
     @classmethod
     def zero(cls, n_components, domain):
@@ -200,51 +238,44 @@ class PiecewiseFunction:
 
     @property
     def n_pieces(self) -> int:
-        return len(self.coeffs)
+        return self.coeffs.shape[0]
 
     @property
     def n_components(self) -> int:
-        return self.coeffs[0].shape[1]
+        return self.coeffs.shape[2]
 
     @property
     def degree(self) -> int:
-        return max(c.shape[0] - 1 for c in self.coeffs)
+        return self.coeffs.shape[1] - 1
 
     def piece_interval(self, i: int):
         return float(self.breakpoints[i]), float(self.breakpoints[i + 1])
 
-    def _local(self, i: int, t: np.ndarray) -> np.ndarray:
-        c, d = self.breakpoints[i], self.breakpoints[i + 1]
-        return (2.0 * t - (c + d)) / (d - c)
-
-    def piece_values(self, i: int, u: np.ndarray) -> np.ndarray:
-        """Evaluate piece i at local coordinates u in [-1, 1]; returns (len(u), N)."""
-        return _cheb.chebval(np.asarray(u, dtype=float), self.coeffs[i]).T
+    def local_values(self, u) -> np.ndarray:
+        """Every piece at local coordinates u in [-1, 1], of shape (m,) for
+        the same points on each piece or (n_pieces, m) for points per piece;
+        returns (n_pieces, m, N)."""
+        return _cheb_values(self.coeffs, u)
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t):
         t_in = np.asarray(t, dtype=float)
-        scalar = t_in.ndim == 0
-        tt = np.atleast_1d(t_in).astype(float)
-        a, b = self.breakpoints[0], self.breakpoints[-1]
+        tt = np.atleast_1d(t_in).ravel()
+        bp = self.breakpoints
+        a, b = bp[0], bp[-1]
         tol = _scale_tol(a, b)
-        if np.any(tt < a - tol) or np.any(tt > b + tol):
+        if (tt < a - tol).any() or (tt > b + tol).any():
             raise DomainError(
                 f"evaluation point outside domain [{a}, {b}]"
             )
-        tt = np.clip(tt, a, b)
-        out = np.empty((tt.size, self.n_components))
-        idx = np.searchsorted(self.breakpoints, tt, side="right") - 1
-        idx = np.clip(idx, 0, self.n_pieces - 1)
-        at_end = tt == b
-        for i in np.unique(idx):
-            mask = (idx == i) & ~at_end
-            if mask.any():
-                out[mask] = self.piece_values(i, self._local(i, tt[mask]))
-        if at_end.any():
-            out[at_end] = self.endpoint_value
-        return out[0] if scalar else out
+        tt = np.minimum(np.maximum(tt, a), b)
+        idx = _piece_index(bp, tt)
+        lo, hi = bp[idx], bp[idx + 1]
+        u = (2.0 * tt - (lo + hi)) / (hi - lo)
+        out = _cheb_values(self.coeffs[idx], u[:, None])[:, 0]
+        out[tt == b] = self.endpoint_value
+        return out[0] if t_in.ndim == 0 else out
 
     # -- structural operations ----------------------------------------------
 
@@ -255,28 +286,26 @@ class PiecewiseFunction:
             self.breakpoints + float(dt), self.coeffs, self.endpoint_value
         )
 
-    def _reexpand(self, i: int, lo: float, hi: float, degree: int | None = None):
-        # Coefficients of piece i re-expressed on [lo, hi] (a sub-interval).
-        c, d = self.piece_interval(i)
-        if lo == c and hi == d and degree is None:
-            return self.coeffs[i]
-        deg = self.coeffs[i].shape[0] - 1 if degree is None else degree
-        u_new = _cheb_nodes(deg + 1)
-        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * u_new
-        vals = self.piece_values(i, self._local(i, t))
-        return _cheb_interp_matrix(deg + 1) @ vals
-
-    def _pieces_on(self, partition: np.ndarray):
-        mids = 0.5 * (partition[:-1] + partition[1:])
-        idx = np.clip(
-            np.searchsorted(self.breakpoints, mids, side="right") - 1,
-            0,
-            self.n_pieces - 1,
-        )
-        return tuple(
-            self._reexpand(int(i), float(partition[k]), float(partition[k + 1]))
-            for k, i in enumerate(idx)
-        )
+    def _pieces_on(self, partition: np.ndarray) -> np.ndarray:
+        """Coefficients on the pieces of a partition each of whose pieces
+        lies inside one piece of self.  A piece whose interval is unchanged
+        is copied; the others are re-expanded at deg + 1 Chebyshev points
+        of their interval, all in one product."""
+        bp = self.breakpoints
+        if partition.size == bp.size and (partition == bp).all():
+            return self.coeffs
+        lo, hi = partition[:-1], partition[1:]
+        idx = _piece_index(bp, 0.5 * (lo + hi))
+        c, d = bp[idx], bp[idx + 1]
+        out = self.coeffs[idx]
+        moved = ((lo != c) | (hi != d)).nonzero()[0]
+        if moved.size:
+            n = self.degree + 1
+            lo, hi, c, d = lo[moved, None], hi[moved, None], c[moved, None], d[moved, None]
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _cheb_nodes(n)
+            vals = _cheb_values(out[moved], (2.0 * t - (c + d)) / (d - c))
+            out[moved] = _cheb_interp_matrix(n) @ vals
+        return out
 
     def restrict(self, lo: float, hi: float) -> "PiecewiseFunction":
         """Restriction to [lo, hi] within the domain.
@@ -301,8 +330,11 @@ class PiecewiseFunction:
         """Insert extra breakpoints; the represented function is unchanged."""
         a, b = self.domain
         tol = _scale_tol(a, b)
-        pts = np.asarray(points, dtype=float)
-        pts = pts[(pts > a + tol) & (pts < b - tol)]
+        pts = np.asarray(points, dtype=float).reshape(-1)
+        pts = pts[(pts > a) & (pts < b)]
+        # A point within tol of a breakpoint would take its place in the
+        # merge and move the function on the sliver between them.
+        pts = pts[np.abs(pts[:, None] - self.breakpoints).min(axis=1) > tol]
         partition = _merge_partitions(self.breakpoints, pts, tol)
         return PiecewiseFunction(
             partition, self._pieces_on(partition), self.endpoint_value
@@ -335,9 +367,11 @@ class PiecewiseFunction:
         partition[0], partition[-1] = a, b
         mine = self._pieces_on(partition)
         theirs = other._pieces_on(partition)
-        blocks = tuple(_add_blocks(x, y, sign) for x, y in zip(mine, theirs))
+        out = np.zeros((partition.size - 1, max(self.degree, other.degree) + 1, self.n_components))
+        out[:, : mine.shape[1]] = mine
+        out[:, : theirs.shape[1]] += sign * theirs
         endpoint = self.endpoint_value + sign * other.endpoint_value
-        return PiecewiseFunction(partition, blocks, endpoint)
+        return PiecewiseFunction(partition, out, endpoint)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -348,9 +382,7 @@ class PiecewiseFunction:
     def scale(self, factor: float) -> "PiecewiseFunction":
         factor = float(factor)
         return PiecewiseFunction(
-            self.breakpoints,
-            tuple(factor * c for c in self.coeffs),
-            factor * self.endpoint_value,
+            self.breakpoints, factor * self.coeffs, factor * self.endpoint_value
         )
 
     def __neg__(self):
@@ -367,14 +399,6 @@ class PiecewiseFunction:
             f"PiecewiseFunction([{a:g}, {b:g}], pieces={self.n_pieces}, "
             f"components={self.n_components}, degree={self.degree})"
         )
-
-
-def _add_blocks(x: np.ndarray, y: np.ndarray, sign: float) -> np.ndarray:
-    rows = max(x.shape[0], y.shape[0])
-    out = np.zeros((rows, x.shape[1]))
-    out[: x.shape[0]] = x
-    out[: y.shape[0]] += sign * y
-    return out
 
 
 def _merge_partitions(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -420,11 +444,9 @@ class LazyComposition:
     def endpoint_value(self) -> np.ndarray:
         return self.fn(self.base.endpoint_value[None, :])[0]
 
-    def piece_interval(self, i: int):
-        return self.base.piece_interval(i)
-
-    def piece_values(self, i: int, u: np.ndarray) -> np.ndarray:
-        return self.fn(self.base.piece_values(i, u))
+    def local_values(self, u) -> np.ndarray:
+        vals = self.base.local_values(u)
+        return self.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape[:-1] + (self.n_out,))
 
     def __call__(self, t):
         t_in = np.asarray(t, dtype=float)
@@ -462,12 +484,8 @@ def lp_norm(f: Representable, p: float) -> float:
     if isinstance(f, PiecewiseFunction):
         return _power_integral(f, p) ** (1.0 / p)
     u, w = _gauss_rule(_NODES_PER_PIECE)
-    total = 0.0
-    for i in range(f.n_pieces):
-        c, d = f.piece_interval(i)
-        radii = np.linalg.norm(f.piece_values(i, u), axis=-1)
-        total += 0.5 * (d - c) * float(w @ radii**p)
-    return total ** (1.0 / p)
+    radii = np.linalg.norm(f.local_values(u), axis=-1)
+    return float(0.5 * np.diff(f.breakpoints) @ (radii**p @ w)) ** (1.0 / p)
 
 
 # Real zeros of a piece closer than this (in local coordinates) are merged
@@ -596,20 +614,6 @@ def _modulus_intervals(coeffs: np.ndarray):
     return piece.astype(int), lo, hi, mlo.astype(int), mhi.astype(int)
 
 
-def _padded(blocks) -> np.ndarray:
-    """Ragged (deg_i + 1, N) blocks as one zero-padded (n, deg + 1, N) array."""
-    out = np.zeros((len(blocks), max(b.shape[0] for b in blocks), blocks[0].shape[1]))
-    for i, block in enumerate(blocks):
-        out[i, : block.shape[0]] = block
-    return out
-
-
-def _cheb_values(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Chebyshev blocks coeffs (..., deg + 1, N) at local points u, of shape
-    (..., m), by one Chebyshev-Vandermonde product; shape (..., m, N)."""
-    return _cheb.chebvander(u, coeffs.shape[-2] - 1) @ coeffs
-
-
 def _power_values(coeffs, piece, lo, hi, x, p):
     """|f|^p at the points of the rule x mapped onto local sub-intervals
     [lo, hi] of the listed pieces; shape (len(piece), len(x))."""
@@ -647,8 +651,7 @@ def _power_integral(f: PiecewiseFunction, p: float) -> float:
     _JACOBI_MAX_ROUNDS rounds, the estimate is returned with a
     RuntimeWarning that states their disagreement.
     """
-    deg = f.degree
-    coeffs = _padded(f.coeffs)
+    deg, coeffs = f.degree, f.coeffs
     scale = 0.5 * np.diff(f.breakpoints)
     n = max(_NODES_PER_PIECE, math.ceil((p * deg + 1.0) / 2.0))
     if p % 2.0 == 0.0:
@@ -690,49 +693,37 @@ def _power_integral(f: PiecewiseFunction, p: float) -> float:
     return total
 
 
-def _parabolic_vertex(u: np.ndarray, r: np.ndarray, k: int) -> float | None:
-    # Vertex of the parabola through three consecutive samples around k.
-    du1 = u[k] - u[k - 1]
-    du2 = u[k] - u[k + 1]
-    dr1 = r[k] - r[k - 1]
-    dr2 = r[k] - r[k + 1]
-    denom = du1 * dr2 - du2 * dr1
-    if abs(denom) < 1e-300:
-        return None
-    shift = 0.5 * (du1 * du1 * dr2 - du2 * du2 * dr1) / denom
-    if not np.isfinite(shift):
-        return None
-    return float(np.clip(u[k] - shift, -1.0, 1.0))
-
-
 def sup_norm(f: Representable) -> float:
     """Supremum of |f| by Chebyshev sampling with refinement.
 
     Meaningful for continuous representatives (the caller asserts
-    continuity).  Each piece is sampled on a closed Chebyshev extrema grid of
-    _SUP_SAMPLES = 64 points, the discrete maximum is polished by one
-    parabolic vertex step, and the grid is doubled, at most _SUP_MAX_LEVELS
-    times, until two successive levels agree within _SUP_TOL = 1e-10.
-    The stored endpoint value always participates.  The result can
-    under-estimate the true supremum by no more than the final grid
-    agreement error.
+    continuity).  Every piece is sampled on a closed Chebyshev extrema grid
+    of _SUP_SAMPLES = 64 points, each piece's discrete maximum is polished by
+    one step to the vertex of the parabola through it and its two
+    neighbours, and the grid is doubled, at most _SUP_MAX_LEVELS times,
+    until two successive levels agree within _SUP_TOL = 1e-10.  The stored
+    endpoint value always participates.  The result can under-estimate the
+    true supremum by no more than the final grid agreement error.
     """
+    rows = np.arange(f.n_pieces)
+    tip = float(np.linalg.norm(np.atleast_1d(f.endpoint_value)))
     samples = _SUP_SAMPLES
     previous = None
     for _ in range(_SUP_MAX_LEVELS):
         grid = _extrema_grid(samples)
-        best = float(np.linalg.norm(np.atleast_1d(f.endpoint_value)))
-        for i in range(f.n_pieces):
-            radii = np.linalg.norm(f.piece_values(i, grid), axis=-1)
-            best = max(best, float(radii.max()))
-            k = int(np.argmax(radii))
-            if 0 < k < radii.size - 1:
-                vertex = _parabolic_vertex(grid, radii, k)
-                if vertex is not None:
-                    polished = np.linalg.norm(
-                        f.piece_values(i, np.array([vertex])), axis=-1
-                    )
-                    best = max(best, float(polished[0]))
+        radii = np.linalg.norm(f.local_values(grid), axis=-1)
+        top = np.argmax(radii, axis=1)
+        k = np.clip(top, 1, samples - 2)
+        du1, du2 = grid[k] - grid[k - 1], grid[k] - grid[k + 1]
+        dr1 = radii[rows, k] - radii[rows, k - 1]
+        dr2 = radii[rows, k] - radii[rows, k + 1]
+        denom = du1 * dr2 - du2 * dr1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shift = 0.5 * (du1 * du1 * dr2 - du2 * du2 * dr1) / denom
+        polish = (top == k) & (np.abs(denom) >= 1e-300) & np.isfinite(shift)
+        vertex = np.clip(np.where(polish, grid[k] - shift, grid[k]), -1.0, 1.0)
+        polished = np.linalg.norm(f.local_values(vertex[:, None])[:, 0], axis=-1)
+        best = max(tip, float(radii.max()), float(polished[polish].max(initial=0.0)))
         if previous is not None and abs(best - previous) <= _SUP_TOL:
             return max(best, previous)
         previous = best
@@ -750,20 +741,14 @@ def stack(functions: Sequence[PiecewiseFunction]) -> PiecewiseFunction:
         ga, gb = g.domain
         if abs(ga - a) > tol or abs(gb - b) > tol:
             raise DomainError("stack requires a common domain")
-    partition = functions[0].breakpoints
+    partition = functions[0].breakpoints.copy()
     for g in functions[1:]:
         partition = _merge_partitions(partition, g.breakpoints, tol)
     partition[0], partition[-1] = a, b
     per_fn = [g._pieces_on(partition) for g in functions]
-    blocks = []
-    for k in range(partition.size - 1):
-        rows = max(p[k].shape[0] for p in per_fn)
-        cols = sum(p[k].shape[1] for p in per_fn)
-        block = np.zeros((rows, cols))
-        at = 0
-        for p in per_fn:
-            block[: p[k].shape[0], at : at + p[k].shape[1]] = p[k]
-            at += p[k].shape[1]
-        blocks.append(block)
+    deg = max(c.shape[1] for c in per_fn)
+    blocks = np.concatenate(
+        [np.pad(c, ((0, 0), (0, deg - c.shape[1]), (0, 0))) for c in per_fn], axis=2
+    )
     endpoint = np.concatenate([g.endpoint_value for g in functions])
-    return PiecewiseFunction(partition, tuple(blocks), endpoint)
+    return PiecewiseFunction(partition, blocks, endpoint)

@@ -157,7 +157,7 @@ def static_prolongation(phi: HistoryElement, T: float) -> PiecewiseFunction:
     breakpoints = np.append(rep.breakpoints, float(T))
     frozen = rep.endpoint_value[None, :]
     return PiecewiseFunction(
-        breakpoints, rep.coeffs + (frozen,), rep.endpoint_value
+        breakpoints, [rep.coeffs, frozen], rep.endpoint_value
     )
 
 

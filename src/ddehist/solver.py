@@ -32,7 +32,7 @@ from .funcrep import (
     _cheb_interp_matrix,
     _cheb_nodes,
     _cheb_values,
-    _padded,
+    _piece_index,
     _scale_tol,
 )
 from .histspace import (
@@ -93,9 +93,8 @@ class Trajectory:
     def continuity_defect(self) -> float:
         """Largest one-sided value gap at breakpoints inside (0, horizon]."""
         x = self.x
-        coeffs = _padded(x.coeffs)
-        right = coeffs.sum(axis=1)
-        left = coeffs[:, 0::2].sum(axis=1) - coeffs[:, 1::2].sum(axis=1)
+        right = x.coeffs.sum(axis=1)
+        left = x.coeffs[:, 0::2].sum(axis=1) - x.coeffs[:, 1::2].sum(axis=1)
         seams = x.breakpoints[1:-1] > _scale_tol(*x.domain)
         gaps = np.linalg.norm(right[:-1][seams] - left[1:][seams], axis=1)
         final = np.linalg.norm(right[-1] - x.endpoint_value)
@@ -119,9 +118,9 @@ def solve(problem: Problem, T: float) -> Trajectory:
     if not T > 0:
         raise ValueError("horizon must be positive")
     r, rep, n = problem.r, problem.phi.rep, _NODES_PER_PIECE
-    u, fit, antider, slope = _step_matrices(n)
+    u, _, _, slope = _step_matrices(n)
     # The known pieces a step reads: the history, then the previous step.
-    window_bp, window, value = rep.breakpoints, _padded(rep.coeffs), rep.endpoint_value
+    window_bp, window, value = rep.breakpoints, rep.coeffs, rep.endpoint_value
     breakpoints, blocks, defect = [rep.breakpoints], [], 0.0
     edges = step_edges(T, r)
     for t0, t1 in zip(edges[:-1], edges[1:]):
@@ -131,16 +130,12 @@ def solve(problem: Problem, T: float) -> Trajectory:
         cuts = np.concatenate(([t0], inner, [t1]))
         half = 0.5 * np.diff(cuts)[:, None, None]
         rhs = _delayed_rhs(problem, window_bp, window, cuts, u)
-        integ = half * (antider @ (fit @ rhs[:, :n]))
-        chain = np.cumsum(np.vstack((value, integ.sum(axis=1))), axis=0)
-        integ[:, 0] += chain[:-1]
-        value = chain[-1]
+        integ, value = _chained_antiderivative(rhs[:, :n], half, value)
         defect = max(defect, float(np.abs(slope @ integ / half - rhs[:, n:]).max()))
         breakpoints.append(cuts[1:])
         blocks.append(integ)
         window_bp, window = cuts, integ
-    coeffs = tuple(rep.coeffs) + tuple(np.concatenate(blocks))
-    x = PiecewiseFunction(np.concatenate(breakpoints), coeffs, value)
+    x = PiecewiseFunction(np.concatenate(breakpoints), [rep.coeffs] + blocks, value)
     return Trajectory(problem, float(T), x, edges, defect)
 
 
@@ -158,13 +153,25 @@ def _step_matrices(n: int):
     return u, _cheb_interp_matrix(n), antider, slope
 
 
+def _chained_antiderivative(rates: np.ndarray, half: np.ndarray, start: np.ndarray):
+    """Antiderivatives of the values rates (cuts, n, N) at the n interpolation
+    nodes of each cut, of half-width half (cuts, 1, 1): their (cuts, n + 1, N)
+    Chebyshev coefficients, continuous across cuts and equal to start at
+    the left end, and the value at the right end."""
+    _, fit, antider, _ = _step_matrices(rates.shape[1])
+    integ = half * (antider @ (fit @ rates))
+    chain = np.cumsum(np.vstack((start, integ.sum(axis=1))), axis=0)
+    integ[:, 0] += chain[:-1]
+    return integ, chain[-1]
+
+
 def _delayed_rhs(problem: Problem, bp: np.ndarray, coeffs: np.ndarray, cuts, u) -> np.ndarray:
     """f(x(t - r)) at the local points u of each cut, shape (cuts, len(u), N),
     where x is the padded block (bp, coeffs) and holds each delayed cut in
     one piece, found from the cut's midpoint."""
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     t = (mid[:, None] + 0.5 * np.diff(cuts)[:, None] * u) - problem.r
-    piece = np.clip(np.searchsorted(bp, mid - problem.r, side="right") - 1, 0, bp.size - 2)
+    piece = _piece_index(bp, mid - problem.r)
     lo, hi = bp[piece][:, None], bp[piece + 1][:, None]
     vals = _cheb_values(coeffs[piece], (2.0 * t - (lo + hi)) / (hi - lo))
     return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)

@@ -6,6 +6,10 @@ computed grid by linear interpolation.  It shares no code with the solver
 (which interpolates integrands at Chebyshev points and antidifferentiates
 exactly), so agreement between the two is meaningful.  The scheme is second
 order in the panel width for integrands that are smooth within each panel.
+
+The per-piece references at the end evaluate piecewise functions one piece
+at a time with numpy's `chebval`, for comparison with the batched array
+operations of `ddehist.funcrep`.
 """
 
 import numpy as np
@@ -60,3 +64,80 @@ def midpoint_integral(fn, a, b, panels=200_000):
     h = (b - a) / panels
     mids = a + (np.arange(panels) + 0.5) * h
     return float(h * np.sum(fn(mids)))
+
+
+# -- per-piece references for the piecewise representation ------------------
+#
+# These loop over pieces and evaluate each with numpy's chebval (Clenshaw),
+# as the representation did before it stored one padded coefficient array.
+# `blocks` are ragged (deg_i + 1, N) Chebyshev blocks, one per piece.
+
+
+def piecewise_values(breakpoints, blocks, endpoint_value, t):
+    """Values at the points t: pieces are half open [t_i, t_{i+1}) and the
+    right end takes the stored endpoint value; shape (len(t), N)."""
+    from numpy.polynomial.chebyshev import chebval
+
+    bp = np.asarray(breakpoints, dtype=float)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((t.size, np.asarray(endpoint_value).size))
+    idx = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, len(blocks) - 1)
+    at_end = t == bp[-1]
+    for i in np.unique(idx):
+        mask = (idx == i) & ~at_end
+        if mask.any():
+            c, d = bp[i], bp[i + 1]
+            out[mask] = chebval((2.0 * t[mask] - (c + d)) / (d - c), blocks[i]).T
+    out[at_end] = endpoint_value
+    return out
+
+
+def _piece_values(f, i, u):
+    from numpy.polynomial.chebyshev import chebval
+
+    if hasattr(f, "fn"):  # a LazyComposition
+        return f.fn(_piece_values(f.base, i, u))
+    return chebval(u, f.coeffs[i]).T
+
+
+def lazy_lp_norm(f, p, nodes=16):
+    """Composite Gauss-Legendre rule with `nodes` points per piece, summed
+    piece by piece."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for i in range(f.n_pieces):
+        c, d = f.breakpoints[i], f.breakpoints[i + 1]
+        radii = np.linalg.norm(_piece_values(f, i, u), axis=-1)
+        total += 0.5 * (d - c) * float(w @ radii**p)
+    return total ** (1.0 / p)
+
+
+def sampled_sup_norm(f, samples=64, tol=1e-10, levels=7):
+    """The sup_norm rule piece by piece: a closed Chebyshev extrema grid per
+    piece, the discrete maximum polished by one parabolic vertex step, and
+    the grid doubled until two levels agree within tol."""
+    previous = None
+    for _ in range(levels):
+        grid = -np.cos(np.arange(samples) * np.pi / (samples - 1))
+        grid[0], grid[-1] = -1.0, 1.0
+        best = float(np.linalg.norm(np.atleast_1d(f.endpoint_value)))
+        for i in range(f.n_pieces):
+            radii = np.linalg.norm(_piece_values(f, i, grid), axis=-1)
+            best = max(best, float(radii.max()))
+            k = int(np.argmax(radii))
+            if not 0 < k < samples - 1:
+                continue
+            du1, du2 = grid[k] - grid[k - 1], grid[k] - grid[k + 1]
+            dr1, dr2 = radii[k] - radii[k - 1], radii[k] - radii[k + 1]
+            denom = du1 * dr2 - du2 * dr1
+            if abs(denom) < 1e-300:
+                continue
+            shift = 0.5 * (du1 * du1 * dr2 - du2 * du2 * dr1) / denom
+            if np.isfinite(shift):
+                vertex = np.array([np.clip(grid[k] - shift, -1.0, 1.0)])
+                best = max(best, float(np.linalg.norm(_piece_values(f, i, vertex), axis=-1)[0]))
+        if previous is not None and abs(best - previous) <= tol:
+            return max(best, previous)
+        previous = best
+        samples = 2 * samples
+    return previous

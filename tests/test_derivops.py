@@ -341,7 +341,8 @@ class TestDerivativeGap:
         assert bounds[-1] < 0.2 * bounds[0]
         # The seeded probe draws are part of the contract: this value was
         # recorded before the probe loop moved into estimate_operator_norm.
-        assert pairs[0].probed == 0.6793185665778031
+        # Rounding moves it by a few ulp; a different draw by far more.
+        assert pairs[0].probed == pytest.approx(0.6793185665778031, rel=1e-12)
 
 
 class TestSegmentBound:

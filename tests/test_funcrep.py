@@ -9,8 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from ddehist import funcrep
 from ddehist.funcrep import (
     DomainError,
@@ -338,3 +339,147 @@ def test_refinement_does_not_change_values(f):
     g = f.refine([-0.77, -0.31])
     ts = np.linspace(-1.0, 0.0, 29)
     assert np.allclose(g(ts), f(ts), atol=1e-11)
+
+
+# ------------------------------------ array form against per-piece references
+#
+# The operations below work on the one padded coefficient array of each
+# function, all pieces at once.  tests/oracles.py keeps the per-piece chebval
+# loops they replaced; both must agree to 1e-13 of the function's size on
+# random functions with ragged piece degrees and several components.
+
+DOMAIN = (-1.5, 0.5)
+
+
+@st.composite
+def ragged_piecewise(draw, n_components):
+    """(f, blocks): f on DOMAIN with per-piece degrees 0..5, and the ragged
+    Chebyshev blocks it was built from."""
+    a, b = DOMAIN
+    n_pieces = draw(st.integers(1, 5))
+    cuts = np.sort(
+        draw(st.lists(st.floats(0.02, 0.98), min_size=n_pieces - 1, max_size=n_pieces - 1))
+    )
+    bp = np.concatenate(([a], a + (b - a) * cuts, [b]))
+    if np.min(np.diff(bp)) < 1e-3:
+        bp = np.linspace(a, b, n_pieces + 1)
+    value = st.lists(st.floats(-2.0, 2.0), min_size=n_components, max_size=n_components)
+    blocks = [np.array(draw(st.lists(value, min_size=1, max_size=6))) for _ in range(n_pieces)]
+    endpoint = draw(value)
+    return PiecewiseFunction(bp, blocks, endpoint), blocks
+
+
+def size_bound(f):
+    # |f| <= sum_k |c_k| on each piece, since |T_k| <= 1.
+    pieces = np.abs(f.coeffs).sum(axis=(1, 2)).max()
+    return 1.0 + float(pieces) + float(np.abs(f.endpoint_value).sum())
+
+
+def reference(f, blocks, t):
+    return oracles.piecewise_values(f.breakpoints, blocks, f.endpoint_value, t)
+
+
+def sample_points(draw_points, *functions):
+    # Drawn points plus every breakpoint, which includes the right end.
+    return np.concatenate([draw_points] + [g.breakpoints for g in functions])
+
+
+points = st.lists(st.floats(*DOMAIN), min_size=1, max_size=12).map(np.array)
+pairs = st.integers(1, 3).flatmap(lambda n: st.tuples(ragged_piecewise(n), ragged_piecewise(n)))
+singles = st.integers(1, 3).flatmap(ragged_piecewise)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fb=singles)
+def test_coefficients_are_one_read_only_padded_array(fb):
+    f, blocks = fb
+    g = f + f.scale(0.5)
+    for h in (f, g, f.restrict(-1.0, 0.0), stack((f, g))):
+        assert isinstance(h.coeffs, np.ndarray) and h.coeffs.ndim == 3
+        assert h.coeffs.shape[0] == len(h.coeffs) == h.n_pieces
+        assert not h.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            h.coeffs[0, 0, 0] = 1.0
+    assert f.coeffs.shape == (len(blocks), max(b.shape[0] for b in blocks), blocks[0].shape[1])
+    for block, padded in zip(blocks, f.coeffs):
+        assert np.array_equal(padded[: block.shape[0]], block)
+        assert not padded[block.shape[0] :].any()
+
+
+@settings(max_examples=50, deadline=None)
+@given(fb=singles, ts=points)
+def test_evaluation_matches_the_per_piece_reference(fb, ts):
+    f, blocks = fb
+    ts = sample_points(ts, f)
+    tol = 1e-13 * size_bound(f)
+    assert np.abs(f(ts) - reference(f, blocks, ts)).max() <= tol
+    for t in (ts[0], DOMAIN[1]):
+        assert np.abs(f(t) - reference(f, blocks, t)[0]).max() <= tol
+
+
+@settings(max_examples=50, deadline=None)
+@given(fb=singles, ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), ts=points)
+def test_restrict_matches_the_per_piece_reference(fb, ends, ts):
+    f, blocks = fb
+    a, b = DOMAIN
+    lo, hi = sorted(a + (b - a) * np.array(ends))
+    assume(hi - lo > 1e-3)
+    # An end within the breakpoint tolerance of a breakpoint absorbs it.
+    gaps = np.abs(f.breakpoints[:, None] - np.array([lo, hi]))
+    assume(np.all((gaps == 0.0) | (gaps > 1e-9)))
+    g = f.restrict(lo, hi)
+    ts = sample_points(np.clip(ts, lo, hi), g)
+    assert np.abs(g(ts) - reference(f, blocks, ts)).max() <= 1e-13 * size_bound(f)
+
+
+STEP_BLOCKS = [np.zeros((1, 1))] * 3 + [np.ones((1, 1))]
+# A step at 0, refined 4.7e-170 to its left: the inserted point must not
+# replace the breakpoint at 0, or the step moves onto [-4.7e-170, 0).
+STEP_AT_ZERO = (
+    PiecewiseFunction(np.array([-1.5, -1.0, -0.5, 0.0, 0.5]), STEP_BLOCKS, [0.0]),
+    STEP_BLOCKS,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fb=singles, extra=points, ts=points)
+@example(fb=STEP_AT_ZERO, extra=np.array([-4.68854878e-170]), ts=np.array([0.0]))
+def test_refine_matches_the_per_piece_reference(fb, extra, ts):
+    f, blocks = fb
+    g = f.refine(extra)
+    ts = sample_points(np.concatenate((ts, extra)), g)
+    assert np.abs(g(ts) - reference(f, blocks, ts)).max() <= 1e-13 * size_bound(f)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pair=pairs, ts=points)
+def test_sum_difference_and_stack_match_the_per_piece_reference(pair, ts):
+    (f, f_blocks), (g, g_blocks) = pair
+    ts = sample_points(ts, f, g)
+    ref_f, ref_g = reference(f, f_blocks, ts), reference(g, g_blocks, ts)
+    tol = 1e-13 * (size_bound(f) + size_bound(g))
+    assert np.abs((f + g)(ts) - (ref_f + ref_g)).max() <= tol
+    assert np.abs((f - g)(ts) - (ref_f - ref_g)).max() <= tol
+    assert np.abs(stack((f, g))(ts) - np.hstack((ref_f, ref_g))).max() <= tol
+    assert np.abs(stack((f,))(ts) - ref_f).max() <= tol
+
+
+def _bend(v):
+    return np.column_stack((np.tanh(v).sum(axis=1), v[:, 0] * v[:, -1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fb=singles)
+def test_sup_norm_matches_the_per_piece_reference(fb):
+    f, _ = fb
+    assert abs(sup_norm(f) - oracles.sampled_sup_norm(f)) <= 1e-13 * size_bound(f)
+    lazy = LazyComposition(f, _bend, 2)
+    assert abs(sup_norm(lazy) - oracles.sampled_sup_norm(lazy)) <= 1e-13 * size_bound(f) ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(fb=singles, p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_lazy_lp_norm_matches_the_per_piece_reference(fb, p):
+    f, _ = fb
+    for lazy in (LazyComposition(f, _bend, 2), LazyComposition(f, np.abs, f.n_components)):
+        assert abs(lp_norm(lazy, p) - oracles.lazy_lp_norm(lazy, p)) <= 1e-13 * size_bound(f) ** 2

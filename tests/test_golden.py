@@ -1,11 +1,15 @@
 """Golden test: `ddehist verify` on the shipped configs against stored outputs.
 
 tests/golden holds the CSV tables and the claim lines that both shipped
-configs give at seed 7.  File names, CSV headers and claim lines must match
-exactly.  Every numeric cell must agree within |a - b| <= 1e-12 + 1e-9 |b|,
-which absorbs last-digit differences between machines and numpy builds.
+configs give at seed 7.  File names and CSV headers must match exactly.
+Every numeric cell, and the measured value of every claim line, must agree
+within |a - b| <= 1e-12 + 1e-9 |b|, which absorbs last-digit differences
+between machines and numpy builds.  The rest of a claim line (verdict,
+experiment, claim, relation and limit) and the summary line must match
+exactly.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,22 @@ from ddehist.cli import main
 
 TESTS = Path(__file__).resolve().parent
 CONFIGS = TESTS.parent / "configs"
+
+
+CLAIM = re.compile(r"(\S+ \S+ \S+) measured=(\S+) (\S+ limit=\S+)")
+
+
+def assert_claims_match(lines, golden_lines):
+    assert len(lines) == len(golden_lines)
+    for line, golden in zip(lines, golden_lines):
+        got, want = CLAIM.fullmatch(line), CLAIM.fullmatch(golden)
+        if want is None:
+            assert line == golden
+            continue
+        assert got is not None, line
+        assert got.group(1, 3) == want.group(1, 3), line
+        measured, expected = float(got.group(2)), float(want.group(2))
+        assert abs(measured - expected) <= 1e-12 + 1e-9 * abs(expected), line
 
 
 def read_csv(path):
@@ -31,7 +51,7 @@ def test_verify_reproduces_the_golden_outputs(tmp_path, capsys, config, golden, 
     assert main(argv) == exit_code
     expected = TESTS / "golden" / golden
     claims = (expected / "claims.txt").read_text().splitlines()
-    assert capsys.readouterr().out.splitlines() == claims
+    assert_claims_match(capsys.readouterr().out.splitlines(), claims)
     names = sorted(path.name for path in expected.glob("*.csv"))
     assert sorted(path.name for path in tmp_path.glob("*.csv")) == names
     for name in names:
