@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 NOISE_FLOOR = 1e-12
+# The fall a decay claim asks for, and the rise per row a non-increasing
+# tail may still show (see `certify_decay`).
+FINAL_FRACTION = 1e-3
+MONOTONE_SLACK = 1.05
 
 
 def halving(count: int) -> np.ndarray:
@@ -49,7 +53,7 @@ class Certificate:
     values: np.ndarray
     tail_start: int
     reference_row: int = 0
-    final_limit: float = 1e-3
+    final_limit: float = FINAL_FRACTION
 
     @property
     def final_over_initial(self) -> float:
@@ -63,27 +67,22 @@ class Certificate:
         return float(v[-1] / ref) if ref > 0 else 0.0
 
 
-def certify_decay(
-    values,
-    final_fraction: float = 1e-3,
-    floor: float = NOISE_FLOOR,
-    slack: float = 1.05,
-) -> Certificate:
+def certify_decay(values) -> Certificate:
     """Check that a sequence decays: eventually non-increasing, and falling
     at a geometric rate from its early peak and over its second half.
 
     On a geometric schedule with n + 1 entries, "the final entry is at most
-    final_fraction times the first" asks for an average fall by the factor
-    rate = final_fraction^(1/n) per row.  This check asks for that rate,
+    FINAL_FRACTION times the first" asks for an average fall by the factor
+    rate = FINAL_FRACTION^(1/n) per row.  This check asks for that rate,
     not for the total fall, over the rows where the sequence should already
     be in its asymptotic regime.  With h = (n + 1) // 2, and entries at or
-    below the floor counting as equal:
+    below NOISE_FLOOR counting as equal:
 
     - monotone: some tail starting at a row <= h is non-increasing (up to
-      the factor slack per row);
+      the factor MONOTONE_SLACK per row);
     - from the peak: the final entry is at most rate^(n - k) times the peak
       v[k], the largest entry of rows 0..h (up to the floor).  When the
-      first entry is the peak this is exactly final <= final_fraction *
+      first entry is the peak this is exactly final <= FINAL_FRACTION *
       first.  Rows before the peak do not count against the sequence: a
       correct remainder may rise over its first rows before its asymptotic
       regime starts;
@@ -92,7 +91,7 @@ def certify_decay(
       value fails this however far it fell before.
 
     A geometric sequence passes exactly when its own rate is at most rate,
-    as under the rule "final_fraction of the first entry"; the two rules
+    as under the rule "FINAL_FRACTION of the first entry"; the two rules
     differ only on sequences whose rate changes along the schedule.  Of the
     two comparisons, the certificate reports the one closer to failing.
     """
@@ -101,20 +100,20 @@ def certify_decay(
         raise ValueError("need a one dimensional sequence with at least four entries")
     if np.any(~np.isfinite(v)) or np.any(v < 0):
         raise ValueError("sequence entries must be finite and nonnegative")
-    if np.all(v <= floor):
+    if np.all(v <= NOISE_FLOOR):
         return Certificate(True, "all values at the noise floor", v, 0)
-    clipped = np.maximum(v, floor)
+    clipped = np.maximum(v, NOISE_FLOOR)
     n, half = v.size - 1, v.size // 2
     tail_start = -1
     for k0 in range(half + 1):
         tail = clipped[k0:]
-        if np.all(tail[1:] <= slack * tail[:-1]):
+        if np.all(tail[1:] <= MONOTONE_SLACK * tail[:-1]):
             tail_start = k0
             break
     monotone = tail_start >= 0
     peak_row = int(np.argmax(v[: half + 1]))
-    checks = [(row, final_fraction ** ((n - row) / n)) for row in (peak_row, half)]
-    small_final = all(v[-1] <= limit * v[row] + floor for row, limit in checks)
+    checks = [(row, FINAL_FRACTION ** ((n - row) / n)) for row in (peak_row, half)]
+    small_final = all(v[-1] <= limit * v[row] + NOISE_FLOOR for row, limit in checks)
     ref, limit = max(checks, key=lambda c: v[-1] / (c[1] * clipped[c[0]]))
     ratios = f"final/initial = {v[-1] / v[0]:.3e}, final/row {ref} = {v[-1] / clipped[ref]:.3e}"
     if not monotone:
@@ -176,9 +175,9 @@ class RemainderTable:
     def ratios(self) -> np.ndarray:
         return self.remainders / self.scales
 
-    def certificate(self, final_fraction: float = 1e-3, floor: float = NOISE_FLOOR) -> Certificate:
+    def certificate(self) -> Certificate:
         """The small-o check: remainder-to-size ratios must decay."""
-        return certify_decay(self.ratios, final_fraction=final_fraction, floor=floor)
+        return certify_decay(self.ratios)
 
     def as_rows(self):
         return [
@@ -203,9 +202,9 @@ class GapTable:
         object.__setattr__(self, "input_gaps", ins)
         object.__setattr__(self, "output_gaps", outs)
 
-    def certificate(self, final_fraction: float = 1e-3, floor: float = NOISE_FLOOR) -> Certificate:
+    def certificate(self) -> Certificate:
         """The continuity check: output gaps must decay with the input gaps."""
-        return certify_decay(self.output_gaps, final_fraction=final_fraction, floor=floor)
+        return certify_decay(self.output_gaps)
 
     def as_rows(self):
         return [(float(i), float(o)) for i, o in zip(self.input_gaps, self.output_gaps)]

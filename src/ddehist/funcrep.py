@@ -5,10 +5,10 @@ component on each sub-interval of a breakpoint partition, in a Chebyshev basis
 on the piece mapped to [-1, 1], as in Chebfun (Battles & Trefethen, SIAM J.
 Sci. Comput. 25(5), 2004).  All pieces share one read-only (n_pieces, deg + 1,
 N) coefficient array, zero-padded to the largest degree.  Evaluation,
-re-expansion onto a finer partition, sums, stacking, sup_norm and the
-quadratures of lp_norm work on that array for all pieces at once; only the
-zero search of lp_norm at exponents other than even integers goes piece by
-piece.  Pieces are half open [t_i, t_{i+1}):
+re-expansion onto a finer partition, sums, stacking and both norms work on
+that array for all pieces at once; one batched colleague-matrix root finder
+gives sup_norm the critical points of |f| and lp_norm its zeros, so no root
+search goes piece by piece.  Pieces are half open [t_i, t_{i+1}):
 evaluation at an interior breakpoint uses the piece to its right, and
 evaluation at b returns a separately stored endpoint value which may differ
 from the polynomial limit.  The stored endpoint is what makes these objects
@@ -19,8 +19,7 @@ two representatives that agree almost everywhere and share the endpoint value
 are indistinguishable to every norm in this module.
 
 Resolution is a property of the program, not a per-call setting: the node
-count _NODES_PER_PIECE and the sup_norm grid constants _SUP_SAMPLES and
-_SUP_TOL below are the same for every caller.
+count _NODES_PER_PIECE below is the same for every caller.
 
 All instances are immutable and every operation returns a new value.
 """
@@ -56,12 +55,6 @@ class DomainError(ValueError):
 # integrand.  A rule with n nodes integrates polynomials of degree 2n - 1
 # exactly.
 _NODES_PER_PIECE = 16
-# Starting sample count per piece for sup_norm; the grid is doubled until two
-# successive levels agree within _SUP_TOL.
-_SUP_SAMPLES = 64
-_SUP_TOL = 1e-10
-# Grid-doubling levels for sup_norm before giving up on agreement.
-_SUP_MAX_LEVELS = 7
 
 
 def _scale_tol(a: float, b: float) -> float:
@@ -99,13 +92,9 @@ def _cheb_interp_matrix(n: int):
 
 
 @lru_cache(maxsize=None)
-def _extrema_grid(n: int):
-    # Chebyshev extrema including both endpoints, ascending.
-    k = np.arange(n)
-    x = -np.cos(k * np.pi / (n - 1))
-    x[0], x[-1] = -1.0, 1.0
-    x.flags.writeable = False
-    return x
+def _cheb_derivative(n: int):
+    # Maps n Chebyshev coefficients to the n - 1 of their derivative.
+    return _frozen(_cheb.chebder(np.eye(n)))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -429,20 +418,8 @@ class LazyComposition:
         return self.base.breakpoints
 
     @property
-    def domain(self):
-        return self.base.domain
-
-    @property
     def n_pieces(self) -> int:
         return self.base.n_pieces
-
-    @property
-    def n_components(self) -> int:
-        return self.n_out
-
-    @property
-    def endpoint_value(self) -> np.ndarray:
-        return self.fn(self.base.endpoint_value[None, :])[0]
 
     def local_values(self, u) -> np.ndarray:
         vals = self.base.local_values(u)
@@ -535,29 +512,53 @@ def _jacobi_rule(n: int, a: float, b: float):
     return nodes, weights
 
 
-def _zeros_of_modulus(block: np.ndarray):
-    """Zeros of |f| on one piece: (locations, multiplicities), sorted.
+def _modulus_series(coeffs: np.ndarray):
+    """Per piece of a padded block, a Chebyshev series with the zeros and the
+    other critical points of |f|: the component when N = 1, else sum_j f_j^2
+    (exact at 2 deg + 1 points).  Returns (series, roots per zero of |f|)."""
+    if coeffs.shape[2] == 1:
+        return coeffs[:, :, 0], 1
+    m = 2 * coeffs.shape[1] - 1
+    vals = _cheb_values(coeffs, _cheb_nodes(m))
+    return np.einsum("snj,snj->sn", vals, vals) @ _cheb_interp_matrix(m).T, 2
 
-    The zeros are those of the component when N = 1 and of sum_j f_j^2
-    (the common zeros, each counted twice) when N > 1, from the colleague
-    matrix.  Real zeros within _ROOT_TOL of each other are merged, those
-    within _END_TOL of an end are snapped onto it, and those outside the
-    piece are dropped: |f| does not vanish on the piece there, and the bend
-    such a zero puts near the end is left to the zero-free margin and the
-    bisection.  Each complex zero x + iy with y within _NEAR_TOL of the axis
+
+def _cheb_roots(series: np.ndarray) -> dict:
+    """{row: sorted roots} for the rows of a (m, deg + 1) stack of Chebyshev
+    series, as eigenvalues of numpy's colleague matrix, with one `eigvals`
+    call per degree.  Each row is first cut after its last coefficient above
+    1e-14 of the row's absolute sum; rows then of degree 0 are left out."""
+    mag = np.abs(series)
+    degs = ((mag > 1e-14 * mag.sum(axis=1, keepdims=True)) * np.arange(series.shape[1])).max(axis=1)
+    roots = {}
+    for d in sorted(set(degs.tolist()) - {0}):
+        rows = np.flatnonzero(degs == d)
+        c = series[rows, : d + 1]
+        if d == 1:
+            found = -c[:, :1] / c[:, 1:]
+        else:
+            k = np.arange(d - 1)
+            mat = np.zeros((rows.size, d, d))
+            mat[:, k, k + 1] = mat[:, k + 1, k] = np.where(k == 0, np.sqrt(0.5), 0.5)
+            scl = np.where(np.arange(d) == 0, 1.0, np.sqrt(0.5))
+            mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * 0.5
+            found = np.sort(np.linalg.eigvals(mat[:, ::-1, ::-1]), axis=1)
+        roots.update(zip(rows.tolist(), found))
+    return roots
+
+
+def _zeros_of_modulus(roots: np.ndarray, per_zero: int):
+    """Zeros of |f| on one piece from the roots of its modulus series (see
+    `_modulus_series`): (locations, multiplicities), sorted.
+
+    Real roots within _ROOT_TOL of each other are merged, those within
+    _END_TOL of an end are snapped onto it, and those outside the piece are
+    dropped: |f| does not vanish on the piece there, and the bend such a
+    zero puts near the end is left to the zero-free margin and the
+    bisection.  Each complex root x + iy with y within _NEAR_TOL of the axis
     adds the points x - y, x, x + y with multiplicity 0: |f| does not vanish
     there but bends sharply over a width of about y.
     """
-    if block.shape[1] == 1:
-        c, per_zero = block[:, 0], 1
-    else:
-        m = 2 * block.shape[0] - 1
-        vals = _cheb.chebval(_cheb_nodes(m), block)
-        c, per_zero = _cheb_interp_matrix(m) @ np.sum(vals * vals, axis=0), 2
-    if not c.any():  # |f| = 0, or its square underflows
-        return np.empty(0), np.empty(0, dtype=int)
-    keep = np.flatnonzero(np.abs(c) > 1e-14 * np.abs(c).sum())
-    roots = _cheb.chebroots(c[: keep[-1] + 1])
     roots = roots[np.abs(roots.real) <= 1.0 + _ROOT_TOL]
     groups = []
     for x in np.sort(roots[np.abs(roots.imag) <= _ROOT_TOL].real):
@@ -590,28 +591,28 @@ def _modulus_intervals(coeffs: np.ndarray):
     component exceeds the sum of its other |c_k| >= |sum_k c_k T_k| by
     _ZERO_FREE_MARGIN times the piece's coefficient scale.
     """
-    n_pieces = coeffs.shape[0]
     lead = np.abs(coeffs[:, 0, :]) - np.abs(coeffs[:, 1:, :]).sum(axis=1)
     scale = np.abs(coeffs).sum(axis=(1, 2))
-    searched = ~np.any(lead > _ZERO_FREE_MARGIN * scale[:, None], axis=1)
-    if not searched.any():
-        ones, none = np.ones(n_pieces), np.zeros(n_pieces, dtype=int)
-        return np.arange(n_pieces), -ones, ones, none, none
-    rows = []
-    for i in range(n_pieces):
+    free = np.any(lead > _ZERO_FREE_MARGIN * scale[:, None], axis=1)
+    if free.all():
+        ones, none = np.ones(free.size), np.zeros(free.size, dtype=int)
+        return np.arange(free.size), -ones, ones, none, none
+    searched = np.flatnonzero(~free)
+    series, per_zero = _modulus_series(coeffs[searched])
+    found = {int(searched[j]): roots for j, roots in _cheb_roots(series).items()}
+    rows = [(i, -1.0, 1.0, 0, 0) for i in range(free.size) if i not in found]
+    for i, roots in found.items():
         cuts = [[-1.0, 0], [1.0, 0]]
-        if searched[i]:
-            at, mults = _zeros_of_modulus(coeffs[i])
-            for x, m in zip(at, mults):
-                if abs(x) == 1.0:
-                    end = cuts[0 if x < 0 else -1]
-                    end[1] = max(end[1], int(m))
-                else:
-                    cuts.insert(-1, [float(x), int(m)])
+        for x, m in zip(*_zeros_of_modulus(roots, per_zero)):
+            if abs(x) == 1.0:
+                end = cuts[0 if x < 0 else -1]
+                end[1] = max(end[1], int(m))
+            else:
+                cuts.insert(-1, [float(x), int(m)])
         for (lo, mlo), (hi, mhi) in zip(cuts[:-1], cuts[1:]):
             rows.append((i, lo, hi, mlo, mhi))
-    piece, lo, hi, mlo, mhi = (np.array(col) for col in zip(*rows))
-    return piece.astype(int), lo, hi, mlo.astype(int), mhi.astype(int)
+    rows.sort(key=lambda row: row[0])  # stable: each piece keeps its order
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 def _power_values(coeffs, piece, lo, hi, x, p):
@@ -642,7 +643,7 @@ def _power_integral(f: PiecewiseFunction, p: float) -> float:
     When p is an even integer, |f|^p = (sum_j f_j^2)^(p/2) is a polynomial
     on each piece and Gauss-Legendre with enough nodes integrates it
     exactly.  Otherwise each piece is split at the real zeros of |f|, found
-    from the colleague matrix (`chebroots`), and around complex zeros close
+    from the colleague matrix (`_cheb_roots`), and around complex zeros close
     to the real axis.  A Gauss-Jacobi rule whose weight carries the
     |x -/+ 1|^(p m) behaviour at the zeros handles the rest.  When p is an
     integer and N = 1 the rest is a polynomial, which n nodes integrate
@@ -693,42 +694,26 @@ def _power_integral(f: PiecewiseFunction, p: float) -> float:
     return total
 
 
-def sup_norm(f: Representable) -> float:
-    """Supremum of |f| by Chebyshev sampling with refinement.
-
-    Meaningful for continuous representatives (the caller asserts
-    continuity).  Every piece is sampled on a closed Chebyshev extrema grid
-    of _SUP_SAMPLES = 64 points, each piece's discrete maximum is polished by
-    one step to the vertex of the parabola through it and its two
-    neighbours, and the grid is doubled, at most _SUP_MAX_LEVELS times,
-    until two successive levels agree within _SUP_TOL = 1e-10.  The stored
-    endpoint value always participates.  The result can under-estimate the
-    true supremum by no more than the final grid agreement error.
+def sup_norm(f: PiecewiseFunction) -> float:
+    """Supremum of |f|, exact up to rounding: the maximum over both ends of
+    every piece, the stored endpoint value and the critical points of |f|,
+    the roots of the derivative of `_modulus_series`, as Chebfun finds a
+    maximum.  Each root counts at its real part clipped onto [-1, 1]: an
+    extra point cannot raise the maximum above the supremum, so the
+    near-real roots a multiple critical point splits into are kept.  Pieces
+    whose bound sqrt(sum_j (sum_k |c_kj|)^2) >= |f| is at most the best end
+    value are skipped.  Meaningful for continuous representatives.
     """
-    rows = np.arange(f.n_pieces)
-    tip = float(np.linalg.norm(np.atleast_1d(f.endpoint_value)))
-    samples = _SUP_SAMPLES
-    previous = None
-    for _ in range(_SUP_MAX_LEVELS):
-        grid = _extrema_grid(samples)
-        radii = np.linalg.norm(f.local_values(grid), axis=-1)
-        top = np.argmax(radii, axis=1)
-        k = np.clip(top, 1, samples - 2)
-        du1, du2 = grid[k] - grid[k - 1], grid[k] - grid[k + 1]
-        dr1 = radii[rows, k] - radii[rows, k - 1]
-        dr2 = radii[rows, k] - radii[rows, k + 1]
-        denom = du1 * dr2 - du2 * dr1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            shift = 0.5 * (du1 * du1 * dr2 - du2 * du2 * dr1) / denom
-        polish = (top == k) & (np.abs(denom) >= 1e-300) & np.isfinite(shift)
-        vertex = np.clip(np.where(polish, grid[k] - shift, grid[k]), -1.0, 1.0)
-        polished = np.linalg.norm(f.local_values(vertex[:, None])[:, 0], axis=-1)
-        best = max(tip, float(radii.max()), float(polished[polish].max(initial=0.0)))
-        if previous is not None and abs(best - previous) <= _SUP_TOL:
-            return max(best, previous)
-        previous = best
-        samples = 2 * samples
-    return previous
+    coeffs = f.coeffs
+    ends = np.linalg.norm(f.local_values(np.array([-1.0, 1.0])), axis=-1)
+    best = max(float(np.linalg.norm(f.endpoint_value)), float(ends.max()))
+    searched = np.flatnonzero(np.linalg.norm(np.abs(coeffs).sum(axis=1), axis=1) > best)
+    series, _ = _modulus_series(coeffs[searched])
+    roots = _cheb_roots(series @ _cheb_derivative(series.shape[1]).T)
+    piece = np.repeat(searched[list(roots)], [r.size for r in roots.values()])
+    u = np.clip(np.concatenate([np.empty(0), *roots.values()]).real, -1.0, 1.0)
+    radii = np.linalg.norm(_cheb_values(coeffs[piece], u[:, None])[:, 0], axis=-1)
+    return max(best, float(radii.max(initial=0.0)))
 
 
 def stack(functions: Sequence[PiecewiseFunction]) -> PiecewiseFunction:

@@ -135,20 +135,25 @@ def continuity_modulus(
             gaps = np.array([seminorm(direction.scale(f), sf.cfg) for f in factors])
             tables.append(ModulusTable(0.0, GapTable(gaps, gaps), gaps))
             continue
-        base, rows = halving_solves(sf.problem(phi), direction, float(t), count)
-        base_seg = history_segment(base.x, t, sf.cfg.R)
-        window = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p)
-        inflate = prolongation_constant(float(t), sf.cfg.p)
-        ins, outs, bounds = [], [], []
-        for _, step, traj in rows:
-            gap_in = seminorm(step, sf.cfg)
-            seg = history_segment(traj.x, t, sf.cfg.R)
-            outs.append(seminorm(seg - base_seg, sf.cfg))
-            ydiff = (traj.x - base.x) - static_prolongation(step, float(t))
-            bounds.append(window * sup_norm(ydiff) + inflate * gap_in)
-            ins.append(gap_in)
-        tables.append(ModulusTable(float(t), GapTable(np.array(ins), np.array(outs)), np.array(bounds)))
+        solves = halving_solves(sf.problem(phi), direction, float(t), count)
+        tables.append(_modulus_table(sf, float(t), *solves))
     return tuple(tables)
+
+
+def _modulus_table(sf: Semiflow, t: float, base, rows) -> ModulusTable:
+    # The continuity table at time t > 0 from the solves of halving_solves.
+    base_seg = history_segment(base.x, t, sf.cfg.R)
+    window = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p)
+    inflate = prolongation_constant(t, sf.cfg.p)
+    ins, outs, bounds = [], [], []
+    for _, step, traj in rows:
+        gap_in = seminorm(step, sf.cfg)
+        seg = history_segment(traj.x, t, sf.cfg.R)
+        outs.append(seminorm(seg - base_seg, sf.cfg))
+        ydiff = (traj.x - base.x) - static_prolongation(step, t)
+        bounds.append(window * sup_norm(ydiff) + inflate * gap_in)
+        ins.append(gap_in)
+    return ModulusTable(t, GapTable(np.array(ins), np.array(outs)), np.array(bounds))
 
 
 def time_map_remainder(
@@ -164,11 +169,16 @@ def time_map_remainder(
     which is the norm the induced quotient map is differentiable in.
     """
     ctx = DerivativeContext(sf.problem(phi), float(t), sf.cfg.p)
+    return _remainder_table(ctx, chi0, *halving_solves(ctx.problem, chi0, ctx.horizon, count))
+
+
+def _remainder_table(ctx: DerivativeContext, chi0: HistoryElement, base, rows) -> RemainderTable:
+    # time_map_remainder at t = ctx.horizon, from halving_solves along chi0.
+    cfg, t = ctx.problem.cfg, ctx.horizon
     tangent0 = tangent_trajectory(ctx, chi0)
-    base, rows = halving_solves(ctx.problem, chi0, float(t), count)
-    scales = [seminorm(chi, sf.cfg) for _, chi, _ in rows]
+    scales = [seminorm(chi, cfg) for _, chi, _ in rows]
     remainders = [
-        seminorm(history_segment(traj.x - base.x - tangent0.scale(f), t, sf.cfg.R), sf.cfg)
+        seminorm(history_segment(traj.x - base.x - tangent0.scale(f), t, cfg.R), cfg)
         for f, _, traj in rows
     ]
     return RemainderTable(np.array(scales), np.array(remainders))
@@ -263,9 +273,14 @@ def verify_semiflow(
             pairs.append((t, s))
             staged = window(s) if t == 0.0 else evolve(sf, s, window(t))
             defects.append(seminorm(window(t + s) - staged, sf.cfg))
-    modulus = continuity_modulus(sf, [0.5 * sf.r, sf.r], phi, direction, count)
+    modulus = continuity_modulus(sf, [0.5 * sf.r], phi, direction, count)
+    # The table at t = r and the remainders share one halving schedule.
+    r = float(sf.r)
+    full = halving_solves(sf.problem(phi), direction, r, count)
+    modulus += (_modulus_table(sf, r, *full),)
     remainder = None
     differentiable = sf.nl.jac is not None and sf.nl.df_growth is not None
     if differentiable and sf.cfg.p >= sf.nl.df_growth.alpha + 1 - 1e-12:
-        remainder = time_map_remainder(sf, sf.r, phi, direction, count)
+        ctx = DerivativeContext(sf.problem(phi), r, sf.cfg.p)
+        remainder = _remainder_table(ctx, direction, *full)
     return SemiflowReport(identity, np.array(defects), tuple(pairs), modulus, remainder)

@@ -9,7 +9,8 @@ order in the panel width for integrands that are smooth within each panel.
 
 The per-piece references at the end evaluate piecewise functions one piece
 at a time with numpy's `chebval`, for comparison with the batched array
-operations of `ddehist.funcrep`.
+operations of `ddehist.funcrep`; the sup norm reference finds each piece's
+critical points with numpy's `chebroots`.
 """
 
 import numpy as np
@@ -112,10 +113,31 @@ def lazy_lp_norm(f, p, nodes=16):
     return total ** (1.0 / p)
 
 
+def critical_point_sup_norm(f, imag_tol=1e-6):
+    """sup |f| piece by piece: the largest |f| over both ends of each piece,
+    the stored endpoint value and the real roots in [-1, 1] (imaginary part
+    within imag_tol) of the derivative of sum_j f_j^2, whose coefficients
+    come from `chebmul` and whose roots come from `chebroots`."""
+    from functools import reduce
+    from numpy.polynomial import chebyshev as cheb
+
+    best = float(np.linalg.norm(np.atleast_1d(f.endpoint_value)))
+    for i in range(f.n_pieces):
+        block = f.coeffs[i]
+        square = reduce(cheb.chebadd, (cheb.chebmul(c, c) for c in block.T))
+        slope = cheb.chebder(square)
+        slope = cheb.chebtrim(slope, 1e-14 * np.abs(slope).sum())
+        crit = cheb.chebroots(slope) if slope.any() else np.empty(0)
+        crit = crit[(np.abs(crit.imag) <= imag_tol) & (np.abs(crit.real) <= 1.0 + imag_tol)]
+        u = np.concatenate(([-1.0, 1.0], np.clip(crit.real, -1.0, 1.0)))
+        best = max(best, float(np.linalg.norm(_piece_values(f, i, u), axis=-1).max()))
+    return best
+
+
 def sampled_sup_norm(f, samples=64, tol=1e-10, levels=7):
-    """The sup_norm rule piece by piece: a closed Chebyshev extrema grid per
-    piece, the discrete maximum polished by one parabolic vertex step, and
-    the grid doubled until two levels agree within tol."""
+    """A lower bound for sup |f|, piece by piece: a closed Chebyshev extrema
+    grid per piece, the discrete maximum polished by one parabolic vertex
+    step, and the grid doubled until two levels agree within tol."""
     previous = None
     for _ in range(levels):
         grid = -np.cos(np.arange(samples) * np.pi / (samples - 1))

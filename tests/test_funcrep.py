@@ -146,6 +146,26 @@ def test_sup_norm_multi_piece():
     assert sup_norm(f) == pytest.approx(3.0, abs=1e-12)
 
 
+CUBIC = [0.0, -1.0, 0.0, 1.0]  # t^3 - t, largest on [-1, 0.5] at -1/sqrt(3)
+CUBIC_PEAK = 2.0 / (3.0 * np.sqrt(3.0))
+
+
+@pytest.mark.parametrize(
+    "components, endpoint, expected",
+    [
+        ([CUBIC], None, CUBIC_PEAK),
+        ([CUBIC, [0.3]], None, float(np.hypot(CUBIC_PEAK, 0.3))),
+        ([CUBIC], [-0.5], 0.5),
+    ],
+    ids=["interior-critical-point", "two-components", "endpoint-value"],
+)
+def test_sup_norm_is_exact_in_closed_form(components, endpoint, expected):
+    # A sampled grid reads an interior maximum low; the critical points of
+    # sum_j f_j^2 hit it.
+    f = PiecewiseFunction.from_power([-1.0, 0.5], [components], endpoint_value=endpoint)
+    assert sup_norm(f) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------- shift
 
 
@@ -472,9 +492,9 @@ def _bend(v):
 @given(fb=singles)
 def test_sup_norm_matches_the_per_piece_reference(fb):
     f, _ = fb
-    assert abs(sup_norm(f) - oracles.sampled_sup_norm(f)) <= 1e-13 * size_bound(f)
-    lazy = LazyComposition(f, _bend, 2)
-    assert abs(sup_norm(lazy) - oracles.sampled_sup_norm(lazy)) <= 1e-13 * size_bound(f) ** 2
+    tol = 1e-13 * size_bound(f)
+    assert abs(sup_norm(f) - oracles.critical_point_sup_norm(f)) <= tol
+    assert sup_norm(f) >= oracles.sampled_sup_norm(f) - tol
 
 
 @settings(max_examples=40, deadline=None)

@@ -315,6 +315,25 @@ class TestVerifyBattery:
         verify_semiflow(sf, phi, unit_history(), count=3)
         assert len(horizons) == len(set(horizons)) == 8
 
+    def test_time_r_schedule_is_solved_once(self, monkeypatch):
+        # 8 stage windows and 9 second stages, then two halving schedules
+        # of 1 + 13 solves at t = r/2 and t = r: the remainder table reuses
+        # the one at t = r.
+        from ddehist import derivops, semiflow
+
+        sf = scalar_flow(saturating(), r=0.8)
+        calls = []
+
+        def counting_solve(problem, T):
+            calls.append(T)
+            return solve(problem, T)
+
+        monkeypatch.setattr(semiflow, "solve", counting_solve)
+        monkeypatch.setattr(derivops, "solve", counting_solve)
+        report = verify_semiflow(sf, unit_history(0.4), unit_history(), count=12)
+        assert report.remainder is not None
+        assert len(calls) == 45
+
     def test_report_survives_a_rough_right_hand_side(self):
         # Cubic growth needs p >= 3, so the smoothness table is skipped on
         # this space; the axioms and modulus still run.
