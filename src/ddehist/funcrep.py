@@ -97,6 +97,18 @@ def _cheb_derivative(n: int):
     return _frozen(_cheb.chebder(np.eye(n)))
 
 
+@lru_cache(maxsize=None)
+def _colleague(d: int):
+    # numpy's `chebcompanion` template for degree d >= 2: the matrix before
+    # the series term enters its last column, and the scl / scl[-1] factor
+    # of that term.
+    k = np.arange(d - 1)
+    mat = np.zeros((d, d))
+    mat[k, k + 1] = mat[k + 1, k] = np.where(k == 0, np.sqrt(0.5), 0.5)
+    scl = np.where(np.arange(d) == 0, 1.0, np.sqrt(0.5))
+    return _frozen(mat), _frozen(scl / scl[-1])
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     # Read-only float copy; an array that is already read-only float is
     # shared, since no holder can write to it.
@@ -537,11 +549,9 @@ def _cheb_roots(series: np.ndarray) -> dict:
         if d == 1:
             found = -c[:, :1] / c[:, 1:]
         else:
-            k = np.arange(d - 1)
-            mat = np.zeros((rows.size, d, d))
-            mat[:, k, k + 1] = mat[:, k + 1, k] = np.where(k == 0, np.sqrt(0.5), 0.5)
-            scl = np.where(np.arange(d) == 0, 1.0, np.sqrt(0.5))
-            mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * 0.5
+            template, ratio = _colleague(d)
+            mat = np.repeat(template[None], rows.size, axis=0)
+            mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * ratio * 0.5
             found = np.sort(np.linalg.eigvals(mat[:, ::-1, ::-1]), axis=1)
         roots.update(zip(rows.tolist(), found))
     return roots

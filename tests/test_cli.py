@@ -77,6 +77,15 @@ class TestArgumentHandling:
         assert main(["verify", "--config", cfg, "--jobs", "0"]) == 2
         assert main(["verify", "--config", cfg, "--seed", "-3"]) == 2
 
+    def test_default_seeds_wrap_past_u64(self, tmp_path):
+        # The second experiment's default seed, global + 1, wraps to 0.
+        experiments = [DEMO_EXPERIMENT, dict(DEMO_EXPERIMENT, name="jump2")]
+        cfg = write_config(tmp_path, experiments)
+        top = str(2**64 - 1)
+        assert main(["verify", "--config", cfg, "--seed", top, "--out", str(tmp_path / "o")]) == 0
+        specs = parse_config({"experiments": experiments}, 2**64 - 1)
+        assert [s.seed for s in specs] == [2**64 - 1, 0]
+
     def test_empty_experiment_list_passes_without_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [])
         out = tmp_path / "never"
@@ -135,9 +144,22 @@ class TestKindValidation:
     def test_unknown_fields_are_config_errors(self, tmp_path, capsys):
         # Resolution is fixed by the program: a quadrature setting, like a
         # typo, is a field no kind reads and must not be ignored.
+        # Each kind accepts only the fields it reads.
+        dependence = dict(TestDeterminism.RANDOMIZED, grid=101)
+        composition = {"kind": "composition", "nonlinearity": {"name": "mackey_glass"}, "probes": 12}
+        smooth = {
+            "kind": "smooth",
+            "nonlinearity": {"name": "quadratic"},
+            "space": {"R": 1.0, "p": 2.0, "N": 1},
+            "instances": 20,
+        }
         for exp, field in (
             (dict(SOLVE_EXPERIMENT, quadrature={"tolerance": 1e-10}), "quadrature"),
             (dict(DEMO_EXPERIMENT, cout=3), "cout"),
+            (dependence, "grid"),
+            (composition, "probes"),
+            (smooth, "instances"),
+            (dict(SOLVE_EXPERIMENT, direction={"constant": [1.0]}), "direction"),
         ):
             cfg = write_config(tmp_path, [exp])
             assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -158,6 +180,14 @@ class TestKindValidation:
             parse_config({"experiments": [dict(exp, count=19)]}, 0)
         (spec,) = parse_config({"experiments": [dict(exp, count=18)]}, 0)
         assert spec.count == 18
+
+    @pytest.mark.parametrize(
+        "random", [{"pieces": 0}, {"pieces": "x"}, {"pieces": 100000000}, []]
+    )
+    def test_malformed_random_functions_are_config_errors(self, tmp_path, random):
+        exp = dict(SOLVE_EXPERIMENT, history={"random": random})
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         exp = dict(SOLVE_EXPERIMENT, space={"R": 1.0, "p": 2.0, "N": 2})

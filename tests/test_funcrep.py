@@ -328,6 +328,26 @@ def test_lp_norm_zero_next_to_a_piece_end(c0, p):
     assert lp_norm(g, p) == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_cheb_roots_match_chebroots_bit_for_bit(seed):
+    # Rows of degree 0..29, some with trailing 1e-15 coefficients that the
+    # cut drops, and all-zero rows, which have no roots to report.
+    rng = np.random.default_rng(seed)
+    series = rng.standard_normal((90, 30))
+    for i, d in enumerate(rng.integers(0, 30, 90)):
+        series[i, d + 1 :] = 1e-15 if i % 3 == 0 else 0.0
+    series[::11] = 0.0
+    roots = funcrep._cheb_roots(series)
+    for i, row in enumerate(series):
+        mag = np.abs(row)
+        kept = np.flatnonzero(mag > 1e-14 * mag.sum())
+        d = int(kept[-1]) if kept.size else 0
+        if d == 0:
+            assert i not in roots
+        else:
+            np.testing.assert_array_equal(roots[i], np.polynomial.chebyshev.chebroots(row[: d + 1]))
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_lp_norm_refinement_invariance_on_sign_changes(p):
     # Splitting at the interior zero (1 - sqrt 7)/2 or elsewhere must not move the
