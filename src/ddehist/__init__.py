@@ -8,7 +8,6 @@ relies on can be re-checked numerically through :mod:`ddehist.cli`.
 """
 
 from .certify import (
-    BoundPair,
     Certificate,
     GapTable,
     RemainderTable,
@@ -82,7 +81,6 @@ from .semiflow import (
 from .solver import Problem, Trajectory, solve, step_edges
 
 __all__ = [
-    "BoundPair",
     "Certificate",
     "CompositionContext",
     "CompositionReport",

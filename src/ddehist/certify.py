@@ -1,4 +1,4 @@
-"""Finite certificates for decay and bound claims along geometric schedules.
+"""Finite certificates for decay claims along geometric schedules.
 
 A limit statement like "the remainder is o(norm of the perturbation)" cannot
 be decided by finitely many evaluations.  The strongest finitely checkable
@@ -6,7 +6,8 @@ surrogate, used throughout this package, fixes a geometric schedule of
 perturbation sizes and requires the measured sequence to become monotone
 non-increasing and to fall at a fixed geometric rate from its early peak and
 over its second half.  Values that reach the noise floor of the arithmetic
-are treated as converged rather than compared.
+are treated as converged rather than compared.  Bound claims, a measured
+value against an analytic limit, are judged only by `cli.Claim.bound`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "NOISE_FLOOR",
-    "BoundPair",
     "Certificate",
     "GapTable",
     "RemainderTable",
@@ -124,28 +124,6 @@ def certify_decay(values) -> Certificate:
     else:
         reason = f"non-increasing from row {tail_start}, {ratios} <= {limit:.3e}"
     return Certificate(monotone and small_final, reason, v, tail_start, ref, limit)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundPair:
-    """An empirical lower bound paired with an analytic upper bound.
-
-    Operator norms on function spaces cannot be computed exactly, so the
-    claim being certified is one-sided: every probed value must sit below
-    the analytic bound, up to a fixed comparison tolerance.
-    """
-
-    probed: float
-    bound: float
-    tolerance: float = 1e-8
-
-    @property
-    def slack(self) -> float:
-        return self.bound + self.tolerance - self.probed
-
-    @property
-    def passed(self) -> bool:
-        return self.slack >= 0.0
 
 
 def _decreasing_positive(scales: np.ndarray) -> None:

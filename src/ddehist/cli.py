@@ -19,7 +19,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -97,11 +96,13 @@ class Claim:
         return cls(experiment, name, measured, limit, bool(passed), relation)
 
     @classmethod
-    def decay(cls, experiment, name, cert):
-        """A decay certificate's verdict, reported by its final ratio and limit."""
-        return cls(
-            experiment, name, cert.final_over_reference, cert.final_limit, bool(cert.passed)
-        )
+    def decay(cls, experiment, name, *certs):
+        """The verdict of one or more decay certificates: it passes when all
+        pass, and reports the final ratio and limit of the one nearest its
+        limit."""
+        worst = max(certs, key=lambda c: c.final_over_reference / c.final_limit)
+        passed = all(c.passed for c in certs)
+        return cls(experiment, name, worst.final_over_reference, worst.final_limit, passed)
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def _space(doc, key, spec) -> HistoryConfig:
     _require(isinstance(space, dict), "space must be an object with R, p, N")
     try:
         return HistoryConfig(
-            R=float(space["R"]), p=float(space["p"]), N=int(space.get("N", 1))
+            R=float(space["R"]), p=float(space["p"]), N=_int_field(space, "N", 1, 1, math.inf)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad space: {exc}") from exc
@@ -168,7 +169,7 @@ def _function(spec, domain, n_components, rng, label) -> PiecewiseFunction:
             max_degree=_int_field(opts, "degree", 3, 0, 16),
             n_components=n_components,
             scale=_float_field(opts, "scale", 1.0, 0.0, 1e6),
-            continuous=bool(_int_field(opts, "continuous", False, 0, 1)),
+            continuous=_bool_field(opts, "continuous", False),
         )
     else:
         raise ConfigError(f"{label} needs 'constant', 'breakpoints', or 'random'")
@@ -184,11 +185,16 @@ def _history(doc, key, spec) -> HistoryElement:
 
 
 def _int_field(doc, key, default, lo, hi):
-    try:
-        value = int(doc.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer") from exc
+    value = doc.get(key, default)
+    # JSON true and false arrive as bool, which is an int subclass.
+    _require(isinstance(value, int) and not isinstance(value, bool), f"{key} must be an integer")
     _require(lo <= value <= hi, f"{key} must lie in [{lo}, {hi}]")
+    return value
+
+
+def _bool_field(doc, key, default):
+    value = doc.get(key, default)
+    _require(isinstance(value, bool), f"{key} must be true or false")
     return value
 
 
@@ -235,7 +241,7 @@ def _integer(default, lo, hi):
 
 
 def _flag(default):
-    return lambda doc, key, spec: bool(doc.get(key, default))
+    return lambda doc, key, spec: _bool_field(doc, key, default)
 
 
 def _discontinuity_count(doc, key, spec):
@@ -286,18 +292,15 @@ def _build_lipschitz(spec):
 
 def _build_smooth(spec):
     problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
-    spec.ctx = DerivativeContext(problem, spec.horizon, spec.space.p)
+    spec.ctx = DerivativeContext(problem, spec.horizon)
     alpha = spec.nl.df_growth.alpha
     _require(lp_norm(spec.direction.rep, alpha + 1.0) > 1e-13, "direction must be nonzero")
 
 
 def _build_composition(spec):
-    spec.ctx = CompositionContext(spec.nl, spec.q, "continuity", spec.domain)
+    spec.ctx = CompositionContext(spec.nl, spec.q, spec.domain)
     spec.ctx._accept(spec.base, "base")
     spec.ctx._accept(spec.direction, "direction")
-    spec.smooth_ctx = (
-        CompositionContext(spec.nl, spec.q, "smoothness", spec.domain) if spec.smoothness else None
-    )
     _require(lp_norm(spec.direction, 1.0) > 1e-13, "direction must be nonzero")
 
 
@@ -424,26 +427,24 @@ def _run_composition(spec) -> ExperimentResult:
     ctx = spec.ctx
     report = compose(ctx, spec.base)
     gaps = continuity_probe(ctx, spec.base, spec.direction, spec.count)
+    dreport = apply_derivative(ctx, spec.base, spec.direction)
+    rtable = smoothness_probe(ctx, spec.base, spec.direction, spec.count)
     claims = [
         Claim.bound(
             spec.name, "composition.image-power-bound",
             report.norm**report.q, report.bound_power, slack=1e-8,
         ),
         Claim.decay(spec.name, "composition.gap-decay", gaps.certificate()),
+        Claim.bound(
+            spec.name, "composition.derivative-gain",
+            dreport.norm, dreport.gain_bound * dreport.direction_size, slack=1e-8,
+        ),
+        Claim.decay(spec.name, "composition.remainder-decay", rtable.certificate()),
     ]
-    tables = [("continuity", ["input_gap", "output_gap"], gaps.as_rows())]
-    if spec.smooth_ctx is not None:
-        sctx = spec.smooth_ctx
-        dreport = apply_derivative(sctx, spec.base, spec.direction)
-        rtable = smoothness_probe(sctx, spec.base, spec.direction, spec.count)
-        claims.append(
-            Claim.bound(
-                spec.name, "composition.derivative-gain",
-                dreport.norm, dreport.gain_bound * dreport.direction_size, slack=1e-8,
-            )
-        )
-        claims.append(Claim.decay(spec.name, "composition.remainder-decay", rtable.certificate()))
-        tables.append(("smoothness", ["scale", "remainder", "ratio"], rtable.as_rows()))
+    tables = [
+        ("continuity", ["input_gap", "output_gap"], gaps.as_rows()),
+        ("smoothness", ["scale", "remainder", "ratio"], rtable.as_rows()),
+    ]
     return ExperimentResult(spec.name, tables, claims)
 
 
@@ -453,7 +454,7 @@ def _run_semiflow(spec) -> ExperimentResult:
     rng = np.random.default_rng(spec.seed)
     variant = null_set_variant(spec.history, rng)
     qgap = quotient_invariance(sf, spec.delay, spec.history, variant)
-    worst_stage = report.worst_composition_defect
+    worst_stage = float(np.max(report.composition_defects))
     claims = [
         Claim.bound(spec.name, "semiflow.identity-defect", report.identity_defect, 1e-12),
         Claim.bound(spec.name, "semiflow.stage-split-defect", worst_stage, 1e-9),
@@ -464,8 +465,6 @@ def _run_semiflow(spec) -> ExperimentResult:
         for (t, s), d in zip(report.stage_pairs, report.composition_defects)
     ]
     tables = [("axioms", ["t", "s", "defect"], axiom_rows)]
-    certs = [mod.gaps.certificate() for mod in report.modulus]
-    worst = max(certs, key=lambda c: c.final_over_reference / c.final_limit)
     worst_excess = -math.inf
     for i, mod in enumerate(report.modulus):
         excess = float(np.max(mod.gaps.output_gaps - mod.bounds))
@@ -477,13 +476,8 @@ def _run_semiflow(spec) -> ExperimentResult:
         tables.append(
             (f"modulus-{i + 1}", ["input_gap", "output_gap", "bound"], rows)
         )
-    claims.append(
-        Claim(
-            spec.name, "semiflow.modulus-decay",
-            worst.final_over_reference, worst.final_limit,
-            all(c.passed for c in certs),
-        )
-    )
+    certs = [mod.gaps.certificate() for mod in report.modulus]
+    claims.append(Claim.decay(spec.name, "semiflow.modulus-decay", *certs))
     claims.append(Claim.bound(spec.name, "semiflow.modulus-bound", worst_excess, 1e-8))
     if report.remainder is not None:
         claims.append(
@@ -564,7 +558,7 @@ _KIND_TABLE = {
     ),
     "composition": Kind(
         {"domain": _domain, "q": _number(2.0), "base": _domain_function(0.0),
-         "direction": _domain_function(1.0), "smoothness": _flag(True), "count": _COUNT},
+         "direction": _domain_function(1.0), "count": _COUNT},
         _build_composition, _run_composition,
     ),
     # horizon is accepted and never read: bench/odd-exponent.json still sets it.
@@ -672,7 +666,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--out", help="output directory for CSV artifacts")
         p.add_argument("--seed", type=int, default=0, help="global seed (u64)")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent experiments")
+        # Kept so that `--jobs 1` still parses; experiments run in order in
+        # the calling thread, and any other value is a usage error.
+        p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     return parser
 
 
@@ -692,8 +688,8 @@ def main(argv=None) -> int:
     if not 0 <= args.seed < 2**64:
         print("config error: seed must fit in u64", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("config error: jobs must be at least 1", file=sys.stderr)
+    if args.jobs != 1:
+        print("config error: experiments run one at a time; --jobs must be 1", file=sys.stderr)
         return 2
     if args.config is None and args.command != "demo":
         print("config error: --config is required", file=sys.stderr)
@@ -725,10 +721,7 @@ def main(argv=None) -> int:
     out_dir = _resolve_out(args, doc)
     os.makedirs(out_dir, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [pool.submit(run_experiment, spec) for spec in specs]
-        results = [f.result() for f in futures]
-
+    results = [run_experiment(spec) for spec in specs]
     failures = 0
     for result in results:
         for suffix, header, rows in result.tables:

@@ -3,7 +3,7 @@
 On a finite interval, a pointwise map f of polynomial growth order alpha
 carries L^(alpha q) into L^q; with a Jacobian of growth order alpha it does
 so differentiably from L^((alpha+1) q), the derivative at g acting as
-multiplication by Df(g(.)).  The two exponent regimes are the modes below.
+multiplication by Df(g(.)).  One context holds both source exponents.
 Images stay lazy: norms and gaps are integrated through the composed map
 without materializing it.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import BoundPair, GapTable, RemainderTable, halving
+from .certify import GapTable, RemainderTable, halving
 from .derivops import estimate_operator_norm, jacobian_gap, map_gap
 from .funcrep import (
     LazyComposition,
@@ -57,43 +57,33 @@ class MeasureDomain:
 
 @dataclass(frozen=True, eq=False)
 class CompositionContext:
-    """Exponent bookkeeping for one composition operator.
+    """Exponent bookkeeping for one composition operator into L^q.
 
-    In continuity mode the source exponent is alpha * q with alpha the
-    growth order of f itself; in smoothness mode it is (alpha + 1) * q with
-    alpha the growth order of the Jacobian, which is exactly what makes the
+    The source exponent of continuity is alpha * q with alpha the growth
+    order of f itself; that of smoothness is (alpha + 1) * q with alpha the
+    growth order of the Jacobian, which is exactly what makes the
     derivative a bounded multiplier into L^q.
     """
 
     nl: Nonlinearity
     q: float
-    mode: str
     domain: MeasureDomain
 
     def __post_init__(self):
-        if self.mode not in ("continuity", "smoothness"):
-            raise ValueError("mode must be 'continuity' or 'smoothness'")
         if self.q < 1.0:
             raise ValueError("target exponent q must be at least 1")
         if self.nl.f_growth is None:
             raise ValueError("nonlinearity does not certify growth of f")
-        if self.mode == "smoothness":
-            if self.nl.jac is None:
-                raise ValueError("smoothness mode needs a jacobian")
-            if self.nl.df_growth is None:
-                raise ValueError("smoothness mode needs certified jacobian growth")
 
     @property
-    def alpha(self) -> float:
-        if self.mode == "continuity":
-            return self.nl.f_growth.alpha
-        return self.nl.df_growth.alpha
+    def continuity_p(self) -> float:
+        return self.nl.f_growth.alpha * self.q
 
     @property
-    def p(self) -> float:
-        if self.mode == "continuity":
-            return self.alpha * self.q
-        return (self.alpha + 1.0) * self.q
+    def smoothness_p(self) -> float:
+        if self.nl.jac is None or self.nl.df_growth is None:
+            raise ValueError("smoothness needs a jacobian with certified growth")
+        return (self.nl.df_growth.alpha + 1.0) * self.q
 
     def _accept(self, g: PiecewiseFunction, label: str = "argument") -> None:
         if g.n_components != self.nl.dim:
@@ -118,10 +108,6 @@ class CompositionReport:
     bound_power: float
     q: float
 
-    @property
-    def passed(self) -> bool:
-        return self.norm**self.q <= self.bound_power + 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class DerivativeReport:
@@ -131,10 +117,6 @@ class DerivativeReport:
     norm: float
     gain_bound: float
     direction_size: float
-
-    @property
-    def passed(self) -> bool:
-        return self.norm <= self.gain_bound * self.direction_size + 1e-8
 
 
 def compose(ctx: CompositionContext, g: PiecewiseFunction) -> CompositionReport:
@@ -164,13 +146,13 @@ def continuity_probe(
     ctx._accept(g)
     ctx._accept(direction, "direction")
     factors = halving(count)
-    base_size = lp_norm(direction, ctx.p)
-    if base_size < 1e-13:
+    p = ctx.continuity_p
+    if lp_norm(direction, p) < 1e-13:
         raise ValueError("direction must be nonzero")
     ins, outs = [], []
     for factor in factors:
         moved = g + direction.scale(factor)
-        ins.append(lp_norm(moved - g, ctx.p))
+        ins.append(lp_norm(moved - g, p))
         outs.append(lp_norm(map_gap(ctx.nl.fn, moved, g), ctx.q))
     return GapTable(np.array(ins), np.array(outs))
 
@@ -181,8 +163,7 @@ def apply_derivative(
     h: PiecewiseFunction,
 ) -> DerivativeReport:
     """The derivative image Df(g(.)) h(.) with the multiplier gain bound."""
-    if ctx.mode != "smoothness":
-        raise ValueError("derivative requires smoothness-mode exponents")
+    p = ctx.smoothness_p
     ctx._accept(g)
     ctx._accept(h, "direction")
     m = ctx.nl.dim
@@ -194,8 +175,8 @@ def apply_derivative(
     image = LazyComposition(stack((g, h)), multiplier, m)
     norm = lp_norm(image, ctx.q)
     gains = LazyComposition(g, lambda v: spectral_norm(jac(v))[:, None], 1)
-    gain_bound = lp_norm(gains, ctx.p / ctx.alpha)
-    return DerivativeReport(image, norm, gain_bound, lp_norm(h, ctx.p))
+    gain_bound = lp_norm(gains, p / ctx.nl.df_growth.alpha)
+    return DerivativeReport(image, norm, gain_bound, lp_norm(h, p))
 
 
 def smoothness_probe(
@@ -205,8 +186,7 @@ def smoothness_probe(
     count: int,
 ) -> RemainderTable:
     """Linearization remainders of the composition along a halving schedule."""
-    if ctx.mode != "smoothness":
-        raise ValueError("smoothness probe requires smoothness-mode exponents")
+    p = ctx.smoothness_p
     ctx._accept(g)
     ctx._accept(direction, "direction")
     factors = halving(count)
@@ -222,7 +202,7 @@ def smoothness_probe(
     for factor in factors:
         h = direction.scale(factor)
         paired = stack((g, h))
-        scales.append(lp_norm(h, ctx.p))
+        scales.append(lp_norm(h, p))
         remainders.append(lp_norm(LazyComposition(paired, remainder_map, m), ctx.q))
     return RemainderTable(np.array(scales), np.array(remainders))
 
@@ -247,19 +227,19 @@ def derivative_gap(
     probes: int = 12,
     seed: int = 0,
     extra=(),
-) -> BoundPair:
+) -> tuple:
     """Distance between the derivative multipliers at two base points.
 
-    Probed on step-function directions against the analytic bound, the L^
-    (p/alpha) size of the Jacobian gap along the two base points.
+    Returns (probed, bound): the operator gap probed on step-function
+    directions, and the analytic bound it must stay below, the L^(p/alpha)
+    size of the Jacobian gap along the two base points.
     """
-    if ctx.mode != "smoothness":
-        raise ValueError("derivative gap requires smoothness-mode exponents")
+    p = ctx.smoothness_p
     ctx._accept(g)
     ctx._accept(g0, "base point")
     m = ctx.nl.dim
     jac = ctx.nl.jac
-    bound = lp_norm(jacobian_gap(jac, g, g0), ctx.p / ctx.alpha)
+    bound = lp_norm(jacobian_gap(jac, g, g0), p / ctx.nl.df_growth.alpha)
 
     def gap_image(h):
         def multiplier(values):
@@ -270,7 +250,7 @@ def derivative_gap(
 
     probed = estimate_operator_norm(
         gap_image,
-        norm_in=lambda h: lp_norm(h, ctx.p),
+        norm_in=lambda h: lp_norm(h, p),
         norm_out=lambda image: lp_norm(image, ctx.q),
         span=(ctx.domain.lower, ctx.domain.upper),
         n_components=m,
@@ -278,4 +258,4 @@ def derivative_gap(
         seed=seed,
         extra=extra,
     )
-    return BoundPair(probed, bound)
+    return probed, bound

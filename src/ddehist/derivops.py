@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import BoundPair, RemainderTable, halving
+from .certify import RemainderTable, halving
 from .corpus import piecewise_constant
 from .funcrep import (
     LazyComposition,
@@ -56,16 +56,15 @@ __all__ = [
 class DerivativeContext:
     """A problem together with the exponents used for differentiation.
 
-    horizon is the linearization window, at most one delay.  p is the
-    exponent of the history space under perturbation; it must dominate
-    alpha + 1, where alpha is the certified growth order of the Jacobian.
-    q, the Hoelder conjugate of alpha + 1, is where Df along the base
-    history must be integrable for the integral part to be bounded.
+    horizon is the linearization window, at most one delay.  The exponent
+    p of the problem's history space must dominate alpha + 1, where alpha
+    is the certified growth order of the Jacobian.  q, the Hoelder
+    conjugate of alpha + 1, is where Df along the base history must be
+    integrable for the integral part to be bounded.
     """
 
     problem: Problem
     horizon: float
-    p: float
 
     def __post_init__(self):
         nl = self.problem.nl
@@ -76,7 +75,7 @@ class DerivativeContext:
         r = self.problem.r
         if not 0.0 < self.horizon <= r + 1e-12 * max(1.0, r):
             raise ValueError("horizon must lie in (0, r]")
-        if self.p < self.alpha + 1.0 - 1e-12:
+        if self.problem.cfg.p < self.alpha + 1.0 - 1e-12:
             raise ValueError("exponent p must be at least alpha + 1")
 
     @property
@@ -237,15 +236,16 @@ def derivative_gap(
     probes: int = 12,
     seed: int = 0,
     extra=(),
-) -> BoundPair:
+) -> tuple:
     """Distance between the integral parts at two base histories.
 
-    The probed operator gap must stay below the L^q size of the Jacobian
-    difference along the two histories, which is what makes the derivative
-    continuous in the base point.
+    Returns (probed, bound): the probed operator gap, which must stay below
+    the bound, the L^q size of the Jacobian difference along the two
+    histories.  That is what makes the derivative continuous in the base
+    point.
     """
     pb = ctx.problem
-    ctx0 = DerivativeContext(Problem(pb.cfg, pb.nl, pb.r, phi0), ctx.horizon, ctx.p)
+    ctx0 = DerivativeContext(Problem(pb.cfg, pb.nl, pb.r, phi0), ctx.horizon)
     bound = lp_norm(jacobian_gap(pb.nl.jac, pb.phi.rep, phi0.rep), ctx.q)
     probed = estimate_operator_norm(
         lambda chi: tangent_deviation(ctx, chi) - tangent_deviation(ctx0, chi),
@@ -258,4 +258,4 @@ def derivative_gap(
         extra=extra,
         lift=HistoryElement,
     )
-    return BoundPair(probed, bound)
+    return probed, bound

@@ -90,19 +90,16 @@ class Nonlinearity:
         return f"Nonlinearity({self.name!r}, dim={self.dim})"
 
 
-def spectral_norm(mats: np.ndarray, frobenius: bool = False) -> np.ndarray:
+def spectral_norm(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of a (batch of) matrices.
 
-    With frobenius=True a cheap conservative upper bound is returned
-    instead.  Dimensions 1 and 2 use closed forms; larger blocks fall back
-    on batched SVD.
+    Dimensions 1 and 2 use closed forms; larger blocks fall back on batched
+    SVD.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim < 2:
         raise ValueError("expected at least one matrix")
     n, m = mats.shape[-2], mats.shape[-1]
-    if frobenius:
-        return np.sqrt(np.sum(mats**2, axis=(-2, -1)))
     if n == 1 or m == 1:
         return np.sqrt(np.sum(mats**2, axis=(-2, -1)))
     if n == 2 and m == 2:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import BoundPair, GapTable, RemainderTable, halving
+from .certify import GapTable, RemainderTable, halving
 from .derivops import (
     DerivativeContext,
     estimate_operator_norm,
@@ -111,10 +111,6 @@ class ModulusTable:
     gaps: GapTable
     bounds: np.ndarray
 
-    @property
-    def within_bounds(self) -> bool:
-        return bool(np.all(self.gaps.output_gaps <= self.bounds + 1e-8))
-
 
 def continuity_modulus(
     sf: Semiflow,
@@ -168,7 +164,7 @@ def time_map_remainder(
     Sizes are measured in the endpoint-augmented seminorm on both sides,
     which is the norm the induced quotient map is differentiable in.
     """
-    ctx = DerivativeContext(sf.problem(phi), float(t), sf.cfg.p)
+    ctx = DerivativeContext(sf.problem(phi), float(t))
     return _remainder_table(ctx, chi0, *halving_solves(ctx.problem, chi0, ctx.horizon, count))
 
 
@@ -192,15 +188,16 @@ def time_map_derivative_gap(
     probes: int = 12,
     seed: int = 0,
     extra=(),
-) -> BoundPair:
+) -> tuple:
     """Gap between time-t map derivatives at two base histories.
 
-    The analytic bound regulates the integral-part operator gap into the
-    window seminorm: (R+1)^(1/p) times the L^q size of the Jacobian gap.
-    The prolongation parts of the two derivatives cancel exactly.
+    Returns (probed, bound).  The analytic bound regulates the integral-part
+    operator gap into the window seminorm: (R+1)^(1/p) times the L^q size of
+    the Jacobian gap.  The prolongation parts of the two derivatives cancel
+    exactly.
     """
-    ctx = DerivativeContext(sf.problem(phi), float(t), sf.cfg.p)
-    ctx0 = DerivativeContext(sf.problem(phi0), float(t), sf.cfg.p)
+    ctx = DerivativeContext(sf.problem(phi), float(t))
+    ctx0 = DerivativeContext(sf.problem(phi0), float(t))
     holder_gap = lp_norm(jacobian_gap(sf.nl.jac, phi.rep, phi0.rep), ctx.q)
     bound = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p) * holder_gap
 
@@ -219,7 +216,7 @@ def time_map_derivative_gap(
         extra=extra,
         lift=HistoryElement,
     )
-    return BoundPair(probed, bound)
+    return probed, bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,16 +228,6 @@ class SemiflowReport:
     stage_pairs: tuple
     modulus: tuple
     remainder: RemainderTable | None
-
-    def __post_init__(self):
-        if self.identity_defect < 0 or np.any(np.asarray(self.composition_defects) < 0):
-            raise ValueError("defects must be nonnegative")
-        if len(self.stage_pairs) != len(self.composition_defects):
-            raise ValueError("one stage pair per composition defect required")
-
-    @property
-    def worst_composition_defect(self) -> float:
-        return float(np.max(self.composition_defects))
 
 
 def verify_semiflow(
@@ -281,6 +268,6 @@ def verify_semiflow(
     remainder = None
     differentiable = sf.nl.jac is not None and sf.nl.df_growth is not None
     if differentiable and sf.cfg.p >= sf.nl.df_growth.alpha + 1 - 1e-12:
-        ctx = DerivativeContext(sf.problem(phi), r, sf.cfg.p)
+        ctx = DerivativeContext(sf.problem(phi), r)
         remainder = _remainder_table(ctx, direction, *full)
     return SemiflowReport(identity, np.array(defects), tuple(pairs), modulus, remainder)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ddehist.certify import (
-    BoundPair,
     GapTable,
     RemainderTable,
     certify_decay,
@@ -142,19 +141,6 @@ class TestTables:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GapTable(np.array([1.0, 0.5]), np.array([1.0]))
-
-
-class TestBoundPair:
-    def test_probe_below_bound_passes(self):
-        check = BoundPair(probed=0.97, bound=1.0)
-        assert check.passed
-        assert check.slack == pytest.approx(0.03 + 1e-8)
-
-    def test_probe_above_bound_fails(self):
-        assert not BoundPair(probed=1.2, bound=1.0).passed
-
-    def test_tolerance_absorbs_rounding(self):
-        assert BoundPair(probed=1.0 + 5e-9, bound=1.0).passed
 
 
 def test_halving_schedule():

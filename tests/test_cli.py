@@ -6,11 +6,14 @@ fast; file outputs go to pytest temporary directories.
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from ddehist.cli import ConfigError, main, parse_config, write_csv
+from ddehist import cli
+from ddehist.certify import certify_decay
+from ddehist.cli import Claim, ConfigError, main, parse_config, write_csv
 
 SOLVE_EXPERIMENT = {
     "name": "ramp",
@@ -75,6 +78,7 @@ class TestArgumentHandling:
     def test_bad_jobs_and_seed_are_config_errors(self, tmp_path):
         cfg = write_config(tmp_path, [SOLVE_EXPERIMENT])
         assert main(["verify", "--config", cfg, "--jobs", "0"]) == 2
+        assert main(["verify", "--config", cfg, "--jobs", "2"]) == 2
         assert main(["verify", "--config", cfg, "--seed", "-3"]) == 2
 
     def test_default_seeds_wrap_past_u64(self, tmp_path):
@@ -188,6 +192,28 @@ class TestKindValidation:
         exp = dict(SOLVE_EXPERIMENT, history={"random": random})
         cfg = write_config(tmp_path, [exp])
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("count", 12.9), ("count", 12.0), ("count", "12"), ("count", True), ("N", 1.5)],
+    )
+    def test_integer_fields_take_only_json_integers(self, tmp_path, capsys, field, value):
+        exp = dict(TestDeterminism.RANDOMIZED)
+        if field == "N":
+            exp["space"] = dict(exp["space"], N=value)
+        else:
+            exp[field] = value
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_flags_take_only_json_booleans(self, tmp_path, capsys):
+        lipschitz = dict(TestFailurePropagation.LIPSCHITZ, adversarial="false")
+        continuous = dict(SOLVE_EXPERIMENT, history={"random": {"continuous": 1}})
+        for exp, field in ((lipschitz, "adversarial"), (continuous, "continuous")):
+            cfg = write_config(tmp_path, [exp])
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert f"{field} must be true or false" in capsys.readouterr().err
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         exp = dict(SOLVE_EXPERIMENT, space={"R": 1.0, "p": 2.0, "N": 2})
@@ -325,16 +351,28 @@ class TestDeterminism:
         for path in sorted(a.iterdir()):
             assert path.read_bytes() == (b / path.name).read_bytes()
 
-    def test_jobs_do_not_change_the_bytes(self, tmp_path):
+    def test_two_runs_give_identical_stdout_and_csvs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [self.RANDOMIZED, DEMO_EXPERIMENT, SOLVE_EXPERIMENT])
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["verify", "--config", cfg, "--out", str(a), "--seed", "4"]) == 0
-        assert (
-            main(["verify", "--config", cfg, "--out", str(b), "--seed", "4", "--jobs", "3"])
-            == 0
-        )
+        first = capsys.readouterr().out
+        assert main(["verify", "--config", cfg, "--out", str(b), "--seed", "4"]) == 0
+        assert capsys.readouterr().out == first
+        assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
         for path in sorted(a.iterdir()):
             assert path.read_bytes() == (b / path.name).read_bytes()
+
+    def test_experiments_run_on_the_main_thread(self, tmp_path, monkeypatch):
+        threads, run = [], cli.run_experiment
+
+        def recording_run(spec):
+            threads.append(threading.current_thread())
+            return run(spec)
+
+        monkeypatch.setattr(cli, "run_experiment", recording_run)
+        cfg = write_config(tmp_path, [DEMO_EXPERIMENT, SOLVE_EXPERIMENT])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert threads == [threading.main_thread()] * 2
 
     def test_different_seed_moves_random_experiments(self, tmp_path):
         cfg = write_config(tmp_path, [self.RANDOMIZED])
@@ -351,23 +389,49 @@ class TestDeterminism:
         assert "\r" not in text
 
 
+class TestClaim:
+    def test_measured_below_limit_passes(self):
+        claim = Claim.bound("e", "c", 0.97, 1.0, slack=1e-8)
+        assert claim.passed
+        assert claim.line() == "PASS e c measured=0.97 <= limit=1"
+
+    def test_measured_above_limit_fails(self):
+        assert not Claim.bound("e", "c", 1.2, 1.0, slack=1e-8).passed
+        assert not Claim.bound("e", "c", 0.5, 1.0, relation=">=").passed
+
+    def test_slack_absorbs_rounding(self):
+        assert Claim.bound("e", "c", 1.0 + 5e-9, 1.0, slack=1e-8).passed
+        assert not Claim.bound("e", "c", 1.0 + 5e-9, 1.0).passed
+
+    def test_decay_reports_the_certificate_nearest_its_limit(self):
+        fast, slow = certify_decay(0.25 ** np.arange(13)), certify_decay(0.5 ** np.arange(13))
+        claim = Claim.decay("e", "c", fast, slow)
+        assert claim.passed
+        assert (claim.measured, claim.limit) == (slow.final_over_reference, slow.final_limit)
+        flat = certify_decay(np.ones(13))
+        claim = Claim.decay("e", "c", fast, flat, slow)
+        assert not flat.passed and not claim.passed
+        assert (claim.measured, claim.limit) == (1.0, flat.final_limit)
+
+
 class TestFailurePropagation:
+    # The stated one-step dependence constant is beaten by short pulses
+    # near the delay; the corrected product constant absorbs them.
+    LIPSCHITZ = {
+        "name": "lip",
+        "kind": "lipschitz",
+        "nonlinearity": {"name": "linear", "params": {"matrix": [[3.0]]}},
+        "space": {"R": 1.0, "p": 1.0, "N": 1},
+        "delay": 0.8,
+        "horizon": 0.5,
+        "history": {"constant": [0.0]},
+        "instances": 9,
+        "scale": 0.5,
+        "adversarial": True,
+    }
+
     def test_falsified_bound_exits_one(self, tmp_path, capsys):
-        # The stated one-step dependence constant is beaten by short pulses
-        # near the delay; the corrected product constant absorbs them.
-        exp = {
-            "name": "lip",
-            "kind": "lipschitz",
-            "nonlinearity": {"name": "linear", "params": {"matrix": [[3.0]]}},
-            "space": {"R": 1.0, "p": 1.0, "N": 1},
-            "delay": 0.8,
-            "horizon": 0.5,
-            "history": {"constant": [0.0]},
-            "instances": 9,
-            "scale": 0.5,
-            "adversarial": True,
-        }
-        cfg = write_config(tmp_path, [exp])
+        cfg = write_config(tmp_path, [self.LIPSCHITZ])
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         out = capsys.readouterr().out
         assert "FAIL lip lipschitz.stated-constant" in out
