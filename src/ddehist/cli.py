@@ -120,10 +120,8 @@ def _space(doc, key, spec) -> HistoryConfig:
     space = doc.get(key, {})
     _require(isinstance(space, dict), "space must be an object with R, p, N")
     try:
-        return HistoryConfig(
-            R=float(space["R"]), p=float(space["p"]), N=_int_field(space, "N", 1, 1, math.inf)
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return HistoryConfig(_float_field(space, "R"), _float_field(space, "p"), _int_field(space, "N", 1, 1, math.inf))
+    except ValueError as exc:
         raise ConfigError(f"bad space: {exc}") from exc
 
 
@@ -199,21 +197,19 @@ def _bool_field(doc, key, default):
 
 
 def _float_field(doc, key, default=None, lo=-math.inf, hi=math.inf):
-    raw = doc.get(key, default)
-    _require(raw is not None, f"missing required field {key}")
-    try:
-        value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number") from exc
+    value = doc.get(key, default)
+    _require(value is not None, f"missing required field {key}")
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{key} must be a number")
     _require(lo <= value <= hi, f"{key} must lie in [{lo}, {hi}]")
-    return value
+    return float(value)
 
 
 def _domain(doc, key, spec) -> MeasureDomain:
     dom = doc.get(key, {"lower": 0.0, "upper": 1.0})
+    _require(isinstance(dom, dict), "domain must be an object with lower, upper")
     try:
-        return MeasureDomain(float(dom["lower"]), float(dom["upper"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return MeasureDomain(_float_field(dom, "lower"), _float_field(dom, "upper"))
+    except ValueError as exc:
         raise ConfigError(f"bad domain: {exc}") from exc
 
 

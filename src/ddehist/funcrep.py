@@ -452,8 +452,8 @@ def lp_norm(f: Representable, p: float) -> float:
 
     For a PiecewiseFunction the integral of |f|^p is exact up to rounding,
     or a RuntimeWarning says by how much it may be off: see
-    `_power_integral`.  Its value depends only on the represented
-    function, not on where the breakpoints fall, so refining a partition
+    `_power_integral` (one |f|^p evaluation per bisection level).  It
+    depends only on the represented function, so refining a partition
     leaves the norm unchanged to rounding.
 
     For a LazyComposition the rule is composite Gauss-Legendre with
@@ -524,6 +524,15 @@ def _jacobi_rule(n: int, a: float, b: float):
     return nodes, weights
 
 
+@lru_cache(maxsize=None)
+def _split_rule(sizes: tuple, a: float, b: float):
+    """`_jacobi_rule` for each n in sizes, nodes concatenated and weights
+    divided by the weight (1 - x)^a (1 + x)^b, for integrands without it."""
+    x = np.concatenate([_jacobi_rule(n, a, b)[0] for n in sizes])
+    w = np.concatenate([_jacobi_rule(n, a, b)[1] for n in sizes])
+    return _frozen(x), _frozen(w / ((1.0 - x) ** a * (1.0 + x) ** b))
+
+
 def _modulus_series(coeffs: np.ndarray):
     """Per piece of a padded block, a Chebyshev series with the zeros and the
     other critical points of |f|: the component when N = 1, else sum_j f_j^2
@@ -570,20 +579,14 @@ def _zeros_of_modulus(roots: np.ndarray, per_zero: int):
     there but bends sharply over a width of about y.
     """
     roots = roots[np.abs(roots.real) <= 1.0 + _ROOT_TOL]
-    groups = []
-    for x in np.sort(roots[np.abs(roots.imag) <= _ROOT_TOL].real):
-        if groups and x - groups[-1][-1] <= _ROOT_TOL:
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-    at = [float(np.mean(group)) for group in groups]
-    mults = [max(1, len(group) // per_zero) for group in groups]
+    real = np.sort(roots[np.abs(roots.imag) <= _ROOT_TOL].real)
+    group = np.cumsum(np.diff(real, prepend=-np.inf) > _ROOT_TOL) - 1
+    size = np.bincount(group)
     bends = roots[(roots.imag > _ROOT_TOL) & (roots.imag <= _NEAR_TOL)]
-    for x in np.concatenate((bends.real - bends.imag, bends.real, bends.real + bends.imag)):
-        if abs(x) < 1.0:
-            at.append(float(x))
-            mults.append(0)
-    at, mults = np.array(at), np.array(mults, dtype=int)
+    near = np.concatenate((bends.real - bends.imag, bends.real, bends.real + bends.imag))
+    near = near[np.abs(near) < 1.0]
+    at = np.concatenate((np.bincount(group, weights=real) / size, near))
+    mults = np.concatenate((np.maximum(1, size // per_zero), np.zeros(near.size, dtype=int)))
     at[np.abs(at + 1.0) <= _END_TOL] = -1.0
     at[np.abs(at - 1.0) <= _END_TOL] = 1.0
     inside = np.flatnonzero(np.abs(at) <= 1.0)
@@ -626,25 +629,25 @@ def _modulus_intervals(coeffs: np.ndarray):
 
 
 def _power_values(coeffs, piece, lo, hi, x, p):
-    """|f|^p at the points of the rule x mapped onto local sub-intervals
-    [lo, hi] of the listed pieces; shape (len(piece), len(x))."""
+    """|f|^p at the points x, shared (m,) or per row, mapped onto local
+    sub-intervals [lo, hi] of the listed pieces; shape (len(piece), m)."""
     u = (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * x
     vals = _cheb_values(coeffs[piece], u)
     return np.einsum("snj,snj->sn", vals, vals) ** (0.5 * p)
 
 
-def _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, n):
+def _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, sizes):
     """Gauss-Jacobi integrals of |f|^p over local sub-intervals [lo, hi]
-    whose ends are zeros of |f| of the given multiplicities: the weight
-    carries the endpoint behaviour |x -/+ 1|^(p m), the rule the rest."""
-    out = np.empty(piece.size)
-    for mlo_k, mhi_k in set(zip(mlo.tolist(), mhi.tolist())):
-        sel = (mlo == mlo_k) & (mhi == mhi_k)
-        a, b = p * mhi_k, p * mlo_k
-        x, w = _jacobi_rule(n, a, b)
-        smooth = _power_values(coeffs, piece[sel], lo[sel], hi[sel], x, p) / ((1.0 - x) ** a * (1.0 + x) ** b)
-        out[sel] = 0.5 * (hi[sel] - lo[sel]) * (smooth @ w)
-    return out
+    whose ends are zeros of |f| of the given multiplicities, one row per
+    rule size: the weight carries the endpoint behaviour |x -/+ 1|^(p m),
+    the rule the rest.  |f|^p is evaluated once, at every size's nodes."""
+    base = int(mhi.max()) + 1
+    keys, group = np.unique(mlo * base + mhi, return_inverse=True)
+    rules = [_split_rule(sizes, p * (k % base), p * (k // base)) for k in keys.tolist()]
+    x, w = (np.stack(arrays)[group] for arrays in zip(*rules))
+    terms = _power_values(coeffs, piece, lo, hi, x, p) * w
+    sums = [part.sum(axis=1) for part in np.split(terms, np.cumsum(sizes)[:-1], axis=1)]
+    return 0.5 * (hi - lo) * np.array(sums)
 
 
 def _power_integral(f: PiecewiseFunction, p: float) -> float:
@@ -660,7 +663,8 @@ def _power_integral(f: PiecewiseFunction, p: float) -> float:
     exactly.  Otherwise sub-intervals on which n and 2n nodes disagree
     beyond rounding are bisected; if some still disagree after
     _JACOBI_MAX_ROUNDS rounds, the estimate is returned with a
-    RuntimeWarning that states their disagreement.
+    RuntimeWarning that states their disagreement.  Each level of the
+    bisection evaluates |f|^p once, at both rule sizes (`_split_rule`).
     """
     deg, coeffs = f.degree, f.coeffs
     scale = 0.5 * np.diff(f.breakpoints)
@@ -673,11 +677,10 @@ def _power_integral(f: PiecewiseFunction, p: float) -> float:
     if p == round(p) and f.n_components == 1:
         # The rest is a polynomial of degree at most p * deg: n nodes are
         # exact and there is nothing to check.
-        return float(scale[piece] @ _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, n))
+        return float(scale[piece] @ _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n,))[0])
     total = 0.0
     for level in range(_JACOBI_MAX_ROUNDS + 1):
-        coarse = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, n)
-        fine = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, 2 * n)
+        coarse, fine = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n, 2 * n))
         weighted = scale[piece] * fine
         if level == 0:
             floor = 1e-16 * float(weighted.sum())

@@ -131,25 +131,24 @@ def continuity_modulus(
             gaps = np.array([seminorm(direction.scale(f), sf.cfg) for f in factors])
             tables.append(ModulusTable(0.0, GapTable(gaps, gaps), gaps))
             continue
-        solves = halving_solves(sf.problem(phi), direction, float(t), count)
-        tables.append(_modulus_table(sf, float(t), *solves))
+        base, rows = halving_solves(sf.problem(phi), direction, float(t), count)
+        sizes = np.array([seminorm(step, sf.cfg) for _, step, _ in rows])
+        tables.append(_modulus_table(sf, float(t), sizes, base, rows))
     return tuple(tables)
 
 
-def _modulus_table(sf: Semiflow, t: float, base, rows) -> ModulusTable:
+def _modulus_table(sf: Semiflow, t: float, sizes, base, rows) -> ModulusTable:
     # The continuity table at time t > 0 from the solves of halving_solves.
     base_seg = history_segment(base.x, t, sf.cfg.R)
     window = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p)
     inflate = prolongation_constant(t, sf.cfg.p)
-    ins, outs, bounds = [], [], []
-    for _, step, traj in rows:
-        gap_in = seminorm(step, sf.cfg)
+    outs, bounds = [], []
+    for gap_in, (_, step, traj) in zip(sizes, rows):
         seg = history_segment(traj.x, t, sf.cfg.R)
         outs.append(seminorm(seg - base_seg, sf.cfg))
         ydiff = (traj.x - base.x) - static_prolongation(step, t)
         bounds.append(window * sup_norm(ydiff) + inflate * gap_in)
-        ins.append(gap_in)
-    return ModulusTable(t, GapTable(np.array(ins), np.array(outs)), np.array(bounds))
+    return ModulusTable(t, GapTable(sizes, np.array(outs)), np.array(bounds))
 
 
 def time_map_remainder(
@@ -165,19 +164,20 @@ def time_map_remainder(
     which is the norm the induced quotient map is differentiable in.
     """
     ctx = DerivativeContext(sf.problem(phi), float(t))
-    return _remainder_table(ctx, chi0, *halving_solves(ctx.problem, chi0, ctx.horizon, count))
+    base, rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
+    sizes = np.array([seminorm(chi, sf.cfg) for _, chi, _ in rows])
+    return _remainder_table(ctx, chi0, sizes, base, rows)
 
 
-def _remainder_table(ctx: DerivativeContext, chi0: HistoryElement, base, rows) -> RemainderTable:
+def _remainder_table(ctx: DerivativeContext, chi0: HistoryElement, sizes, base, rows) -> RemainderTable:
     # time_map_remainder at t = ctx.horizon, from halving_solves along chi0.
     cfg, t = ctx.problem.cfg, ctx.horizon
     tangent0 = tangent_trajectory(ctx, chi0)
-    scales = [seminorm(chi, cfg) for _, chi, _ in rows]
     remainders = [
         seminorm(history_segment(traj.x - base.x - tangent0.scale(f), t, cfg.R), cfg)
         for f, _, traj in rows
     ]
-    return RemainderTable(np.array(scales), np.array(remainders))
+    return RemainderTable(sizes, np.array(remainders))
 
 
 def time_map_derivative_gap(
@@ -261,13 +261,14 @@ def verify_semiflow(
             staged = window(s) if t == 0.0 else evolve(sf, s, window(t))
             defects.append(seminorm(window(t + s) - staged, sf.cfg))
     modulus = continuity_modulus(sf, [0.5 * sf.r], phi, direction, count)
-    # The table at t = r and the remainders share one halving schedule.
+    # The t = r table and the remainders share one schedule and the input sizes of t = r/2.
     r = float(sf.r)
+    sizes = modulus[0].gaps.input_gaps
     full = halving_solves(sf.problem(phi), direction, r, count)
-    modulus += (_modulus_table(sf, r, *full),)
+    modulus += (_modulus_table(sf, r, sizes, *full),)
     remainder = None
     differentiable = sf.nl.jac is not None and sf.nl.df_growth is not None
     if differentiable and sf.cfg.p >= sf.nl.df_growth.alpha + 1 - 1e-12:
         ctx = DerivativeContext(sf.problem(phi), r)
-        remainder = _remainder_table(ctx, direction, *full)
+        remainder = _remainder_table(ctx, direction, sizes, *full)
     return SemiflowReport(identity, np.array(defects), tuple(pairs), modulus, remainder)

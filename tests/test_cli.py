@@ -207,6 +207,22 @@ class TestKindValidation:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value", [("p", True), ("R", "1"), ("delay", "0.5"), ("lower", False)]
+    )
+    def test_number_fields_take_only_json_numbers(self, tmp_path, capsys, field, value):
+        # JSON true and numeric strings are not numbers, though float() reads them.
+        if field == "lower":
+            domain = {"lower": value, "upper": 1.0}
+            exp = {"kind": "composition", "nonlinearity": {"name": "mackey_glass"}, "domain": domain}
+        elif field == "delay":
+            exp = dict(DEMO_EXPERIMENT, delay=value)
+        else:
+            exp = dict(DEMO_EXPERIMENT, space=dict(DEMO_EXPERIMENT["space"], **{field: value}))
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{field} must be a number" in capsys.readouterr().err
+
     def test_flags_take_only_json_booleans(self, tmp_path, capsys):
         lipschitz = dict(TestFailurePropagation.LIPSCHITZ, adversarial="false")
         continuous = dict(SOLVE_EXPERIMENT, history={"random": {"continuous": 1}})

@@ -517,6 +517,41 @@ def test_sup_norm_matches_the_per_piece_reference(fb):
     assert sup_norm(f) >= oracles.sampled_sup_norm(f) - tol
 
 
+# (t + 1/2)^2, a double zero inside its piece, and 2t + 1 and t + 1/2, a
+# zero on the right end of one piece and on the left end of the next.
+DOUBLE_ZERO = PiecewiseFunction.from_power([-1.5, 0.5], [[[0.25, 1.0, 1.0]]])
+ZERO_AT_ENDS = PiecewiseFunction.from_power([-1.5, -0.5, 0.5], [[[1.0, 2.0]], [[0.5, 1.0]]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=st.integers(1, 2).flatmap(ragged_piecewise).map(lambda fb: fb[0]),
+    p=st.sampled_from([1.0, 1.5, 2.5, 3.0]),
+)
+@example(f=DOUBLE_ZERO, p=2.5)
+@example(f=DOUBLE_ZERO, p=3.0)
+@example(f=ZERO_AT_ENDS, p=1.5)
+@example(f=ZERO_AT_ENDS, p=1.0)
+@example(f=_near_root_bump()[0], p=1.5)
+def test_split_lp_norm_matches_the_per_group_reference(f, p):
+    # One |f|^p evaluation per bisection level, at both rule sizes on every
+    # sub-interval, against one per endpoint-zero group and rule size.
+    expected = oracles.split_power_integral(f, p) ** (1.0 / p)
+    assert abs(lp_norm(f, p) - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+def test_split_lp_norm_stopped_short_matches_the_per_group_reference(monkeypatch, rounds):
+    # Stopped before it converges, the estimate is the 2n-node sum, which
+    # differs from the n-node sum by far more than 1e-14.
+    monkeypatch.setattr(funcrep, "_JACOBI_MAX_ROUNDS", rounds)
+    f, _ = _near_root_bump()
+    with pytest.warns(RuntimeWarning, match="still disagree"):
+        value = lp_norm(f, 1.5)
+    expected = oracles.split_power_integral(f, 1.5) ** (1.0 / 1.5)
+    assert abs(value - expected) <= 1e-14 * expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(fb=singles, p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_lazy_lp_norm_matches_the_per_piece_reference(fb, p):

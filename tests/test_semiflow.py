@@ -338,6 +338,27 @@ class TestVerifyBattery:
         assert report.remainder is not None
         assert len(calls) == 45
 
+    def test_schedule_inputs_are_measured_once(self, monkeypatch):
+        # 1 identity defect and 16 stage defects; the zero-direction check
+        # and the 13 inputs chi/2^k, shared by the tables at t = r/2 and
+        # t = r and the remainders; 13 output gaps per table and 13
+        # remainders.
+        from ddehist import semiflow
+
+        sf = scalar_flow(saturating(), r=0.8)
+        calls = []
+
+        def counting_seminorm(phi, cfg):
+            calls.append(phi)
+            return seminorm(phi, cfg)
+
+        monkeypatch.setattr(semiflow, "seminorm", counting_seminorm)
+        report = verify_semiflow(sf, unit_history(0.4), unit_history(), count=12)
+        assert report.remainder is not None
+        assert len(calls) == 1 + 16 + 1 + 13 + 3 * 13
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            verify_semiflow(sf, unit_history(0.4), unit_history(0.0), count=12)
+
     def test_report_survives_a_rough_right_hand_side(self):
         # Cubic growth needs p >= 3, so the smoothness table is skipped on
         # this space; the axioms and modulus still run.
