@@ -48,8 +48,9 @@ from .funcrep import (
     PiecewiseFunction,
     lp_norm,
     sup_norm,
+    sup_norms,
 )
-from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norm, seminorm
+from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norms, seminorm, seminorms
 from .nonlinear import make
 from .semiflow import Semiflow, quotient_invariance, verify_semiflow
 from .solver import Problem, solve
@@ -139,15 +140,12 @@ def _function(spec, domain, n_components, rng, label) -> PiecewiseFunction:
     """A piecewise function on `domain` from a constant/pieces/random spec."""
     _require(isinstance(spec, dict), f"{label} must be an object")
     lo, hi = float(domain[0]), float(domain[1])
+    endpoint = _number_list(spec, "endpoint", n_components, label) if "endpoint" in spec else None
     if "constant" in spec:
-        values = np.atleast_1d(np.asarray(spec["constant"], dtype=float))
-        _require(values.size == n_components, f"{label} constant has wrong length")
-        out = PiecewiseFunction.constant(values, (lo, hi))
+        out = PiecewiseFunction.constant(_number_list(spec, "constant", n_components, label), (lo, hi))
     elif "breakpoints" in spec:
         try:
-            out = PiecewiseFunction.from_power(
-                spec["breakpoints"], spec["pieces"], spec.get("endpoint")
-            )
+            out = PiecewiseFunction.from_power(spec["breakpoints"], spec["pieces"], endpoint)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad {label} pieces: {exc}") from exc
         a, b = out.domain
@@ -171,9 +169,16 @@ def _function(spec, domain, n_components, rng, label) -> PiecewiseFunction:
         )
     else:
         raise ConfigError(f"{label} needs 'constant', 'breakpoints', or 'random'")
-    if "endpoint" in spec and "breakpoints" not in spec:
-        out = out.with_endpoint(np.asarray(spec["endpoint"], dtype=float))
+    if endpoint is not None and "breakpoints" not in spec:
+        out = out.with_endpoint(endpoint)
     return out
+
+
+def _number_list(spec, key, n_components, label) -> np.ndarray:
+    """spec[key], a JSON number or a list of n_components of them."""
+    raw, name = spec[key] if isinstance(spec[key], list) else [spec[key]], f"{label} {key}"
+    _require(len(raw) == n_components, f"{name} has wrong length")
+    return np.array([_float_field({name: value}, name) for value in raw])
 
 
 def _history(doc, key, spec) -> HistoryElement:
@@ -200,6 +205,8 @@ def _float_field(doc, key, default=None, lo=-math.inf, hi=math.inf):
     value = doc.get(key, default)
     _require(value is not None, f"missing required field {key}")
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{key} must be a number")
+    # An integer literal can exceed the float range, and json reads 1e400 as inf.
+    _require(abs(value) <= sys.float_info.max, f"{key} must be a finite number")
     _require(lo <= value <= hi, f"{key} must lie in [{lo}, {hi}]")
     return float(value)
 
@@ -337,13 +344,12 @@ def _run_solve(spec) -> ExperimentResult:
 def _run_dependence(spec) -> ExperimentResult:
     base, schedule = halving_solves(spec.problem, spec.direction, spec.horizon, spec.count)
     base_dev = base.deviation()
-    rows = []
-    for factor, step, traj in schedule:
-        gap_in = seminorm(step, spec.space)
-        gap_out = endpoint_lp_norm(traj.x - base.x, spec.space.p)
-        ygap = sup_norm(traj.deviation() - base_dev)
-        fgap = map_gap(spec.nl.fn, traj.problem.phi.rep, spec.history.rep)
-        rows.append((factor, gap_in, gap_out, ygap, lp_norm(fgap, 1.0)))
+    factors, steps, trajs = zip(*schedule)
+    gap_in = seminorms(steps, spec.space)
+    gap_out = endpoint_lp_norms([traj.x - base.x for traj in trajs], spec.space.p)
+    ygap = sup_norms([traj.deviation() - base_dev for traj in trajs])
+    l1 = [lp_norm(map_gap(spec.nl.fn, traj.problem.phi.rep, spec.history.rep), 1.0) for traj in trajs]
+    rows = list(zip(factors, gap_in, gap_out, ygap, l1))
     cert = certify_decay(np.array([row[2] for row in rows]))
     worst = max(ygap - l1 for *_, ygap, l1 in rows)
     claims = [
@@ -360,7 +366,7 @@ def _run_lipschitz(spec) -> ExperimentResult:
     stated = lip * T / (T + R + 1.0) + (1.0 + T)
     corrected = (1.0 + T) * (1.0 + lip)
     rng = np.random.default_rng(spec.seed)
-    rows, worst = [], 0.0
+    pairs = []
     for i in range(spec.instances):
         phi1 = random_history(rng, spec.space, scale=spec.scale)
         if spec.adversarial and i % 3 == 2:
@@ -372,15 +378,14 @@ def _run_lipschitz(spec) -> ExperimentResult:
             phi2 = phi1 + bump_history(spec.space, -spec.delay + width, width, height)
         else:
             phi2 = random_history(rng, spec.space, scale=spec.scale)
-        gap_in = seminorm(phi1 - phi2, spec.space)
-        if gap_in < 1e-13:
-            continue
-        x1 = solve(Problem(spec.space, spec.nl, spec.delay, phi1), T).x
-        x2 = solve(Problem(spec.space, spec.nl, spec.delay, phi2), T).x
-        gap_out = endpoint_lp_norm(x1 - x2, spec.space.p)
-        ratio = gap_out / gap_in
-        worst = max(worst, ratio)
-        rows.append((i, gap_in, gap_out, ratio))
+        pairs.append((phi1, phi2))
+    gap_in = seminorms([phi1 - phi2 for phi1, phi2 in pairs], spec.space)
+    kept = np.flatnonzero(gap_in >= 1e-13)
+    xs = [solve(Problem(spec.space, spec.nl, spec.delay, phi), T).x for i in kept for phi in pairs[i]]
+    gap_out = endpoint_lp_norms([x1 - x2 for x1, x2 in zip(xs[::2], xs[1::2])], spec.space.p)
+    ratios = gap_out / gap_in[kept]
+    worst = float(np.max(ratios, initial=0.0))
+    rows = list(zip(kept.tolist(), gap_in[kept], gap_out, ratios))
     claims = [
         Claim.bound(spec.name, "lipschitz.stated-constant", worst, stated, slack=1e-8),
         Claim.bound(spec.name, "lipschitz.corrected-constant", worst, corrected, slack=1e-8),
@@ -488,19 +493,14 @@ def _run_semiflow(spec) -> ExperimentResult:
 def _run_discontinuity(spec) -> ExperimentResult:
     cfg, r = spec.space, spec.delay
     zero = HistoryElement.constant(np.zeros(cfg.N), cfg.R)
-    rows, measured, output = [], [], []
-    for k in range(spec.count + 1):
-        n = 4**k
-        phi_n = indicator_history(cfg, -r - 1.0 / n, -r + 1.0 / n)
-        gap = seminorm(phi_n - zero, cfg)
-        analytic = _indicator_width(cfg.R, r, k) ** (1.0 / cfg.p)
-        out = float(np.linalg.norm(spec.nl(phi_n(-r)) - spec.nl(zero(-r))))
-        rows.append((n, gap, analytic, out))
-        measured.append(gap)
-        output.append(out)
-    measured = np.array(measured)
-    analytic_err = float(np.max(np.abs(measured - np.array([row[2] for row in rows]))))
-    drift = float(np.max(np.abs(np.array(output) - output[0])))
+    ks = range(spec.count + 1)
+    indicators = [indicator_history(cfg, -r - 1.0 / 4**k, -r + 1.0 / 4**k) for k in ks]
+    measured = seminorms([phi_n - zero for phi_n in indicators], cfg)
+    analytic = np.array([_indicator_width(cfg.R, r, k) ** (1.0 / cfg.p) for k in ks])
+    output = np.array([np.linalg.norm(spec.nl(phi_n(-r)) - spec.nl(zero(-r))) for phi_n in indicators])
+    rows = list(zip([4**k for k in ks], measured, analytic, output))
+    analytic_err = float(np.max(np.abs(measured - analytic)))
+    drift = float(np.max(np.abs(output - output[0])))
     floor = float(np.min(output))
     claims = [
         Claim.bound(spec.name, "discontinuity.input-gap-analytic", analytic_err, 1e-12),

@@ -21,6 +21,7 @@ from .funcrep import (
     PiecewiseFunction,
     _scale_tol,
     lp_norm,
+    lp_norms,
     stack,
 )
 from .nonlinear import Nonlinearity, spectral_norm
@@ -149,12 +150,9 @@ def continuity_probe(
     p = ctx.continuity_p
     if lp_norm(direction, p) < 1e-13:
         raise ValueError("direction must be nonzero")
-    ins, outs = [], []
-    for factor in factors:
-        moved = g + direction.scale(factor)
-        ins.append(lp_norm(moved - g, p))
-        outs.append(lp_norm(map_gap(ctx.nl.fn, moved, g), ctx.q))
-    return GapTable(np.array(ins), np.array(outs))
+    moved = [g + direction.scale(factor) for factor in factors]
+    outs = [lp_norm(map_gap(ctx.nl.fn, h, g), ctx.q) for h in moved]
+    return GapTable(lp_norms([h - g for h in moved], p), np.array(outs))
 
 
 def apply_derivative(
@@ -198,13 +196,9 @@ def smoothness_probe(
         linear_part = np.einsum("kij,kj->ki", jac(base), step)
         return fn(base + step) - fn(base) - linear_part
 
-    scales, remainders = [], []
-    for factor in factors:
-        h = direction.scale(factor)
-        paired = stack((g, h))
-        scales.append(lp_norm(h, p))
-        remainders.append(lp_norm(LazyComposition(paired, remainder_map, m), ctx.q))
-    return RemainderTable(np.array(scales), np.array(remainders))
+    steps = [direction.scale(factor) for factor in factors]
+    remainders = [lp_norm(LazyComposition(stack((g, h)), remainder_map, m), ctx.q) for h in steps]
+    return RemainderTable(lp_norms(steps, p), np.array(remainders))
 
 
 def curvature_image_bound(ctx: CompositionContext, h: PiecewiseFunction) -> float:

@@ -40,7 +40,9 @@ __all__ = [
     "PiecewiseFunction",
     "LazyComposition",
     "lp_norm",
+    "lp_norms",
     "sup_norm",
+    "sup_norms",
     "stack",
 ]
 
@@ -357,6 +359,9 @@ class PiecewiseFunction:
     # -- algebra --------------------------------------------------------------
 
     def _binary(self, other: "PiecewiseFunction", sign: float):
+        """self + sign * other on the merged partition: of two breakpoints
+        within the tolerance the left one is kept, and on the sliver between
+        them the other operand takes the value of its piece to the right."""
         if self.n_components != other.n_components:
             raise ValueError("component counts differ")
         a, b = self.domain
@@ -452,7 +457,7 @@ def lp_norm(f: Representable, p: float) -> float:
 
     For a PiecewiseFunction the integral of |f|^p is exact up to rounding,
     or a RuntimeWarning says by how much it may be off: see
-    `_power_integral` (one |f|^p evaluation per bisection level).  It
+    `_power_integrals` (one |f|^p evaluation per bisection level).  It
     depends only on the represented function, so refining a partition
     leaves the norm unchanged to rounding.
 
@@ -471,10 +476,18 @@ def lp_norm(f: Representable, p: float) -> float:
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
     if isinstance(f, PiecewiseFunction):
-        return _power_integral(f, p) ** (1.0 / p)
+        return float(_power_integrals([f], p)[0]) ** (1.0 / p)
     u, w = _gauss_rule(_NODES_PER_PIECE)
     radii = np.linalg.norm(f.local_values(u), axis=-1)
     return float(0.5 * np.diff(f.breakpoints) @ (radii**p @ w)) ** (1.0 / p)
+
+
+def lp_norms(fs: Sequence[PiecewiseFunction], p: float) -> np.ndarray:
+    """`lp_norm` of each f in fs (of one component count): `_power_integrals`."""
+    p = float(p)
+    if not p >= 1.0:
+        raise ValueError("p must be at least 1")
+    return _power_integrals(fs, p) ** (1.0 / p)
 
 
 # Real zeros of a piece closer than this (in local coordinates) are merged
@@ -495,6 +508,9 @@ _NEAR_TOL = 1e-2
 _ZERO_FREE_MARGIN = 0.1
 # Bisection rounds before the estimate is returned with a warning.
 _JACOBI_MAX_ROUNDS = 40
+# |f|^p is evaluated in row blocks whose Chebyshev-Vandermonde array holds at
+# most this many doubles, which bounds the memory of a batch of many pieces.
+_BLOCK_DOUBLES = 2**16
 
 
 @lru_cache(maxsize=None)
@@ -541,7 +557,9 @@ def _modulus_series(coeffs: np.ndarray):
         return coeffs[:, :, 0], 1
     m = 2 * coeffs.shape[1] - 1
     vals = _cheb_values(coeffs, _cheb_nodes(m))
-    return np.einsum("snj,snj->sn", vals, vals) @ _cheb_interp_matrix(m).T, 2
+    # One product per piece: in one BLAS call a row's result can depend on
+    # how many rows share it.
+    return (np.einsum("snj,snj->sn", vals, vals)[:, None] @ _cheb_interp_matrix(m).T)[:, 0], 2
 
 
 def _cheb_roots(series: np.ndarray) -> dict:
@@ -640,18 +658,24 @@ def _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, sizes):
     """Gauss-Jacobi integrals of |f|^p over local sub-intervals [lo, hi]
     whose ends are zeros of |f| of the given multiplicities, one row per
     rule size: the weight carries the endpoint behaviour |x -/+ 1|^(p m),
-    the rule the rest.  |f|^p is evaluated once, at every size's nodes."""
+    the rule the rest.  |f|^p is evaluated once, at every size's nodes, in
+    blocks of rows of at most _BLOCK_DOUBLES Vandermonde entries each."""
     base = int(mhi.max()) + 1
     keys, group = np.unique(mlo * base + mhi, return_inverse=True)
     rules = [_split_rule(sizes, p * (k % base), p * (k // base)) for k in keys.tolist()]
-    x, w = (np.stack(arrays)[group] for arrays in zip(*rules))
-    terms = _power_values(coeffs, piece, lo, hi, x, p) * w
+    x, w = (np.stack(arrays) for arrays in zip(*rules))
+    terms = np.empty((piece.size, x.shape[1]))
+    rows = max(1, _BLOCK_DOUBLES // (coeffs.shape[1] * x.shape[1]))
+    for at in range(0, piece.size, rows):
+        s, g = slice(at, at + rows), group[at : at + rows]
+        terms[s] = _power_values(coeffs, piece[s], lo[s], hi[s], x[g], p) * w[g]
     sums = [part.sum(axis=1) for part in np.split(terms, np.cumsum(sizes)[:-1], axis=1)]
     return 0.5 * (hi - lo) * np.array(sums)
 
 
-def _power_integral(f: PiecewiseFunction, p: float) -> float:
-    """The integral of |f|^p over the domain, exact up to rounding.
+def _power_integrals(fs: Sequence[PiecewiseFunction], p: float) -> np.ndarray:
+    """The integral of |f|^p over the domain of each f in fs, exact up to
+    rounding, over the pieces of all of them at once.
 
     When p is an even integer, |f|^p = (sum_j f_j^2)^(p/2) is a polynomial
     on each piece and Gauss-Legendre with enough nodes integrates it
@@ -662,45 +686,49 @@ def _power_integral(f: PiecewiseFunction, p: float) -> float:
     integer and N = 1 the rest is a polynomial, which n nodes integrate
     exactly.  Otherwise sub-intervals on which n and 2n nodes disagree
     beyond rounding are bisected; if some still disagree after
-    _JACOBI_MAX_ROUNDS rounds, the estimate is returned with a
+    _JACOBI_MAX_ROUNDS rounds, the estimates are returned with one
     RuntimeWarning that states their disagreement.  Each level of the
     bisection evaluates |f|^p once, at both rule sizes (`_split_rule`).
+    The test's rounding floor is 1e-16 of each function's own integral.
     """
-    deg, coeffs = f.degree, f.coeffs
-    scale = 0.5 * np.diff(f.breakpoints)
-    n = max(_NODES_PER_PIECE, math.ceil((p * deg + 1.0) / 2.0))
-    if p % 2.0 == 0.0:
-        x, w = _gauss_rule(n)
-        ones = np.ones(f.n_pieces)
-        return float(scale @ (_power_values(coeffs, np.arange(f.n_pieces), -ones, ones, x, p) @ w))
-    piece, lo, hi, mlo, mhi = _modulus_intervals(coeffs)
-    if p == round(p) and f.n_components == 1:
+    if not fs:
+        return np.zeros(0)
+    coeffs = _padded([f.coeffs for f in fs])
+    owner = np.repeat(np.arange(len(fs)), [f.n_pieces for f in fs])
+    scale = np.concatenate([0.5 * np.diff(f.breakpoints) for f in fs])
+    n = max(_NODES_PER_PIECE, math.ceil((p * (coeffs.shape[1] - 1) + 1.0) / 2.0))
+    even, none = p % 2.0 == 0.0, np.zeros(owner.size, dtype=int)
+    whole = np.arange(owner.size), none - 1.0, none + 1.0, none, none
+    piece, lo, hi, mlo, mhi = whole if even else _modulus_intervals(coeffs)
+    if even or (p == round(p) and coeffs.shape[2] == 1):
         # The rest is a polynomial of degree at most p * deg: n nodes are
         # exact and there is nothing to check.
-        return float(scale[piece] @ _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n,))[0])
-    total = 0.0
+        rest = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n,))[0]
+        return np.bincount(owner[piece], weights=scale[piece] * rest, minlength=len(fs))
+    total = np.zeros(len(fs))
     for level in range(_JACOBI_MAX_ROUNDS + 1):
         coarse, fine = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n, 2 * n))
         weighted = scale[piece] * fine
         if level == 0:
-            floor = 1e-16 * float(weighted.sum())
+            floor = 1e-16 * np.bincount(owner[piece], weights=weighted, minlength=len(fs))
         error = scale[piece] * np.abs(fine - coarse)
-        done = error <= 1e-14 * weighted + floor
+        done = error <= 1e-14 * weighted + floor[owner[piece]]
         if done.all() or level == _JACOBI_MAX_ROUNDS:
             break
-        total += float(weighted[done].sum())
+        total += np.bincount(owner[piece[done]], weights=weighted[done], minlength=len(fs))
         piece, lo, hi, mlo, mhi = (arr[~done] for arr in (piece, lo, hi, mlo, mhi))
         mid = 0.5 * (lo + hi)
         zeros = np.zeros_like(mlo)
         piece = np.concatenate((piece, piece))
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         mlo, mhi = np.concatenate((mlo, zeros)), np.concatenate((zeros, mhi))
-    total += float(weighted.sum())
+    total += np.bincount(owner[piece], weights=weighted, minlength=len(fs))
     if not done.all():
+        short = np.unique(owner[piece[~done]])
         warnings.warn(
-            f"integral of |f|^{p:g}: {int(np.count_nonzero(~done))} sub-intervals still "
-            f"disagree after {_JACOBI_MAX_ROUNDS} rounds of bisection, by "
-            f"{float(error[~done].sum()):.3e} in total against an integral of {total:.6e}",
+            f"integral of |f|^{p:g}: {np.count_nonzero(~done)} sub-intervals of {short.size} "
+            f"function(s) still disagree after {_JACOBI_MAX_ROUNDS} rounds of bisection, by "
+            f"{error[~done].sum():.3e} in total against integrals of {total[short].sum():.6e}",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -708,29 +736,43 @@ def _power_integral(f: PiecewiseFunction, p: float) -> float:
 
 
 def sup_norm(f: PiecewiseFunction) -> float:
-    """Supremum of |f|, exact up to rounding: the maximum over both ends of
-    every piece, the stored endpoint value and the critical points of |f|,
-    the roots of the derivative of `_modulus_series`, as Chebfun finds a
-    maximum.  Each root counts at its real part clipped onto [-1, 1]: an
-    extra point cannot raise the maximum above the supremum, so the
-    near-real roots a multiple critical point splits into are kept.  Pieces
-    whose bound sqrt(sum_j (sum_k |c_kj|)^2) >= |f| is at most the best end
-    value are skipped.  Meaningful for continuous representatives.
+    """Supremum of |f|, exact up to rounding: see `sup_norms`."""
+    return float(sup_norms([f])[0])
+
+
+def sup_norms(fs: Sequence[PiecewiseFunction]) -> np.ndarray:
+    """Supremum of |f| for each f in fs, exact up to rounding: the maximum
+    over both ends of every piece, the stored endpoint value and the
+    critical points of |f|, the roots of the derivative of
+    `_modulus_series`, as Chebfun finds a maximum.  Each root counts at its
+    real part clipped onto [-1, 1]: an extra point cannot raise the maximum
+    above the supremum, so the near-real roots a multiple critical point
+    splits into are kept.  Pieces whose bound sqrt(sum_j (sum_k |c_kj|)^2)
+    >= |f| is at most their function's best end value are skipped.  The
+    search runs over all pieces of one degree at once (padding would move
+    a result by rounding).  Meaningful for continuous representatives.
     """
-    coeffs = f.coeffs
-    ends = np.linalg.norm(f.local_values(np.array([-1.0, 1.0])), axis=-1)
-    best = max(float(np.linalg.norm(f.endpoint_value)), float(ends.max()))
-    searched = np.flatnonzero(np.linalg.norm(np.abs(coeffs).sum(axis=1), axis=1) > best)
-    series, _ = _modulus_series(coeffs[searched])
-    roots = _cheb_roots(series @ _cheb_derivative(series.shape[1]).T)
-    piece = np.repeat(searched[list(roots)], [r.size for r in roots.values()])
-    u = np.clip(np.concatenate([np.empty(0), *roots.values()]).real, -1.0, 1.0)
-    radii = np.linalg.norm(_cheb_values(coeffs[piece], u[:, None])[:, 0], axis=-1)
-    return max(best, float(radii.max(initial=0.0)))
+    best = np.array([np.linalg.norm(f.endpoint_value) for f in fs])
+    for d in {f.degree for f in fs}:
+        at = np.flatnonzero([f.degree == d for f in fs])
+        coeffs = np.concatenate([fs[i].coeffs for i in at])
+        owner = np.repeat(at, [fs[i].n_pieces for i in at])
+        ends = np.linalg.norm(_cheb_values(coeffs, np.array([-1.0, 1.0])), axis=-1)
+        np.maximum.at(best, owner, ends.max(axis=1))
+        searched = np.flatnonzero(np.linalg.norm(np.abs(coeffs).sum(axis=1), axis=1) > best[owner])
+        series, _ = _modulus_series(coeffs[searched])
+        roots = _cheb_roots((series[:, None] @ _cheb_derivative(series.shape[1]).T)[:, 0])
+        piece = np.repeat(searched[list(roots)], [r.size for r in roots.values()])
+        u = np.clip(np.concatenate([np.empty(0), *roots.values()]).real, -1.0, 1.0)
+        radii = np.linalg.norm(_cheb_values(coeffs[piece], u[:, None])[:, 0], axis=-1)
+        np.maximum.at(best, owner[piece], radii)
+    return best
 
 
 def stack(functions: Sequence[PiecewiseFunction]) -> PiecewiseFunction:
-    """Concatenate components of several functions on a merged partition."""
+    """Concatenate components of several functions on a partition merged
+    as in `PiecewiseFunction._binary` (of two breakpoints within the
+    tolerance the left one is kept)."""
     if not functions:
         raise ValueError("need at least one function")
     a, b = functions[0].domain

@@ -21,6 +21,7 @@ from .funcrep import (
     DomainError,
     PiecewiseFunction,
     lp_norm,
+    lp_norms,
 )
 
 __all__ = [
@@ -28,7 +29,9 @@ __all__ = [
     "HistoryElement",
     "QuotientPair",
     "seminorm",
+    "seminorms",
     "endpoint_lp_norm",
+    "endpoint_lp_norms",
     "static_prolongation",
     "history_segment",
     "to_pair",
@@ -139,10 +142,23 @@ def endpoint_lp_norm(x: PiecewiseFunction, p: float) -> float:
     return (integral + tip**p) ** (1.0 / p)
 
 
+def endpoint_lp_norms(xs, p: float) -> np.ndarray:
+    """`endpoint_lp_norm` of each function in xs, in one `lp_norms` pass."""
+    tips = np.array([np.linalg.norm(np.atleast_1d(x.endpoint_value)) for x in xs])
+    return (lp_norms(xs, p) ** p + tips**p) ** (1.0 / p)
+
+
 def seminorm(phi: HistoryElement, cfg: HistoryConfig) -> float:
     """The history seminorm at exponent cfg.p."""
     _check(phi, cfg)
     return endpoint_lp_norm(phi.rep, cfg.p)
+
+
+def seminorms(phis, cfg: HistoryConfig) -> np.ndarray:
+    """The history seminorm of each of phis, in one `lp_norms` pass."""
+    for phi in phis:
+        _check(phi, cfg)
+    return endpoint_lp_norms([phi.rep for phi in phis], cfg.p)
 
 
 def static_prolongation(phi: HistoryElement, T: float) -> PiecewiseFunction:

@@ -24,7 +24,7 @@ from .derivops import (
     tangent_deviation,
     tangent_trajectory,
 )
-from .funcrep import lp_norm, sup_norm
+from .funcrep import lp_norm, sup_norms
 from .histspace import (
     HistoryConfig,
     HistoryElement,
@@ -32,6 +32,7 @@ from .histspace import (
     prolongation_constant,
     regulation_constant,
     seminorm,
+    seminorms,
     static_prolongation,
 )
 from .nonlinear import Nonlinearity
@@ -128,11 +129,11 @@ def continuity_modulus(
         if t < 0:
             raise ValueError("grid times must be nonnegative")
         if t == 0.0:
-            gaps = np.array([seminorm(direction.scale(f), sf.cfg) for f in factors])
+            gaps = seminorms([direction.scale(f) for f in factors], sf.cfg)
             tables.append(ModulusTable(0.0, GapTable(gaps, gaps), gaps))
             continue
         base, rows = halving_solves(sf.problem(phi), direction, float(t), count)
-        sizes = np.array([seminorm(step, sf.cfg) for _, step, _ in rows])
+        sizes = seminorms([step for _, step, _ in rows], sf.cfg)
         tables.append(_modulus_table(sf, float(t), sizes, base, rows))
     return tuple(tables)
 
@@ -142,13 +143,11 @@ def _modulus_table(sf: Semiflow, t: float, sizes, base, rows) -> ModulusTable:
     base_seg = history_segment(base.x, t, sf.cfg.R)
     window = regulation_constant(-sf.cfg.R, 0.0, sf.cfg.p)
     inflate = prolongation_constant(t, sf.cfg.p)
-    outs, bounds = [], []
-    for gap_in, (_, step, traj) in zip(sizes, rows):
-        seg = history_segment(traj.x, t, sf.cfg.R)
-        outs.append(seminorm(seg - base_seg, sf.cfg))
-        ydiff = (traj.x - base.x) - static_prolongation(step, t)
-        bounds.append(window * sup_norm(ydiff) + inflate * gap_in)
-    return ModulusTable(t, GapTable(sizes, np.array(outs)), np.array(bounds))
+    segs = [history_segment(traj.x, t, sf.cfg.R) - base_seg for _, _, traj in rows]
+    ydiffs = [(traj.x - base.x) - static_prolongation(step, t) for _, step, traj in rows]
+    outs = seminorms(segs, sf.cfg)
+    bounds = window * sup_norms(ydiffs) + inflate * sizes
+    return ModulusTable(t, GapTable(sizes, outs), bounds)
 
 
 def time_map_remainder(
@@ -165,7 +164,7 @@ def time_map_remainder(
     """
     ctx = DerivativeContext(sf.problem(phi), float(t))
     base, rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
-    sizes = np.array([seminorm(chi, sf.cfg) for _, chi, _ in rows])
+    sizes = seminorms([chi for _, chi, _ in rows], sf.cfg)
     return _remainder_table(ctx, chi0, sizes, base, rows)
 
 
@@ -173,11 +172,8 @@ def _remainder_table(ctx: DerivativeContext, chi0: HistoryElement, sizes, base, 
     # time_map_remainder at t = ctx.horizon, from halving_solves along chi0.
     cfg, t = ctx.problem.cfg, ctx.horizon
     tangent0 = tangent_trajectory(ctx, chi0)
-    remainders = [
-        seminorm(history_segment(traj.x - base.x - tangent0.scale(f), t, cfg.R), cfg)
-        for f, _, traj in rows
-    ]
-    return RemainderTable(sizes, np.array(remainders))
+    segs = [history_segment(traj.x - base.x - tangent0.scale(f), t, cfg.R) for f, _, traj in rows]
+    return RemainderTable(sizes, seminorms(segs, cfg))
 
 
 def time_map_derivative_gap(
@@ -254,12 +250,12 @@ def verify_semiflow(
             windows[t] = evolve(sf, t, phi)
         return windows[t]
 
-    pairs, defects = [], []
+    pairs, gaps = [], []
     for t in stages:
         for s in stages:
             pairs.append((t, s))
             staged = window(s) if t == 0.0 else evolve(sf, s, window(t))
-            defects.append(seminorm(window(t + s) - staged, sf.cfg))
+            gaps.append(window(t + s) - staged)
     modulus = continuity_modulus(sf, [0.5 * sf.r], phi, direction, count)
     # The t = r table and the remainders share one schedule and the input sizes of t = r/2.
     r = float(sf.r)
@@ -271,4 +267,4 @@ def verify_semiflow(
     if differentiable and sf.cfg.p >= sf.nl.df_growth.alpha + 1 - 1e-12:
         ctx = DerivativeContext(sf.problem(phi), r)
         remainder = _remainder_table(ctx, direction, sizes, *full)
-    return SemiflowReport(identity, np.array(defects), tuple(pairs), modulus, remainder)
+    return SemiflowReport(identity, seminorms(gaps, sf.cfg), tuple(pairs), modulus, remainder)

@@ -12,7 +12,9 @@ at a time with numpy's `chebval`, for comparison with the batched array
 operations of `ddehist.funcrep`; the sup norm reference finds each piece's
 critical points with numpy's `chebroots`.  The split L^p reference keeps
 the per-group, per-rule-size Gauss-Jacobi loop that `funcrep` replaced by
-one evaluation per bisection level.
+one evaluation per bisection level.  The last two loops measure one
+function at a time, the reference for the batched `funcrep.lp_norms` and
+`sup_norms`.
 """
 
 import numpy as np
@@ -169,7 +171,7 @@ def sampled_sup_norm(f, samples=64, tol=1e-10, levels=7):
 
 def split_power_integral(f, p):
     """The integral of |f|^p over the domain by the zero-splitting
-    Gauss-Jacobi rule of `funcrep._power_integral`, with the loop it
+    Gauss-Jacobi rule of `funcrep._power_integrals`, with the loop it
     replaced: one |f|^p evaluation per group of sub-intervals with equal
     endpoint-zero multiplicities and per rule size, each divided by the
     Jacobi weight function before it is summed.  No warning is raised."""
@@ -211,3 +213,17 @@ def split_power_integral(f, p):
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         mlo, mhi = np.concatenate((mlo, zeros)), np.concatenate((zeros, mhi))
     return total + float(weighted.sum())
+
+
+def lp_norm_loop(fs, p):
+    """`funcrep.lp_norm` of each function, one call at a time."""
+    from ddehist.funcrep import lp_norm
+
+    return np.array([lp_norm(f, p) for f in fs])
+
+
+def sup_norm_loop(fs):
+    """`funcrep.sup_norm` of each function, one call at a time."""
+    from ddehist.funcrep import sup_norm
+
+    return np.array([sup_norm(f) for f in fs])

@@ -223,6 +223,33 @@ class TestKindValidation:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"{field} must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, value, error",
+        [
+            ("constant", [True], "must be a number"),
+            ("constant", ["0.5"], "must be a number"),
+            ("endpoint", ["0.5"], "must be a number"),
+            ("endpoint", [1.0, 2.0], "has wrong length"),
+        ],
+    )
+    def test_function_values_take_only_json_numbers(self, tmp_path, capsys, entry, value, error):
+        history = dict({"constant": [1.0]}, **{entry: value})
+        cfg = write_config(tmp_path, [dict(SOLVE_EXPERIMENT, history=history)])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"history {entry} {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), float("inf")], ids=["10**400", "-10**400", "inf"]
+    )
+    def test_numbers_beyond_the_float_range_are_config_errors(self, tmp_path, capsys, value):
+        # json reads an integer literal of any size, and 1e400 or Infinity as inf.
+        exp = dict(DEMO_EXPERIMENT, delay=value)
+        with pytest.raises(ConfigError, match="delay must be a finite number"):
+            parse_config({"experiments": [exp]}, 0)
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "delay must be a finite number" in capsys.readouterr().err
+
     def test_flags_take_only_json_booleans(self, tmp_path, capsys):
         lipschitz = dict(TestFailurePropagation.LIPSCHITZ, adversarial="false")
         continuous = dict(SOLVE_EXPERIMENT, history={"random": {"continuous": 1}})

@@ -18,8 +18,10 @@ from ddehist.funcrep import (
     LazyComposition,
     PiecewiseFunction,
     lp_norm,
+    lp_norms,
     stack,
     sup_norm,
+    sup_norms,
 )
 
 RT3_INV = 0.5773502691896258  # (1/3)**0.5, by hand: integral of theta^2 on [-1,0]
@@ -424,6 +426,15 @@ def sample_points(draw_points, *functions):
     return np.concatenate([draw_points] + [g.breakpoints for g in functions])
 
 
+def off_slivers(ts, *functions):
+    # Breakpoints of different functions within the merge tolerance of each
+    # other become one breakpoint of a sum or stack, and on the sliver
+    # between them no single partition holds both operands' values, so
+    # points at distance (0, 2 tol] from a breakpoint are left out.
+    gaps = np.abs(ts[:, None] - np.concatenate([g.breakpoints for g in functions]))
+    return ts[np.all((gaps == 0.0) | (gaps > 2.0 * funcrep._scale_tol(*DOMAIN)), axis=1)]
+
+
 points = st.lists(st.floats(*DOMAIN), min_size=1, max_size=12).map(np.array)
 pairs = st.integers(1, 3).flatmap(lambda n: st.tuples(ragged_piecewise(n), ragged_piecewise(n)))
 singles = st.integers(1, 3).flatmap(ragged_piecewise)
@@ -491,11 +502,23 @@ def test_refine_matches_the_per_piece_reference(fb, extra, ts):
     assert np.abs(g(ts) - reference(f, blocks, ts)).max() <= 1e-13 * size_bound(f)
 
 
+# A breakpoint at 0.46 and one a rounding step to its left, within the merge
+# tolerance: the merged partition keeps the left one, and on the sliver
+# [0.45999999999999996, 0.46) the sum takes g's right piece (a hypothesis
+# falsifier when every breakpoint was a sample point).
+SLIVER_BLOCKS = [np.zeros((1, 1)), np.ones((1, 1))]
+SLIVER_PAIR = (
+    (PiecewiseFunction(np.array([-1.5, 0.45999999999999996, 0.5]), SLIVER_BLOCKS, [1.0]), SLIVER_BLOCKS),
+    (PiecewiseFunction(np.array([-1.5, 0.46, 0.5]), SLIVER_BLOCKS, [1.0]), SLIVER_BLOCKS),
+)
+
+
 @settings(max_examples=50, deadline=None)
 @given(pair=pairs, ts=points)
+@example(pair=SLIVER_PAIR, ts=np.array([0.45999999999999996, 0.45999999999999998]))
 def test_sum_difference_and_stack_match_the_per_piece_reference(pair, ts):
     (f, f_blocks), (g, g_blocks) = pair
-    ts = sample_points(ts, f, g)
+    ts = off_slivers(sample_points(ts, f, g), f, g)
     ref_f, ref_g = reference(f, f_blocks, ts), reference(g, g_blocks, ts)
     tol = 1e-13 * (size_bound(f) + size_bound(g))
     assert np.abs((f + g)(ts) - (ref_f + ref_g)).max() <= tol
@@ -558,3 +581,53 @@ def test_lazy_lp_norm_matches_the_per_piece_reference(fb, p):
     f, _ = fb
     for lazy in (LazyComposition(f, _bend, 2), LazyComposition(f, np.abs, f.n_components)):
         assert abs(lp_norm(lazy, p) - oracles.lazy_lp_norm(lazy, p)) <= 1e-13 * size_bound(f) ** 2
+
+
+# ------------------------------------------- batched norms against the loop
+#
+# lp_norms and sup_norms measure many functions in one pass over all their
+# pieces; tests/oracles.py keeps the one-function-at-a-time loops.
+
+batches = st.integers(1, 2).flatmap(
+    lambda n: st.lists(ragged_piecewise(n).map(lambda fb: fb[0]), min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fs=batches, p=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]))
+@example(fs=[DOUBLE_ZERO, ZERO_AT_ENDS, _near_root_bump()[0]], p=1.5)
+# The bump converges by its own rounding floor, not by the large constant's.
+@example(fs=[_near_root_bump()[0].scale(1e-6), PiecewiseFunction.constant([1e3], (-1.0, 1.0))], p=1.5)
+def test_lp_norms_match_the_per_function_loop(fs, p):
+    expected = oracles.lp_norm_loop(fs, p)
+    assert np.all(np.abs(lp_norms(fs, p) - expected) <= 1e-14 * expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fs=batches)
+def test_sup_norms_equal_the_per_function_loop(fs):
+    assert np.array_equal(sup_norms(fs), oracles.sup_norm_loop(fs))
+
+
+def test_empty_batches_have_no_norms():
+    assert lp_norms([], 1.5).shape == sup_norms([]).shape == (0,)
+
+
+@pytest.mark.parametrize("block", [1, 2**30])
+def test_block_size_does_not_change_the_jacobi_integrals(monkeypatch, block):
+    f = _near_root_bump()[0] + PiecewiseFunction.from_power([-1.0, -0.2, 0.3, 1.0], [[[0.1, 1.0]]] * 3)
+    intervals = funcrep._modulus_intervals(f.coeffs)
+    expected = funcrep._jacobi_integrals(f.coeffs, *intervals, 1.5, (16, 32))
+    monkeypatch.setattr(funcrep, "_BLOCK_DOUBLES", block)
+    assert np.array_equal(funcrep._jacobi_integrals(f.coeffs, *intervals, 1.5, (16, 32)), expected)
+
+
+def test_a_batch_warns_when_one_function_stops_short(monkeypatch):
+    monkeypatch.setattr(funcrep, "_JACOBI_MAX_ROUNDS", 1)
+    f, expected = _near_root_bump()
+    g = PiecewiseFunction.from_power([-1.0, 1.0], [[[1.0, 0.5]]])
+    alone = lp_norm(g, 1.5)
+    with pytest.warns(RuntimeWarning, match="sub-intervals of 1 function"):
+        values = lp_norms([g, f], 1.5)
+    assert values[0] == pytest.approx(alone, rel=1e-14)
+    assert values[1] == pytest.approx(expected, rel=1e-3)
