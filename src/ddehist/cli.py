@@ -44,18 +44,11 @@ from .derivops import (
     tangent_deviation,
     tangent_deviation_bound,
 )
-from .funcrep import (
-    PiecewiseFunction,
-    lp_norm,
-    sup_norm,
-    sup_norms,
-)
-from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norms, seminorm, seminorms
+from .funcrep import PiecewiseFunction, lp_norm, sup_norm
+from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norm, seminorm
 from .nonlinear import make
 from .semiflow import Semiflow, quotient_invariance, verify_semiflow
 from .solver import Problem, solve
-
-OUT_ENV_VAR = "DDEHIST_OUT"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -345,9 +338,9 @@ def _run_dependence(spec) -> ExperimentResult:
     base, schedule = halving_solves(spec.problem, spec.direction, spec.horizon, spec.count)
     base_dev = base.deviation()
     factors, steps, trajs = zip(*schedule)
-    gap_in = seminorms(steps, spec.space)
-    gap_out = endpoint_lp_norms([traj.x - base.x for traj in trajs], spec.space.p)
-    ygap = sup_norms([traj.deviation() - base_dev for traj in trajs])
+    gap_in = seminorm(steps, spec.space)
+    gap_out = endpoint_lp_norm([traj.x - base.x for traj in trajs], spec.space.p)
+    ygap = sup_norm([traj.deviation() - base_dev for traj in trajs])
     l1 = [lp_norm(map_gap(spec.nl.fn, traj.problem.phi.rep, spec.history.rep), 1.0) for traj in trajs]
     rows = list(zip(factors, gap_in, gap_out, ygap, l1))
     cert = certify_decay(np.array([row[2] for row in rows]))
@@ -379,10 +372,10 @@ def _run_lipschitz(spec) -> ExperimentResult:
         else:
             phi2 = random_history(rng, spec.space, scale=spec.scale)
         pairs.append((phi1, phi2))
-    gap_in = seminorms([phi1 - phi2 for phi1, phi2 in pairs], spec.space)
+    gap_in = seminorm([phi1 - phi2 for phi1, phi2 in pairs], spec.space)
     kept = np.flatnonzero(gap_in >= 1e-13)
     xs = [solve(Problem(spec.space, spec.nl, spec.delay, phi), T).x for i in kept for phi in pairs[i]]
-    gap_out = endpoint_lp_norms([x1 - x2 for x1, x2 in zip(xs[::2], xs[1::2])], spec.space.p)
+    gap_out = endpoint_lp_norm([x1 - x2 for x1, x2 in zip(xs[::2], xs[1::2])], spec.space.p)
     ratios = gap_out / gap_in[kept]
     worst = float(np.max(ratios, initial=0.0))
     rows = list(zip(kept.tolist(), gap_in[kept], gap_out, ratios))
@@ -495,7 +488,7 @@ def _run_discontinuity(spec) -> ExperimentResult:
     zero = HistoryElement.constant(np.zeros(cfg.N), cfg.R)
     ks = range(spec.count + 1)
     indicators = [indicator_history(cfg, -r - 1.0 / 4**k, -r + 1.0 / 4**k) for k in ks]
-    measured = seminorms([phi_n - zero for phi_n in indicators], cfg)
+    measured = seminorm([phi_n - zero for phi_n in indicators], cfg)
     analytic = np.array([_indicator_width(cfg.R, r, k) ** (1.0 / cfg.p) for k in ks])
     output = np.array([np.linalg.norm(spec.nl(phi_n(-r)) - spec.nl(zero(-r))) for phi_n in indicators])
     rows = list(zip([4**k for k in ks], measured, analytic, output))
@@ -668,17 +661,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(args, doc) -> str:
-    if args.out:
-        return args.out
-    env = os.environ.get(OUT_ENV_VAR)
-    if env:
-        return env
-    if isinstance(doc, dict) and isinstance(doc.get("out"), str):
-        return doc["out"]
-    return os.path.join(".", "out")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not 0 <= args.seed < 2**64:
@@ -714,7 +696,7 @@ def main(argv=None) -> int:
         print("no experiments to run")
         return 0
 
-    out_dir = _resolve_out(args, doc)
+    out_dir = args.out or (doc["out"] if isinstance(doc.get("out"), str) else os.path.join(".", "out"))
     os.makedirs(out_dir, exist_ok=True)
 
     results = [run_experiment(spec) for spec in specs]

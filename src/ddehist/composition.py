@@ -21,7 +21,6 @@ from .funcrep import (
     PiecewiseFunction,
     _scale_tol,
     lp_norm,
-    lp_norms,
     stack,
 )
 from .nonlinear import Nonlinearity, spectral_norm
@@ -152,7 +151,7 @@ def continuity_probe(
         raise ValueError("direction must be nonzero")
     moved = [g + direction.scale(factor) for factor in factors]
     outs = [lp_norm(map_gap(ctx.nl.fn, h, g), ctx.q) for h in moved]
-    return GapTable(lp_norms([h - g for h in moved], p), np.array(outs))
+    return GapTable(lp_norm([h - g for h in moved], p), np.array(outs))
 
 
 def apply_derivative(
@@ -198,7 +197,7 @@ def smoothness_probe(
 
     steps = [direction.scale(factor) for factor in factors]
     remainders = [lp_norm(LazyComposition(stack((g, h)), remainder_map, m), ctx.q) for h in steps]
-    return RemainderTable(lp_norms(steps, p), np.array(remainders))
+    return RemainderTable(lp_norm(steps, p), np.array(remainders))
 
 
 def curvature_image_bound(ctx: CompositionContext, h: PiecewiseFunction) -> float:

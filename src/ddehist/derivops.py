@@ -29,10 +29,8 @@ from .funcrep import (
     _cheb_nodes,
     _scale_tol,
     lp_norm,
-    lp_norms,
     stack,
     sup_norm,
-    sup_norms,
 )
 from .histspace import HistoryElement, _check, static_prolongation
 from .nonlinear import holder_conjugate, spectral_norm
@@ -215,8 +213,8 @@ def remainder_schedule(ctx: DerivativeContext, chi0: HistoryElement, count: int)
     """
     tangent0 = tangent_trajectory(ctx, chi0)
     base, rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
-    scales = lp_norms([chi.rep for _, chi, _ in rows], ctx.alpha + 1.0)
-    remainders = sup_norms([traj.x - base.x - tangent0.scale(f) for f, _, traj in rows])
+    scales = lp_norm([chi.rep for _, chi, _ in rows], ctx.alpha + 1.0)
+    remainders = sup_norm([traj.x - base.x - tangent0.scale(f) for f, _, traj in rows])
     return RemainderTable(scales, remainders)
 
 

@@ -30,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -40,9 +40,7 @@ __all__ = [
     "PiecewiseFunction",
     "LazyComposition",
     "lp_norm",
-    "lp_norms",
     "sup_norm",
-    "sup_norms",
     "stack",
 ]
 
@@ -359,21 +357,11 @@ class PiecewiseFunction:
     # -- algebra --------------------------------------------------------------
 
     def _binary(self, other: "PiecewiseFunction", sign: float):
-        """self + sign * other on the merged partition: of two breakpoints
-        within the tolerance the left one is kept, and on the sliver between
-        them the other operand takes the value of its piece to the right."""
+        """self + sign * other on the partition of `_merged_pieces`."""
         if self.n_components != other.n_components:
             raise ValueError("component counts differ")
-        a, b = self.domain
-        oa, ob = other.domain
-        tol = _scale_tol(min(a, oa), max(b, ob))
-        if abs(a - oa) > tol or abs(b - ob) > tol:
-            raise DomainError("domains differ")
-        partition = _merge_partitions(self.breakpoints, other.breakpoints, tol)
-        partition[0], partition[-1] = a, b
-        mine = self._pieces_on(partition)
-        theirs = other._pieces_on(partition)
-        out = np.zeros((partition.size - 1, max(self.degree, other.degree) + 1, self.n_components))
+        partition, (mine, theirs) = _merged_pieces((self, other))
+        out = np.zeros((partition.size - 1, max(mine.shape[1], theirs.shape[1]), self.n_components))
         out[:, : mine.shape[1]] = mine
         out[:, : theirs.shape[1]] += sign * theirs
         endpoint = self.endpoint_value + sign * other.endpoint_value
@@ -416,6 +404,24 @@ def _merge_partitions(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return np.array(keep)
 
 
+def _merged_pieces(functions: Sequence[PiecewiseFunction]):
+    """The breakpoints of functions on a common domain merged into one
+    partition, with the first function's ends, and each function's
+    coefficients on it.  Of two breakpoints within the tolerance the left
+    one is kept, so on the sliver between them a function takes the value
+    of its piece to the right."""
+    lows, highs = zip(*[f.domain for f in functions])
+    a, b = lows[0], highs[0]
+    tol = _scale_tol(min(lows), max(highs))
+    if max(abs(lo - a) for lo in lows) > tol or max(abs(hi - b) for hi in highs) > tol:
+        raise DomainError("domains differ")
+    partition = functions[0].breakpoints.copy()
+    for f in functions[1:]:
+        partition = _merge_partitions(partition, f.breakpoints, tol)
+    partition[0], partition[-1] = a, b
+    return partition, [f._pieces_on(partition) for f in functions]
+
+
 @dataclass(frozen=True, eq=False)
 class LazyComposition:
     """A pointwise map applied to a piecewise function, never interpolated.
@@ -449,11 +455,12 @@ class LazyComposition:
         return self.fn(self.base(t_in))
 
 
-Representable = Union[PiecewiseFunction, LazyComposition]
-
-
-def lp_norm(f: Representable, p: float) -> float:
-    """The L^p norm of |f| (Euclidean norm across components) over the domain.
+def lp_norm(
+    f: PiecewiseFunction | LazyComposition | Sequence[PiecewiseFunction], p: float
+) -> float | np.ndarray:
+    """The L^p norm of |f| (Euclidean norm across components) over the domain:
+    a float for one function, an array for a sequence of PiecewiseFunctions
+    of one component count, all measured in one `_power_integrals` pass.
 
     For a PiecewiseFunction the integral of |f|^p is exact up to rounding,
     or a RuntimeWarning says by how much it may be off: see
@@ -475,19 +482,13 @@ def lp_norm(f: Representable, p: float) -> float:
     p = float(p)
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
-    if isinstance(f, PiecewiseFunction):
-        return float(_power_integrals([f], p)[0]) ** (1.0 / p)
-    u, w = _gauss_rule(_NODES_PER_PIECE)
-    radii = np.linalg.norm(f.local_values(u), axis=-1)
-    return float(0.5 * np.diff(f.breakpoints) @ (radii**p @ w)) ** (1.0 / p)
-
-
-def lp_norms(fs: Sequence[PiecewiseFunction], p: float) -> np.ndarray:
-    """`lp_norm` of each f in fs (of one component count): `_power_integrals`."""
-    p = float(p)
-    if not p >= 1.0:
-        raise ValueError("p must be at least 1")
-    return _power_integrals(fs, p) ** (1.0 / p)
+    if isinstance(f, LazyComposition):
+        u, w = _gauss_rule(_NODES_PER_PIECE)
+        radii = np.linalg.norm(f.local_values(u), axis=-1)
+        return float(0.5 * np.diff(f.breakpoints) @ (radii**p @ w)) ** (1.0 / p)
+    single = isinstance(f, PiecewiseFunction)
+    norms = _power_integrals([f] if single else f, p) ** (1.0 / p)
+    return float(norms[0]) if single else norms
 
 
 # Real zeros of a piece closer than this (in local coordinates) are merged
@@ -735,15 +736,12 @@ def _power_integrals(fs: Sequence[PiecewiseFunction], p: float) -> np.ndarray:
     return total
 
 
-def sup_norm(f: PiecewiseFunction) -> float:
-    """Supremum of |f|, exact up to rounding: see `sup_norms`."""
-    return float(sup_norms([f])[0])
+def sup_norm(f: PiecewiseFunction | Sequence[PiecewiseFunction]) -> float | np.ndarray:
+    """Supremum of |f|, exact up to rounding: a float for one function, an
+    array for a sequence of them, with the same bits as one at a time.
 
-
-def sup_norms(fs: Sequence[PiecewiseFunction]) -> np.ndarray:
-    """Supremum of |f| for each f in fs, exact up to rounding: the maximum
-    over both ends of every piece, the stored endpoint value and the
-    critical points of |f|, the roots of the derivative of
+    It is the maximum over both ends of every piece, the stored endpoint
+    value and the critical points of |f|, the roots of the derivative of
     `_modulus_series`, as Chebfun finds a maximum.  Each root counts at its
     real part clipped onto [-1, 1]: an extra point cannot raise the maximum
     above the supremum, so the near-real roots a multiple critical point
@@ -752,9 +750,11 @@ def sup_norms(fs: Sequence[PiecewiseFunction]) -> np.ndarray:
     search runs over all pieces of one degree at once (padding would move
     a result by rounding).  Meaningful for continuous representatives.
     """
-    best = np.array([np.linalg.norm(f.endpoint_value) for f in fs])
-    for d in {f.degree for f in fs}:
-        at = np.flatnonzero([f.degree == d for f in fs])
+    single = isinstance(f, PiecewiseFunction)
+    fs = [f] if single else f
+    best = np.array([np.linalg.norm(g.endpoint_value) for g in fs])
+    for d in {g.degree for g in fs}:
+        at = np.flatnonzero([g.degree == d for g in fs])
         coeffs = np.concatenate([fs[i].coeffs for i in at])
         owner = np.repeat(at, [fs[i].n_pieces for i in at])
         ends = np.linalg.norm(_cheb_values(coeffs, np.array([-1.0, 1.0])), axis=-1)
@@ -764,28 +764,20 @@ def sup_norms(fs: Sequence[PiecewiseFunction]) -> np.ndarray:
         roots = _cheb_roots((series[:, None] @ _cheb_derivative(series.shape[1]).T)[:, 0])
         piece = np.repeat(searched[list(roots)], [r.size for r in roots.values()])
         u = np.clip(np.concatenate([np.empty(0), *roots.values()]).real, -1.0, 1.0)
-        radii = np.linalg.norm(_cheb_values(coeffs[piece], u[:, None])[:, 0], axis=-1)
-        np.maximum.at(best, owner[piece], radii)
-    return best
+        # Clenshaw's recurrence works elementwise, so a point gets the same
+        # bits however many share the call; a stacked matrix product may
+        # send one row to BLAS and several to another loop.
+        vals = _cheb.chebval(u[:, None], np.moveaxis(coeffs[piece], 1, 0), tensor=False)
+        np.maximum.at(best, owner[piece], np.linalg.norm(vals, axis=-1))
+    return float(best[0]) if single else best
 
 
 def stack(functions: Sequence[PiecewiseFunction]) -> PiecewiseFunction:
-    """Concatenate components of several functions on a partition merged
-    as in `PiecewiseFunction._binary` (of two breakpoints within the
-    tolerance the left one is kept)."""
+    """Concatenate components of several functions on the partition of
+    `_merged_pieces`."""
     if not functions:
         raise ValueError("need at least one function")
-    a, b = functions[0].domain
-    tol = _scale_tol(a, b)
-    for g in functions[1:]:
-        ga, gb = g.domain
-        if abs(ga - a) > tol or abs(gb - b) > tol:
-            raise DomainError("stack requires a common domain")
-    partition = functions[0].breakpoints.copy()
-    for g in functions[1:]:
-        partition = _merge_partitions(partition, g.breakpoints, tol)
-    partition[0], partition[-1] = a, b
-    per_fn = [g._pieces_on(partition) for g in functions]
+    partition, per_fn = _merged_pieces(functions)
     deg = max(c.shape[1] for c in per_fn)
     blocks = np.concatenate(
         [np.pad(c, ((0, 0), (0, deg - c.shape[1]), (0, 0))) for c in per_fn], axis=2

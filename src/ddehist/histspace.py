@@ -14,24 +14,18 @@ measures solution segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .funcrep import (
-    DomainError,
-    PiecewiseFunction,
-    lp_norm,
-    lp_norms,
-)
+from .funcrep import DomainError, PiecewiseFunction, lp_norm
 
 __all__ = [
     "HistoryConfig",
     "HistoryElement",
     "QuotientPair",
     "seminorm",
-    "seminorms",
     "endpoint_lp_norm",
-    "endpoint_lp_norms",
     "static_prolongation",
     "history_segment",
     "to_pair",
@@ -135,30 +129,28 @@ def _check(phi: HistoryElement, cfg: HistoryConfig) -> None:
         raise ValueError("history component count does not match config")
 
 
-def endpoint_lp_norm(x: PiecewiseFunction, p: float) -> float:
-    """L^p norm over the domain augmented by the value at the right endpoint."""
-    integral = lp_norm(x, p) ** p
-    tip = float(np.linalg.norm(np.atleast_1d(x.endpoint_value)))
-    return (integral + tip**p) ** (1.0 / p)
+def endpoint_lp_norm(
+    x: PiecewiseFunction | Sequence[PiecewiseFunction], p: float
+) -> float | np.ndarray:
+    """L^p norm over the domain augmented by the value at the right endpoint:
+    a float for one PiecewiseFunction, an array for a sequence of them,
+    measured in one `lp_norm` pass."""
+    single = isinstance(x, PiecewiseFunction)
+    xs = [x] if single else x
+    tips = np.array([np.linalg.norm(each.endpoint_value) for each in xs])
+    norms = (lp_norm(xs, p) ** p + tips**p) ** (1.0 / p)
+    return float(norms[0]) if single else norms
 
 
-def endpoint_lp_norms(xs, p: float) -> np.ndarray:
-    """`endpoint_lp_norm` of each function in xs, in one `lp_norms` pass."""
-    tips = np.array([np.linalg.norm(np.atleast_1d(x.endpoint_value)) for x in xs])
-    return (lp_norms(xs, p) ** p + tips**p) ** (1.0 / p)
-
-
-def seminorm(phi: HistoryElement, cfg: HistoryConfig) -> float:
-    """The history seminorm at exponent cfg.p."""
-    _check(phi, cfg)
-    return endpoint_lp_norm(phi.rep, cfg.p)
-
-
-def seminorms(phis, cfg: HistoryConfig) -> np.ndarray:
-    """The history seminorm of each of phis, in one `lp_norms` pass."""
-    for phi in phis:
-        _check(phi, cfg)
-    return endpoint_lp_norms([phi.rep for phi in phis], cfg.p)
+def seminorm(
+    phi: HistoryElement | Sequence[HistoryElement], cfg: HistoryConfig
+) -> float | np.ndarray:
+    """The history seminorm at exponent cfg.p: a float for one
+    HistoryElement, an array for a sequence of them, in one pass."""
+    single = isinstance(phi, HistoryElement)
+    for each in [phi] if single else phi:
+        _check(each, cfg)
+    return endpoint_lp_norm(phi.rep if single else [each.rep for each in phi], cfg.p)
 
 
 def static_prolongation(phi: HistoryElement, T: float) -> PiecewiseFunction:

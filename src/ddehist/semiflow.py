@@ -24,7 +24,7 @@ from .derivops import (
     tangent_deviation,
     tangent_trajectory,
 )
-from .funcrep import lp_norm, sup_norms
+from .funcrep import lp_norm, sup_norm
 from .histspace import (
     HistoryConfig,
     HistoryElement,
@@ -32,7 +32,6 @@ from .histspace import (
     prolongation_constant,
     regulation_constant,
     seminorm,
-    seminorms,
     static_prolongation,
 )
 from .nonlinear import Nonlinearity
@@ -129,11 +128,11 @@ def continuity_modulus(
         if t < 0:
             raise ValueError("grid times must be nonnegative")
         if t == 0.0:
-            gaps = seminorms([direction.scale(f) for f in factors], sf.cfg)
+            gaps = seminorm([direction.scale(f) for f in factors], sf.cfg)
             tables.append(ModulusTable(0.0, GapTable(gaps, gaps), gaps))
             continue
         base, rows = halving_solves(sf.problem(phi), direction, float(t), count)
-        sizes = seminorms([step for _, step, _ in rows], sf.cfg)
+        sizes = seminorm([step for _, step, _ in rows], sf.cfg)
         tables.append(_modulus_table(sf, float(t), sizes, base, rows))
     return tuple(tables)
 
@@ -145,8 +144,8 @@ def _modulus_table(sf: Semiflow, t: float, sizes, base, rows) -> ModulusTable:
     inflate = prolongation_constant(t, sf.cfg.p)
     segs = [history_segment(traj.x, t, sf.cfg.R) - base_seg for _, _, traj in rows]
     ydiffs = [(traj.x - base.x) - static_prolongation(step, t) for _, step, traj in rows]
-    outs = seminorms(segs, sf.cfg)
-    bounds = window * sup_norms(ydiffs) + inflate * sizes
+    outs = seminorm(segs, sf.cfg)
+    bounds = window * sup_norm(ydiffs) + inflate * sizes
     return ModulusTable(t, GapTable(sizes, outs), bounds)
 
 
@@ -164,7 +163,7 @@ def time_map_remainder(
     """
     ctx = DerivativeContext(sf.problem(phi), float(t))
     base, rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
-    sizes = seminorms([chi for _, chi, _ in rows], sf.cfg)
+    sizes = seminorm([chi for _, chi, _ in rows], sf.cfg)
     return _remainder_table(ctx, chi0, sizes, base, rows)
 
 
@@ -173,7 +172,7 @@ def _remainder_table(ctx: DerivativeContext, chi0: HistoryElement, sizes, base, 
     cfg, t = ctx.problem.cfg, ctx.horizon
     tangent0 = tangent_trajectory(ctx, chi0)
     segs = [history_segment(traj.x - base.x - tangent0.scale(f), t, cfg.R) for f, _, traj in rows]
-    return RemainderTable(sizes, seminorms(segs, cfg))
+    return RemainderTable(sizes, seminorm(segs, cfg))
 
 
 def time_map_derivative_gap(
@@ -267,4 +266,4 @@ def verify_semiflow(
     if differentiable and sf.cfg.p >= sf.nl.df_growth.alpha + 1 - 1e-12:
         ctx = DerivativeContext(sf.problem(phi), r)
         remainder = _remainder_table(ctx, direction, sizes, *full)
-    return SemiflowReport(identity, seminorms(gaps, sf.cfg), tuple(pairs), modulus, remainder)
+    return SemiflowReport(identity, seminorm(gaps, sf.cfg), tuple(pairs), modulus, remainder)

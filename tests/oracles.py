@@ -13,8 +13,8 @@ operations of `ddehist.funcrep`; the sup norm reference finds each piece's
 critical points with numpy's `chebroots`.  The split L^p reference keeps
 the per-group, per-rule-size Gauss-Jacobi loop that `funcrep` replaced by
 one evaluation per bisection level.  The last two loops measure one
-function at a time, the reference for the batched `funcrep.lp_norms` and
-`sup_norms`.
+function at a time, the reference for `funcrep.lp_norm` and `sup_norm`
+given a sequence of functions.
 """
 
 import numpy as np

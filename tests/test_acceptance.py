@@ -86,7 +86,7 @@ def test_criterion_1_solver_matches_the_independent_oracle():
 
 
 def _closed_form_corpus():
-    """50 histories with hand-integrable seminorms, at p = 1 and p = 2."""
+    """50 histories whose seminorm is integrable by hand, at p = 1 and p = 2."""
     entries = []
     for p in (1.0, 2.0):
         cfg = HistoryConfig(R=1.0, p=p, N=1)

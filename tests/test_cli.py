@@ -339,25 +339,7 @@ class TestDemoCommand:
 
 
 class TestOutputPrecedence:
-    def test_flag_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DDEHIST_OUT", str(tmp_path / "env"))
-        flag_dir = tmp_path / "flag"
-        assert main(["demo", "--out", str(flag_dir)]) == 0
-        assert flag_dir.exists()
-        assert not (tmp_path / "env").exists()
-
-    def test_environment_beats_config(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env"
-        monkeypatch.setenv("DDEHIST_OUT", str(env_dir))
-        cfg = write_config(
-            tmp_path, [DEMO_EXPERIMENT], extra={"out": str(tmp_path / "cfg")}
-        )
-        assert main(["verify", "--config", cfg]) == 0
-        assert env_dir.exists()
-        assert not (tmp_path / "cfg").exists()
-
     def test_config_beats_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("DDEHIST_OUT", raising=False)
         monkeypatch.chdir(tmp_path)
         cfg_dir = tmp_path / "cfg"
         cfg = write_config(tmp_path, [DEMO_EXPERIMENT], extra={"out": str(cfg_dir)})
@@ -366,7 +348,6 @@ class TestOutputPrecedence:
         assert not (tmp_path / "out").exists()
 
     def test_default_is_out_under_cwd(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("DDEHIST_OUT", raising=False)
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, [DEMO_EXPERIMENT])
         assert main(["verify", "--config", cfg]) == 0

@@ -210,6 +210,20 @@ def test_pair_norm_isometry_random(seed, p):
     assert pair_norm(to_pair(phi), p) == pytest.approx(seminorm(phi, cfg), abs=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_seminorms_of_one_history_are_floats_equal_to_their_batch_of_one(seed, p):
+    rng = np.random.default_rng(seed)
+    cfg = HistoryConfig(R=1.0, p=p, N=int(rng.integers(1, 4)))
+    phi = random_history(rng, cfg, n_pieces=int(rng.integers(1, 5)))
+    value = seminorm(phi, cfg)
+    assert type(value) is float
+    assert np.array_equal(seminorm([phi], cfg), [value])
+    value = endpoint_lp_norm(phi.rep, p)
+    assert type(value) is float
+    assert np.array_equal(endpoint_lp_norm([phi.rep], p), [value])
+
+
 def test_pair_norm_forgets_ae_endpoint():
     # two pairs with the same class and eta but different stored endpoint
     # values on the representative are the same point of the quotient
