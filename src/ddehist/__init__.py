@@ -68,7 +68,6 @@ from .nonlinear import (
 )
 from .semiflow import (
     ModulusTable,
-    Semiflow,
     SemiflowReport,
     continuity_modulus,
     evolve,
@@ -99,7 +98,6 @@ __all__ = [
     "Problem",
     "QuotientPair",
     "RemainderTable",
-    "Semiflow",
     "SemiflowReport",
     "Trajectory",
     "apply_derivative",

@@ -16,7 +16,7 @@ argument stays inside the history, where the perturbation lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -182,26 +182,25 @@ def map_gap(fn, a: PiecewiseFunction, b: PiecewiseFunction) -> LazyComposition:
 
 
 def halving_solves(pb: Problem, chi: HistoryElement, horizon: float, count: int):
-    """The solves behind every dependence table: from pb.phi and along the
-    halving schedule pb.phi + chi/2^k, k = 0..count.
+    """The trajectory gaps behind every dependence table: the solves from
+    pb.phi + chi/2^k, k = 0..count, less the one from pb.phi.
 
-    Returns the base trajectory and one (2^-k, chi/2^k, trajectory) row per k.
+    Returns one (2^-k, chi/2^k, x_k - x_0) row per k, where x_k is the
+    trajectory on [-R, horizon] from pb.phi + chi/2^k.
     """
-    factors = halving(count)
-    base = solve(pb, horizon)
+    base = solve(pb, horizon).x
     rows = []
-    for factor in factors:
+    for factor in halving(count):
         step = chi.scale(factor)
-        moved = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + step), horizon)
-        rows.append((factor, step, moved))
-    return base, rows
+        rows.append((factor, step, solve(replace(pb, phi=pb.phi + step), horizon).x - base))
+    return rows
 
 
 def remainder_function(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
     """Perturbed trajectory minus base trajectory minus first-order response."""
     pb = ctx.problem
     base = solve(pb, ctx.horizon).x
-    moved = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + chi), ctx.horizon).x
+    moved = solve(replace(pb, phi=pb.phi + chi), ctx.horizon).x
     return moved - base - tangent_trajectory(ctx, chi)
 
 
@@ -212,9 +211,9 @@ def remainder_schedule(ctx: DerivativeContext, chi0: HistoryElement, count: int)
     construction); each row re-solves the perturbed problem.
     """
     tangent0 = tangent_trajectory(ctx, chi0)
-    base, rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
+    rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
     scales = lp_norm([chi.rep for _, chi, _ in rows], ctx.alpha + 1.0)
-    remainders = sup_norm([traj.x - base.x - tangent0.scale(f) for f, _, traj in rows])
+    remainders = sup_norm([gap - tangent0.scale(f) for f, _, gap in rows])
     return RemainderTable(scales, remainders)
 
 
@@ -245,7 +244,7 @@ def derivative_gap(
     point.
     """
     pb = ctx.problem
-    ctx0 = DerivativeContext(Problem(pb.cfg, pb.nl, pb.r, phi0), ctx.horizon)
+    ctx0 = DerivativeContext(replace(pb, phi=phi0), ctx.horizon)
     bound = lp_norm(jacobian_gap(pb.nl.jac, pb.phi.rep, phi0.rep), ctx.q)
     probed = estimate_operator_norm(
         lambda chi: tangent_deviation(ctx, chi) - tangent_deviation(ctx0, chi),

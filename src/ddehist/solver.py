@@ -35,13 +35,7 @@ from .funcrep import (
     _piece_index,
     _scale_tol,
 )
-from .histspace import (
-    HistoryConfig,
-    HistoryElement,
-    _check,
-    history_segment,
-    static_prolongation,
-)
+from .histspace import HistoryConfig, HistoryElement, _check, history_segment
 from .nonlinear import Nonlinearity
 
 __all__ = ["Problem", "Trajectory", "solve", "step_edges"]
@@ -81,14 +75,6 @@ class Trajectory:
 
     def history_at(self, t: float) -> HistoryElement:
         return history_segment(self.x, t, self.problem.cfg.R)
-
-    def deviation(self) -> PiecewiseFunction:
-        """x minus the static prolongation of the history.
-
-        The result vanishes on [-R, 0] and is continuous; it isolates the
-        part of the trajectory generated by integration.
-        """
-        return self.x - static_prolongation(self.problem.phi, self.horizon)
 
     def continuity_defect(self) -> float:
         """Largest one-sided value gap at breakpoints inside (0, horizon]."""

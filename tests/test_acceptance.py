@@ -52,7 +52,7 @@ from ddehist.histspace import (
     to_pair,
 )
 from ddehist.nonlinear import linear, mackey_glass, quadratic, saturating
-from ddehist.semiflow import Semiflow, continuity_modulus, quotient_invariance, semigroup_defect, time_map_remainder
+from ddehist.semiflow import continuity_modulus, quotient_invariance, semigroup_defect, time_map_remainder
 from ddehist.solver import Problem, solve
 
 from oracles import riemann_solve
@@ -310,9 +310,7 @@ def test_criterion_4_small_o_certificates():
         for k in range(13):
             bound = curvature_remainder_bound(ctx, chi.scale(2.0**-k))
             worst_curvature = max(worst_curvature, float(table.remainders[k]) - bound)
-        segment_cert = time_map_remainder(
-            Semiflow(cfg, nl, r), r, phi, chi, 12
-        ).certificate()
+        segment_cert = time_map_remainder(ctx.problem, r, chi, 12).certificate()
         ok = ok and bool(segment_cert.passed)
         worst_tail = max(worst_tail, segment_cert.final_over_reference / segment_cert.final_limit)
     ok = ok and worst_curvature <= 1e-8
@@ -359,23 +357,23 @@ def test_criterion_5_semiflow_axioms_on_a_corpus():
         kind = i % 5
         r = (0.5, 0.7, 0.85, 1.0)[i % 4]
         if kind == 0:
-            problems.append((Semiflow(cfg, saturating(), r), random_history(rng, cfg)))
+            problems.append(Problem(cfg, saturating(), r, random_history(rng, cfg)))
         elif kind == 1:
-            problems.append((Semiflow(cfg, mackey_glass(), r), random_history(rng, cfg, scale=0.8)))
+            problems.append(Problem(cfg, mackey_glass(), r, random_history(rng, cfg, scale=0.8)))
         elif kind == 2:
-            problems.append((Semiflow(cfg, linear([[-1.0]]), r), random_history(rng, cfg)))
+            problems.append(Problem(cfg, linear([[-1.0]]), r, random_history(rng, cfg)))
         elif kind == 3:
-            problems.append((Semiflow(cfg, quadratic(), r), random_history(rng, cfg, scale=0.4)))
+            problems.append(Problem(cfg, quadratic(), r, random_history(rng, cfg, scale=0.4)))
         else:
-            problems.append((Semiflow(cfg2, rotation, r), random_history(rng, cfg2)))
+            problems.append(Problem(cfg2, rotation, r, random_history(rng, cfg2)))
     worst_defect = 0.0
     worst_invariance = 0.0
-    for sf, phi in problems:
-        r = sf.r
+    for pb in problems:
+        r = pb.r
         for t, s in ((0.6 * r, 0.6 * r), (r, 0.3 * r), (0.0, 0.5 * r), (0.5 * r, 0.0)):
-            worst_defect = max(worst_defect, semigroup_defect(sf, t, s, phi))
-        variant = null_set_variant(phi, rng)
-        worst_invariance = max(worst_invariance, quotient_invariance(sf, r, phi, variant))
+            worst_defect = max(worst_defect, semigroup_defect(pb, t, s))
+        variant = null_set_variant(pb.phi, rng)
+        worst_invariance = max(worst_invariance, quotient_invariance(pb, r, variant))
     ok = worst_defect <= 1e-9 and worst_invariance <= 1e-10
     verdict(
         5, "semiflow-axioms", ok,
@@ -437,7 +435,9 @@ def test_criterion_7_continuity_probes_with_direct_bounds():
             moved = phi + step
             traj = solve(Problem(cfg, nl, r, moved), r)
             outs.append(endpoint_lp_norm(traj.x - base.x, cfg.p))
-            ygap = sup_norm(traj.deviation() - base.deviation())
+            # The deviation gap: each trajectory less its history's static prolongation.
+            deviation = traj.x - static_prolongation(moved, r)
+            ygap = sup_norm(deviation - (base.x - static_prolongation(phi, r)))
             paired = stack((moved.rep, phi.rep))
             fgap = LazyComposition(paired, lambda v: fn(v[:, :1]) - fn(v[:, 1:]), 1)
             worst_excess = max(worst_excess, ygap - lp_norm(fgap, 1.0))
@@ -456,10 +456,8 @@ def test_criterion_7_continuity_probes_with_direct_bounds():
         ok = ok and bool(cert.passed)
         worst_tail = max(worst_tail, cert.final_over_reference / cert.final_limit)
 
-    sf = Semiflow(cfg, saturating(), 0.8)
-    tables = continuity_modulus(
-        sf, [0.4, 0.8], random_history(rng, cfg, scale=0.5), random_history(rng, cfg), 12
-    )
+    pb = Problem(cfg, saturating(), 0.8, random_history(rng, cfg, scale=0.5))
+    tables = continuity_modulus(pb, [0.4, 0.8], random_history(rng, cfg), 12)
     for table in tables:
         cert = table.gaps.certificate()
         within = np.all(table.gaps.output_gaps <= table.bounds + 1e-8)

@@ -17,7 +17,7 @@ import oracles
 from ddehist import solver
 from ddehist.corpus import null_set_variant, random_history
 from ddehist.funcrep import PiecewiseFunction, sup_norm
-from ddehist.histspace import HistoryConfig, HistoryElement, seminorm
+from ddehist.histspace import HistoryConfig, HistoryElement, seminorm, static_prolongation
 from ddehist.nonlinear import linear, make, quadratic, saturating
 from ddehist.solver import Problem, Trajectory, solve, step_edges
 
@@ -198,7 +198,7 @@ class TestTrajectoryDiagnostics:
 
     def test_deviation_vanishes_on_history_and_tracks_growth(self):
         traj = solve(growth_problem(), 2.0)
-        y = traj.deviation()
+        y = traj.x - static_prolongation(traj.problem.phi, 2.0)
         assert y.domain == (-1.0, 2.0)
         np.testing.assert_allclose(y(np.array([-1.0, -0.4, 0.0])), 0.0, atol=1e-12)
         assert y(0.5)[0] == pytest.approx(0.5, abs=1e-12)
