@@ -115,7 +115,8 @@ def certify_decay(values) -> Certificate:
     checks = [(row, FINAL_FRACTION ** ((n - row) / n)) for row in (peak_row, half)]
     small_final = all(v[-1] <= limit * v[row] + NOISE_FLOOR for row, limit in checks)
     ref, limit = max(checks, key=lambda c: v[-1] / (c[1] * clipped[c[0]]))
-    ratios = f"final/initial = {v[-1] / v[0]:.3e}, final/row {ref} = {v[-1] / clipped[ref]:.3e}"
+    initial = v[-1] / v[0] if v[0] > 0 else 0.0
+    ratios = f"final/initial = {initial:.3e}, final/row {ref} = {v[-1] / clipped[ref]:.3e}"
     if not monotone:
         reason = "no non-increasing tail starting in the first half"
     elif not small_final:

@@ -674,9 +674,24 @@ def _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, sizes):
     return 0.5 * (hi - lo) * np.array(sums)
 
 
+def _degree_groups(fs: Sequence[PiecewiseFunction]):
+    """The pieces of fs, one group per degree: for each degree, the (pieces,
+    deg + 1, N) coefficients of the functions of that degree, the index in
+    fs of each piece's function and each piece's half-width.  A function's
+    norm is measured within its group, so it gets the same bits in a batch
+    as alone: padding to a larger degree would move it by rounding."""
+    degrees = np.array([f.degree for f in fs])
+    for d in np.unique(degrees):
+        at = np.flatnonzero(degrees == d)
+        coeffs = np.concatenate([fs[i].coeffs for i in at])
+        owner = np.repeat(at, [fs[i].n_pieces for i in at])
+        yield coeffs, owner, np.concatenate([0.5 * np.diff(fs[i].breakpoints) for i in at])
+
+
 def _power_integrals(fs: Sequence[PiecewiseFunction], p: float) -> np.ndarray:
     """The integral of |f|^p over the domain of each f in fs, exact up to
-    rounding, over the pieces of all of them at once.
+    rounding, over the pieces of all functions of one degree at once
+    (`_degree_groups`).
 
     When p is an even integer, |f|^p = (sum_j f_j^2)^(p/2) is a polynomial
     on each piece and Gauss-Legendre with enough nodes integrates it
@@ -692,44 +707,46 @@ def _power_integrals(fs: Sequence[PiecewiseFunction], p: float) -> np.ndarray:
     bisection evaluates |f|^p once, at both rule sizes (`_split_rule`).
     The test's rounding floor is 1e-16 of each function's own integral.
     """
-    if not fs:
-        return np.zeros(0)
-    coeffs = _padded([f.coeffs for f in fs])
-    owner = np.repeat(np.arange(len(fs)), [f.n_pieces for f in fs])
-    scale = np.concatenate([0.5 * np.diff(f.breakpoints) for f in fs])
-    n = max(_NODES_PER_PIECE, math.ceil((p * (coeffs.shape[1] - 1) + 1.0) / 2.0))
-    even, none = p % 2.0 == 0.0, np.zeros(owner.size, dtype=int)
-    whole = np.arange(owner.size), none - 1.0, none + 1.0, none, none
-    piece, lo, hi, mlo, mhi = whole if even else _modulus_intervals(coeffs)
-    if even or (p == round(p) and coeffs.shape[2] == 1):
-        # The rest is a polynomial of degree at most p * deg: n nodes are
-        # exact and there is nothing to check.
-        rest = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n,))[0]
-        return np.bincount(owner[piece], weights=scale[piece] * rest, minlength=len(fs))
     total = np.zeros(len(fs))
-    for level in range(_JACOBI_MAX_ROUNDS + 1):
-        coarse, fine = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n, 2 * n))
-        weighted = scale[piece] * fine
-        if level == 0:
-            floor = 1e-16 * np.bincount(owner[piece], weights=weighted, minlength=len(fs))
-        error = scale[piece] * np.abs(fine - coarse)
-        done = error <= 1e-14 * weighted + floor[owner[piece]]
-        if done.all() or level == _JACOBI_MAX_ROUNDS:
-            break
-        total += np.bincount(owner[piece[done]], weights=weighted[done], minlength=len(fs))
-        piece, lo, hi, mlo, mhi = (arr[~done] for arr in (piece, lo, hi, mlo, mhi))
-        mid = 0.5 * (lo + hi)
-        zeros = np.zeros_like(mlo)
-        piece = np.concatenate((piece, piece))
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        mlo, mhi = np.concatenate((mlo, zeros)), np.concatenate((zeros, mhi))
-    total += np.bincount(owner[piece], weights=weighted, minlength=len(fs))
-    if not done.all():
-        short = np.unique(owner[piece[~done]])
+    # The owners and errors of the sub-intervals that still disagree.
+    stuck, stuck_error = [np.zeros(0, dtype=int)], 0.0
+    for coeffs, owner, scale in _degree_groups(fs):
+        n = max(_NODES_PER_PIECE, math.ceil((p * (coeffs.shape[1] - 1) + 1.0) / 2.0))
+        even, none = p % 2.0 == 0.0, np.zeros(owner.size, dtype=int)
+        whole = np.arange(owner.size), none - 1.0, none + 1.0, none, none
+        piece, lo, hi, mlo, mhi = whole if even else _modulus_intervals(coeffs)
+        if even or (p == round(p) and coeffs.shape[2] == 1):
+            # The rest is a polynomial of degree at most p * deg: n nodes are
+            # exact and there is nothing to check.
+            rest = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n,))[0]
+            total += np.bincount(owner[piece], weights=scale[piece] * rest, minlength=len(fs))
+            continue
+        for level in range(_JACOBI_MAX_ROUNDS + 1):
+            coarse, fine = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n, 2 * n))
+            weighted = scale[piece] * fine
+            if level == 0:
+                floor = 1e-16 * np.bincount(owner[piece], weights=weighted, minlength=len(fs))
+            error = scale[piece] * np.abs(fine - coarse)
+            done = error <= 1e-14 * weighted + floor[owner[piece]]
+            if done.all() or level == _JACOBI_MAX_ROUNDS:
+                break
+            total += np.bincount(owner[piece[done]], weights=weighted[done], minlength=len(fs))
+            piece, lo, hi, mlo, mhi = (arr[~done] for arr in (piece, lo, hi, mlo, mhi))
+            mid = 0.5 * (lo + hi)
+            zeros = np.zeros_like(mlo)
+            piece = np.concatenate((piece, piece))
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+            mlo, mhi = np.concatenate((mlo, zeros)), np.concatenate((zeros, mhi))
+        total += np.bincount(owner[piece], weights=weighted, minlength=len(fs))
+        stuck.append(owner[piece[~done]])
+        stuck_error += error[~done].sum()
+    stuck = np.concatenate(stuck)
+    if stuck.size:
+        short = np.unique(stuck)
         warnings.warn(
-            f"integral of |f|^{p:g}: {np.count_nonzero(~done)} sub-intervals of {short.size} "
+            f"integral of |f|^{p:g}: {stuck.size} sub-intervals of {short.size} "
             f"function(s) still disagree after {_JACOBI_MAX_ROUNDS} rounds of bisection, by "
-            f"{error[~done].sum():.3e} in total against integrals of {total[short].sum():.6e}",
+            f"{stuck_error:.3e} in total against integrals of {total[short].sum():.6e}",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -753,10 +770,7 @@ def sup_norm(f: PiecewiseFunction | Sequence[PiecewiseFunction]) -> float | np.n
     single = isinstance(f, PiecewiseFunction)
     fs = [f] if single else f
     best = np.array([np.linalg.norm(g.endpoint_value) for g in fs])
-    for d in {g.degree for g in fs}:
-        at = np.flatnonzero([g.degree == d for g in fs])
-        coeffs = np.concatenate([fs[i].coeffs for i in at])
-        owner = np.repeat(at, [fs[i].n_pieces for i in at])
+    for coeffs, owner, _ in _degree_groups(fs):
         ends = np.linalg.norm(_cheb_values(coeffs, np.array([-1.0, 1.0])), axis=-1)
         np.maximum.at(best, owner, ends.max(axis=1))
         searched = np.flatnonzero(np.linalg.norm(np.abs(coeffs).sum(axis=1), axis=1) > best[owner])

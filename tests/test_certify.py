@@ -51,6 +51,15 @@ class TestCertifyDecay:
         assert cert.final_limit == pytest.approx(1e-3**0.5)
         assert cert.final_over_reference == pytest.approx(2.0**-6)
 
+    def test_zero_first_entry_reads_as_a_zero_initial_ratio(self):
+        # A table that starts at 0 and peaks at row 1: the reason reports
+        # final/initial as final_over_initial does, without dividing by 0.
+        cert = certify_decay([0.0, 1.0, 0.5, 0.25, 0.1, 1e-5, 1e-9])
+        assert cert.passed
+        assert cert.final_over_initial == 0.0
+        assert "final/initial = 0.000e+00" in cert.reason
+        assert "inf" not in cert.reason
+
     def test_limit_is_scaled_to_the_rows_after_the_peak(self):
         # Shaped like the saturating remainder ratios of seeds 1851 and 4263
         # in test_derivops: peak at row 1, a slow start, then exact halving.

@@ -592,14 +592,26 @@ batches = st.integers(1, 2).flatmap(
 )
 
 
+# A linear and a quartic function with two components: padded to degree 4
+# in one array, the linear one's norm at p = 1 moved by 2.2e-16.
+MIXED_DEGREES = [
+    PiecewiseFunction([-1.0, 1.0], [[[-0.18, -0.1], [1.14, 0.58]]], [0.0, 0.0]),
+    PiecewiseFunction(
+        [-1.0, 1.0],
+        [[[-0.75, 0.68], [0.77, -0.11], [-0.26, -0.19], [-1.69, 0.19], [0.23, -0.87]]],
+        [0.0, 0.0],
+    ),
+]
+
+
 @settings(max_examples=60, deadline=None)
 @given(fs=batches, p=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]))
 @example(fs=[DOUBLE_ZERO, ZERO_AT_ENDS, _near_root_bump()[0]], p=1.5)
 # The bump converges by its own rounding floor, not by the large constant's.
 @example(fs=[_near_root_bump()[0].scale(1e-6), PiecewiseFunction.constant([1e3], (-1.0, 1.0))], p=1.5)
+@example(fs=MIXED_DEGREES, p=1.0)
 def test_lp_norms_match_the_per_function_loop(fs, p):
-    expected = oracles.lp_norm_loop(fs, p)
-    assert np.all(np.abs(lp_norm(fs, p) - expected) <= 1e-14 * expected)
+    assert np.array_equal(lp_norm(fs, p), oracles.lp_norm_loop(fs, p))
 
 
 # A zero-padded top coefficient: evaluated at the critical points in one
