@@ -45,7 +45,13 @@ from .derivops import (
     tangent_deviation_bound,
 )
 from .funcrep import PiecewiseFunction, lp_norm, sup_norm
-from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norm, seminorm, static_prolongation
+from .histspace import (
+    HistoryConfig,
+    HistoryElement,
+    endpoint_lp_norm,
+    seminorm,
+    static_prolongation,
+)
 from .nonlinear import make
 from .semiflow import quotient_invariance, verify_semiflow
 from .solver import Problem, solve
@@ -338,9 +344,11 @@ def _run_dependence(spec) -> ExperimentResult:
     factors, steps, gaps = zip(*schedule)
     gap_in = seminorm(steps, spec.space)
     gap_out = endpoint_lp_norm(gaps, spec.space.p)
-    # Prolongation is linear: the deviation gap is the gap less the step's prolongation.
+    # Prolongation is linear, so the gap of the deviations x - prolongation(phi)
+    # is the gap less the prolongation of the step.
     ygap = sup_norm([gap - static_prolongation(step, spec.horizon) for step, gap in zip(steps, gaps)])
-    l1 = [lp_norm(map_gap(spec.nl.fn, (spec.history + step).rep, spec.history.rep), 1.0) for step in steps]
+    moved = [spec.history + step for step in steps]
+    l1 = [lp_norm(map_gap(spec.nl.fn, phi.rep, spec.history.rep), 1.0) for phi in moved]
     rows = list(zip(factors, gap_in, gap_out, ygap, l1))
     cert = certify_decay(np.array([row[2] for row in rows]))
     worst = max(ygap - l1 for *_, ygap, l1 in rows)

@@ -192,7 +192,8 @@ def halving_solves(pb: Problem, chi: HistoryElement, horizon: float, count: int)
     rows = []
     for factor in halving(count):
         step = chi.scale(factor)
-        rows.append((factor, step, solve(replace(pb, phi=pb.phi + step), horizon).x - base))
+        moved = solve(replace(pb, phi=pb.phi + step), horizon).x
+        rows.append((factor, step, moved - base))
     return rows
 
 

@@ -764,8 +764,8 @@ def sup_norm(f: PiecewiseFunction | Sequence[PiecewiseFunction]) -> float | np.n
     above the supremum, so the near-real roots a multiple critical point
     splits into are kept.  Pieces whose bound sqrt(sum_j (sum_k |c_kj|)^2)
     >= |f| is at most their function's best end value are skipped.  The
-    search runs over all pieces of one degree at once (padding would move
-    a result by rounding).  Meaningful for continuous representatives.
+    search runs over all pieces of one degree at once (`_degree_groups`).
+    Meaningful for continuous representatives.
     """
     single = isinstance(f, PiecewiseFunction)
     fs = [f] if single else f
