@@ -16,6 +16,7 @@ from ddehist.derivops import (
     curvature_remainder_bound,
     derivative_gap,
     estimate_operator_norm,
+    halving_solves,
     remainder_function,
     remainder_schedule,
     tangent_deviation,
@@ -287,6 +288,22 @@ class TestRemainderSchedule:
         ctx = scalar_ctx(quadratic())
         with pytest.raises(ValueError):
             remainder_schedule(ctx, unit_direction(), 2)
+
+
+class TestHalvingSolves:
+    def test_rows_carry_the_trajectory_gap_of_each_step(self):
+        rng = np.random.default_rng(5)
+        pb = Problem(SCALAR, saturating(), 0.8, random_history(rng, SCALAR, scale=0.5))
+        chi = random_history(rng, SCALAR)
+        base = solve(pb, 0.6).x
+        rows = halving_solves(pb, chi, 0.6, 4)
+        assert [factor for factor, _, _ in rows] == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        for factor, step, gap in rows:
+            assert np.array_equal(step.rep.coeffs, chi.rep.coeffs * factor)
+            moved = solve(Problem(SCALAR, saturating(), 0.8, pb.phi + step), 0.6).x
+            expected = moved - base
+            assert np.array_equal(gap.breakpoints, expected.breakpoints)
+            assert np.array_equal(gap.coeffs, expected.coeffs)
 
 
 class TestGateauxConsistency:
