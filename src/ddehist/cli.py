@@ -45,13 +45,7 @@ from .derivops import (
     tangent_deviation_bound,
 )
 from .funcrep import PiecewiseFunction, lp_norm, sup_norm
-from .histspace import (
-    HistoryConfig,
-    HistoryElement,
-    endpoint_lp_norm,
-    seminorm,
-    static_prolongation,
-)
+from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norm, seminorm, static_prolongation
 from .nonlinear import make
 from .semiflow import quotient_invariance, verify_semiflow
 from .solver import Problem, solve
