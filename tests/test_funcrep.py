@@ -574,6 +574,19 @@ def test_split_lp_norm_stopped_short_matches_the_per_group_reference(monkeypatch
     assert abs(value - expected) <= 1e-14 * expected
 
 
+def test_split_lp_norm_stopped_short_warns_once_across_degrees(monkeypatch):
+    # The bump and a copy padded to one degree more are measured in two
+    # degree groups; both stop short, and one warning names both.
+    monkeypatch.setattr(funcrep, "_JACOBI_MAX_ROUNDS", 0)
+    f, _ = _near_root_bump()
+    padded = PiecewiseFunction(f.breakpoints, np.pad(f.coeffs, ((0, 0), (0, 1), (0, 0))), f.endpoint_value)
+    with pytest.warns(RuntimeWarning) as record:
+        values = lp_norm([f, padded], 1.5)
+    assert len(record) == 1
+    assert "of 2 function(s) still disagree" in str(record[0].message)
+    assert values[0] == pytest.approx(values[1], rel=1e-14)
+
+
 @settings(max_examples=40, deadline=None)
 @given(fb=singles, p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_lazy_lp_norm_matches_the_per_piece_reference(fb, p):
