@@ -149,9 +149,9 @@ def continuity_probe(
     p = ctx.continuity_p
     if lp_norm(direction, p) < 1e-13:
         raise ValueError("direction must be nonzero")
-    moved = [g + direction.scale(factor) for factor in factors]
-    outs = [lp_norm(map_gap(ctx.nl.fn, h, g), ctx.q) for h in moved]
-    return GapTable(lp_norm([h - g for h in moved], p), np.array(outs))
+    steps = [direction.scale(factor) for factor in factors]
+    outs = [lp_norm(map_gap(ctx.nl.fn, g, h), ctx.q) for h in steps]
+    return GapTable(lp_norm(steps, p), np.array(outs))
 
 
 def apply_derivative(

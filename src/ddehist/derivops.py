@@ -1,17 +1,17 @@
 """Derivative operators for the dependence of trajectories on their histories.
 
-For a C¹ right-hand side, the first-order response of the solution to a
-history perturbation chi splits into two parts: the static prolongation of
-chi (carrying the perturbed start value forward) and a cumulative integral
-applying the Jacobian along the base trajectory's delayed argument,
+For a C¹ right-hand side, the first-order response y to a history
+perturbation chi solves y' = Df(x(t - r)) y(t - r) with y = chi on [-R, 0],
+so (x, y) solves the delay equation of `nonlinear.tangent_system` from the
+history (phi, chi): one `solve`, at any horizon.  y splits into the static
+prolongation of chi and a deviation that vanishes on the history; within
+one delay the deviation is
 
     t  |->  integral over [0, t] of  Df(phi(s - r)) chi(s - r) ds,
 
-which vanishes on the history interval.  This module builds both parts,
-bounds the integral part through the Hoelder inequality, and certifies that
-what remains after subtracting the first-order response shrinks faster than
-the perturbation.  Horizons are capped at one delay so the base trajectory
-argument stays inside the history, where the perturbation lives.
+which this module bounds through the Hoelder inequality.  It also certifies
+that what remains after subtracting the first-order response shrinks faster
+than the perturbation.
 """
 
 from __future__ import annotations
@@ -22,19 +22,10 @@ import numpy as np
 
 from .certify import RemainderTable, halving
 from .corpus import piecewise_constant
-from .funcrep import (
-    LazyComposition,
-    PiecewiseFunction,
-    _NODES_PER_PIECE,
-    _cheb_nodes,
-    _scale_tol,
-    lp_norm,
-    stack,
-    sup_norm,
-)
-from .histspace import HistoryElement, _check, static_prolongation
-from .nonlinear import holder_conjugate, spectral_norm
-from .solver import Problem, _chained_antiderivative, solve
+from .funcrep import LazyComposition, PiecewiseFunction, lp_norm, stack, sup_norm
+from .histspace import HistoryConfig, HistoryElement
+from .nonlinear import holder_conjugate, spectral_norm, tangent_system
+from .solver import Problem, Trajectory, solve
 
 __all__ = [
     "DerivativeContext",
@@ -56,11 +47,11 @@ __all__ = [
 class DerivativeContext:
     """A problem together with the exponents used for differentiation.
 
-    horizon is the linearization window, at most one delay.  The exponent
-    p of the problem's history space must dominate alpha + 1, where alpha
-    is the certified growth order of the Jacobian.  q, the Hoelder
-    conjugate of alpha + 1, is where Df along the base history must be
-    integrable for the integral part to be bounded.
+    horizon is the linearization window; the one-step bounds check that it
+    is at most one delay.  The exponent p of the problem's history space
+    must dominate alpha + 1, where alpha is the certified growth order of
+    the Jacobian.  q, the Hoelder conjugate of alpha + 1, is where Df along
+    the base history must be integrable for the integral part to be bounded.
     """
 
     problem: Problem
@@ -72,9 +63,8 @@ class DerivativeContext:
             raise ValueError("nonlinearity does not provide a jacobian")
         if nl.df_growth is None:
             raise ValueError("nonlinearity does not certify jacobian growth")
-        r = self.problem.r
-        if not 0.0 < self.horizon <= r + 1e-12 * max(1.0, r):
-            raise ValueError("horizon must lie in (0, r]")
+        if not self.horizon > 0.0:
+            raise ValueError("horizon must be positive")
         if self.problem.cfg.p < self.alpha + 1.0 - 1e-12:
             raise ValueError("exponent p must be at least alpha + 1")
 
@@ -86,39 +76,36 @@ class DerivativeContext:
     def q(self) -> float:
         return holder_conjugate(self.alpha + 1.0)
 
+    def require_one_step(self, bound: str) -> None:
+        """Raise unless horizon <= r, where the one-step bound named `bound` holds."""
+        r = self.problem.r
+        if self.horizon > r + 1e-12 * max(1.0, r):
+            raise ValueError(f"{bound} is a one-step bound: horizon must lie in (0, r]")
 
-def tangent_deviation(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
-    """The integral part of the first-order response, zero on the history.
 
-    Linear in chi; the integrand is interpolated on the union of the shifted
-    breakpoints of the base history and of the direction, so piecewise
-    polynomial data integrates exactly up to the node count.
-    """
+def _tangent_solve(ctx: DerivativeContext, chi: HistoryElement) -> Trajectory:
+    # (x, y) on [-R, horizon] from (phi, chi): the base trajectory and the response.
     pb = ctx.problem
-    _check(chi, pb.cfg)
-    phi_rep = pb.phi.rep
-    chi_rep = chi.rep
-    r, T, R = pb.r, ctx.horizon, pb.cfg.R
-    n = phi_rep.n_components
-    tol = _scale_tol(-R, T)
-    shifted = np.concatenate([phi_rep.breakpoints + r, chi_rep.breakpoints + r])
-    inner = np.unique(shifted[(shifted > tol) & (shifted < T - tol)])
-    if inner.size:
-        inner = inner[np.concatenate(([True], np.diff(inner) > tol))]
-    cuts = np.concatenate(([0.0], inner, [T]))
-    # One step of the method of steps, linear in chi: Df(phi(s - r)) chi(s - r)
-    # at the nodes of every cut, integrated from 0 as the solver does.
-    nodes = _cheb_nodes(_NODES_PER_PIECE)
-    half = 0.5 * np.diff(cuts)[:, None, None]
-    args = ((0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half[:, :, 0] * nodes - r).ravel()
-    rates = np.einsum("kij,kj->ki", pb.nl.jacobian(phi_rep(args)), chi_rep(args))
-    integ, value = _chained_antiderivative(rates.reshape(cuts.size - 1, -1, n), half, np.zeros(n))
-    return PiecewiseFunction(np.concatenate(([-R], cuts)), [np.zeros((1, n)), integ], value)
+    cfg = HistoryConfig(pb.cfg.R, pb.cfg.p, 2 * pb.cfg.N)
+    history = HistoryElement(stack((pb.phi.rep, chi.rep)))
+    return solve(Problem(cfg, tangent_system(pb.nl), pb.r, history), ctx.horizon)
 
 
 def tangent_trajectory(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
-    """The full first-order response: prolongation of chi plus integral part."""
-    return static_prolongation(chi, ctx.horizon) + tangent_deviation(ctx, chi)
+    """The first-order response to chi on [-R, horizon]."""
+    z, n = _tangent_solve(ctx, chi).x, ctx.problem.cfg.N
+    return PiecewiseFunction(z.breakpoints, z.coeffs[:, :, n:], z.endpoint_value[n:])
+
+
+def tangent_deviation(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
+    """The first-order response less the static prolongation of chi: zero
+    on the history, then y - chi(0).  Linear in chi."""
+    traj, n, start = _tangent_solve(ctx, chi), ctx.problem.cfg.N, chi.value_at_zero
+    z, k = traj.x, traj.problem.phi.rep.n_pieces
+    ys = z.coeffs[k:, :, n:].copy()
+    ys[:, 0] -= start
+    bp = np.concatenate((z.breakpoints[:1], z.breakpoints[k:]))
+    return PiecewiseFunction(bp, [np.zeros((1, n)), ys], z.endpoint_value[n:] - start)
 
 
 def tangent_deviation_bound(ctx: DerivativeContext) -> float:
@@ -127,6 +114,7 @@ def tangent_deviation_bound(ctx: DerivativeContext) -> float:
     By Hoelder, the integral part is dominated in sup norm by this number
     times the L^(alpha+1) size of the direction.
     """
+    ctx.require_one_step("tangent_deviation_bound")
     pb = ctx.problem
     jac = pb.nl.jacobian
     gains = LazyComposition(pb.phi.rep, lambda v: spectral_norm(jac(v))[:, None], 1)
@@ -174,11 +162,11 @@ def jacobian_gap(jac, a: PiecewiseFunction, b: PiecewiseFunction) -> LazyComposi
     )
 
 
-def map_gap(fn, a: PiecewiseFunction, b: PiecewiseFunction) -> LazyComposition:
-    """The gap f(a(.)) - f(b(.)) of a map f from R^N to R^N, integrated without
-    materializing it."""
-    n = a.n_components
-    return LazyComposition(stack((a, b)), lambda v: fn(v[:, :n]) - fn(v[:, n:]), n)
+def map_gap(fn, base: PiecewiseFunction, step: PiecewiseFunction) -> LazyComposition:
+    """The gap f(base(.) + step(.)) - f(base(.)) of a map f from R^N to R^N,
+    integrated without materializing it or the moved function."""
+    n = base.n_components
+    return LazyComposition(stack((base, step)), lambda v: fn(v[:, :n] + v[:, n:]) - fn(v[:, :n]), n)
 
 
 def halving_solves(pb: Problem, chi: HistoryElement, horizon: float, count: int):
@@ -244,6 +232,7 @@ def derivative_gap(
     histories.  That is what makes the derivative continuous in the base
     point.
     """
+    ctx.require_one_step("derivative_gap")
     pb = ctx.problem
     ctx0 = DerivativeContext(replace(pb, phi=phi0), ctx.horizon)
     bound = lp_norm(jacobian_gap(pb.nl.jac, pb.phi.rep, phi0.rep), ctx.q)

@@ -51,9 +51,8 @@ class DomainError(ValueError):
 
 # Gauss-Legendre nodes per piece for integral norms of compositions (a lower
 # bound for piecewise polynomials, which get as many as exactness needs), and
-# Chebyshev nodes per cut when the solver and tangent_deviation interpolate an
-# integrand.  A rule with n nodes integrates polynomials of degree 2n - 1
-# exactly.
+# Chebyshev nodes per cut when the solver interpolates an integrand.  A rule
+# with n nodes integrates polynomials of degree 2n - 1 exactly.
 _NODES_PER_PIECE = 16
 
 

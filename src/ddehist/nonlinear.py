@@ -29,6 +29,7 @@ __all__ = [
     "lipschitz_on_ball",
     "verify_growth",
     "jacobian_defect",
+    "tangent_system",
     "REGISTRY",
     "make",
     "linear",
@@ -178,6 +179,18 @@ def jacobian_defect(
         err = np.abs(col - jac[:, :, i]) / (1.0 + np.abs(jac[:, :, i]))
         worst = max(worst, float(err.max()))
     return worst
+
+
+def tangent_system(nl: Nonlinearity) -> Nonlinearity:
+    """F(x, y) = (f(x), Df(x) y) on R^(2N): (x, y) solves z' = F(z(t - r))
+    when x solves the equation of f and y its linearization along x.  A
+    right-hand side for the solver only, with no Jacobian or certificates."""
+    n = nl.dim
+
+    def fn(v):
+        return np.hstack((nl.fn(v[:, :n]), np.einsum("kij,kj->ki", nl.jac(v[:, :n]), v[:, n:])))
+
+    return Nonlinearity(f"{nl.name}-tangent", 2 * n, fn, None, None, None)
 
 
 # ----------------------------------------------------------------- builders

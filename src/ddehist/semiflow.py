@@ -164,6 +164,7 @@ def time_map_derivative_gap(
     """
     cfg = pb.cfg
     ctx = DerivativeContext(pb, float(t))
+    ctx.require_one_step("time_map_derivative_gap")
     ctx0 = DerivativeContext(replace(pb, phi=phi0), float(t))
     holder_gap = lp_norm(jacobian_gap(pb.nl.jac, pb.phi.rep, phi0.rep), ctx.q)
     bound = regulation_constant(-cfg.R, 0.0, cfg.p) * holder_gap

@@ -104,7 +104,7 @@ def solve(problem: Problem, T: float) -> Trajectory:
     if not T > 0:
         raise ValueError("horizon must be positive")
     r, rep, n = problem.r, problem.phi.rep, _NODES_PER_PIECE
-    u, _, _, slope = _step_matrices(n)
+    u, fit, antider, slope = _step_matrices(n)
     # The known pieces a step reads: the history, then the previous step.
     window_bp, window, value = rep.breakpoints, rep.coeffs, rep.endpoint_value
     breakpoints, blocks, defect = [rep.breakpoints], [], 0.0
@@ -116,7 +116,12 @@ def solve(problem: Problem, T: float) -> Trajectory:
         cuts = np.concatenate(([t0], inner, [t1]))
         half = 0.5 * np.diff(cuts)[:, None, None]
         rhs = _delayed_rhs(problem, window_bp, window, cuts, u)
-        integ, value = _chained_antiderivative(rhs[:, :n], half, value)
+        # The antiderivative of each cut's interpolant, chained across the
+        # cuts so that it starts from the value reached so far.
+        integ = half * (antider @ (fit @ rhs[:, :n]))
+        chain = np.cumsum(np.vstack((value, integ.sum(axis=1))), axis=0)
+        integ[:, 0] += chain[:-1]
+        value = chain[-1]
         defect = max(defect, float(np.abs(slope @ integ / half - rhs[:, n:]).max()))
         breakpoints.append(cuts[1:])
         blocks.append(integ)
@@ -137,18 +142,6 @@ def _step_matrices(n: int):
     for mat in (u, antider, slope):
         mat.flags.writeable = False
     return u, _cheb_interp_matrix(n), antider, slope
-
-
-def _chained_antiderivative(rates: np.ndarray, half: np.ndarray, start: np.ndarray):
-    """Antiderivatives of the values rates (cuts, n, N) at the n interpolation
-    nodes of each cut, of half-width half (cuts, 1, 1): their (cuts, n + 1, N)
-    Chebyshev coefficients, continuous across cuts and equal to start at
-    the left end, and the value at the right end."""
-    _, fit, antider, _ = _step_matrices(rates.shape[1])
-    integ = half * (antider @ (fit @ rates))
-    chain = np.cumsum(np.vstack((start, integ.sum(axis=1))), axis=0)
-    integ[:, 0] += chain[:-1]
-    return integ, chain[-1]
 
 
 def _delayed_rhs(problem: Problem, bp: np.ndarray, coeffs: np.ndarray, cuts, u) -> np.ndarray:

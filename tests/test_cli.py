@@ -7,6 +7,7 @@ fast; file outputs go to pytest temporary directories.
 import json
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ SOLVE_EXPERIMENT = {
     "history": {"constant": [1.0]},
     "grid": 61,
 }
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DEMO_EXPERIMENT = {
     "name": "jump",
@@ -123,6 +126,19 @@ class TestKindValidation:
         }
         cfg = write_config(tmp_path, [exp])
         assert main(["verify", "--config", cfg]) == 2
+
+    def test_smooth_horizon_beyond_delay_names_the_one_step_gain_bound(self, tmp_path, capsys):
+        exp = {
+            "name": "long",
+            "kind": "smooth",
+            "nonlinearity": {"name": "quadratic"},
+            "space": {"R": 1.0, "p": 2.0, "N": 1},
+            "delay": 0.5,
+            "horizon": 1.0,
+        }
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg]) == 2
+        assert "smooth.gain-bound is a one-step bound" in capsys.readouterr().err
 
     def test_dependence_horizon_beyond_delay_rejected(self, tmp_path):
         exp = {
@@ -282,6 +298,52 @@ class TestSolveCommand:
         last = rows[-1]
         assert float(last[0]) == pytest.approx(2.0, abs=1e-15)
         assert float(last[1]) == pytest.approx(3.5, abs=1e-7)
+
+    def test_linear_reference_is_the_closed_form_ramp(self):
+        # x' = x(t - 1) from 1: x = 1 + t on [0, 1], 3/2 + t^2/2 on [1, 2].
+        phi = cli.PiecewiseFunction.constant([1.0], (-1.0, 0.0))
+        ts = np.linspace(0.0, 2.0, 41)
+        ref = cli._linear_reference([[1.0]], phi, 1.0, 2.0, ts)[:, 0]
+        closed = np.where(ts <= 1.0, 1.0 + ts, 1.5 + 0.5 * ts**2)
+        np.testing.assert_allclose(ref, closed, rtol=0, atol=1e-15)
+
+    def test_only_linear_solves_claim_the_oracle_gap(self, tmp_path, capsys):
+        plane = dict(
+            SOLVE_EXPERIMENT,
+            name="plane",
+            nonlinearity={"name": "linear", "params": {"matrix": [[0.5, -1.0], [2.0, 0.0]]}},
+            space={"R": 1.0, "p": 2.0, "N": 2},
+            delay=0.6,
+            horizon=1.5,
+            history={"random": {"pieces": 4, "degree": 3}},
+        )
+        bent = dict(SOLVE_EXPERIMENT, name="bent", nonlinearity={"name": "saturating"})
+        cfg = write_config(tmp_path, [SOLVE_EXPERIMENT, plane, bent])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "PASS ramp solve.oracle-gap" in out
+        assert "PASS plane solve.oracle-gap" in out
+        assert "bent solve.oracle-gap" not in out
+
+    def test_oracle_gap_catches_a_wrong_delay(self, tmp_path, capsys, monkeypatch):
+        # The solver reads x(t - 0.999 r): its residual and seam claims on
+        # ramp-solve of the shipped config still pass, the oracle claim fails.
+        from dataclasses import replace
+
+        from ddehist import solver
+
+        real = solver._delayed_rhs
+        monkeypatch.setattr(
+            solver, "_delayed_rhs", lambda pb, *args: real(replace(pb, r=0.999 * pb.r), *args)
+        )
+        doc = json.loads((CONFIGS / "verify.json").read_text())
+        ramp = [exp for exp in doc["experiments"] if exp["name"] == "ramp-solve"]
+        cfg = write_config(tmp_path, ramp)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL ramp-solve solve.oracle-gap" in out
+        assert "PASS ramp-solve solve.continuity-defect" in out
+        assert "PASS ramp-solve solve.integration-defect" in out
 
     def test_solve_command_skips_other_kinds(self, tmp_path):
         cfg = write_config(tmp_path, [SOLVE_EXPERIMENT, DEMO_EXPERIMENT])

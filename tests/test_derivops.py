@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddehist.corpus import piecewise_constant, random_history
+from ddehist.corpus import piecewise_constant, random_history, random_piecewise
 from ddehist.derivops import (
     DerivativeContext,
     curvature_remainder_bound,
     derivative_gap,
     estimate_operator_norm,
     halving_solves,
+    map_gap,
     remainder_function,
     remainder_schedule,
     tangent_deviation,
@@ -123,6 +124,71 @@ class TestTangentTrajectory:
         np.testing.assert_allclose(
             out(probes)[:, 0], chi.value_at_zero[0], atol=1e-12
         )
+
+
+def beyond_one_delay_case(name, seed):
+    # A random scalar problem on L^(alpha + 1), its delay in [0.3, 1], and a
+    # random direction.
+    nl = make(name)
+    cfg = HistoryConfig(R=1.0, p=nl.df_growth.alpha + 1.0, N=1)
+    rng = np.random.default_rng(seed)
+    r = float(rng.uniform(0.3, 1.0))
+    pb = Problem(cfg, nl, r, random_history(rng, cfg, scale=0.5))
+    return pb, random_history(rng, cfg)
+
+
+class TestBeyondOneDelay:
+    """The first-order response is a solve of the doubled equation, so it
+    holds at any horizon; these cases run to two and three delays."""
+
+    @pytest.mark.parametrize("delays", [2, 3])
+    @pytest.mark.parametrize("name", ["quadratic", "cubic", "saturating", "mackey_glass"])
+    def test_response_matches_central_differences(self, name, delays):
+        # The quotient's own error is about 1e-10 at eps = 1e-6.
+        eps = 1e-6
+        for seed in range(2):
+            pb, chi = beyond_one_delay_case(name, seed)
+            T = delays * pb.r
+            ts = np.linspace(-pb.cfg.R, T, 301)
+            plus = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + chi.scale(eps)), T).x(ts)
+            minus = solve(Problem(pb.cfg, pb.nl, pb.r, pb.phi + chi.scale(-eps)), T).x(ts)
+            quotient = (plus - minus) / (2.0 * eps)
+            response = tangent_trajectory(DerivativeContext(pb, T), chi)(ts)
+            assert np.abs(response - quotient).max() <= 1e-9 * np.abs(quotient).max()
+
+    @pytest.mark.parametrize("delays", [2, 3])
+    def test_linear_response_is_the_solve_from_the_direction(self, delays):
+        cfg = HistoryConfig(R=1.0, p=2.0, N=2)
+        rotation = linear(np.array([[0.0, 1.0], [-1.0, 0.5]]))
+        rng = np.random.default_rng(4)
+        phi, chi = random_history(rng, cfg), random_history(rng, cfg)
+        T = delays * 0.7
+        ts = np.linspace(-1.0, T, 301)
+        response = tangent_trajectory(DerivativeContext(Problem(cfg, rotation, 0.7, phi), T), chi)
+        direct = solve(Problem(cfg, rotation, 0.7, chi), T).x
+        np.testing.assert_allclose(response(ts), direct(ts), rtol=0, atol=1e-12 * sup_norm(direct))
+
+    @pytest.mark.parametrize("delays", [2, 3])
+    @pytest.mark.parametrize("name", ["quadratic", "saturating"])
+    def test_remainders_fall_at_order_one(self, name, delays):
+        # Df is Lipschitz, so remainder / size halves with the size: a log2
+        # fall of 1 per row once past the first, pre-asymptotic rows.
+        for seed in range(3):
+            pb, chi = beyond_one_delay_case(name, seed)
+            table = remainder_schedule(DerivativeContext(pb, delays * pb.r), chi, 12)
+            fall = np.log2(table.ratios[:-1] / table.ratios[1:])
+            assert np.abs(fall[4:] - 1.0).max() < 0.1, fall
+            assert abs(fall[-1] - 1.0) < 0.01, fall
+
+
+def test_map_gap_moves_the_base_by_the_step():
+    rng = np.random.default_rng(2)
+    base = random_piecewise(rng, (-1.0, 0.0), n_pieces=3)
+    step = random_piecewise(rng, (-1.0, 0.0), n_pieces=2)
+    fn = make("mackey_glass").fn
+    gap = map_gap(fn, base, step)
+    ts = rng.uniform(-1.0, 0.0, 50)
+    np.testing.assert_allclose(gap(ts), fn(base(ts) + step(ts)) - fn(base(ts)), rtol=1e-13, atol=1e-15)
 
 
 class TestGainBound:
@@ -386,9 +452,17 @@ class TestSegmentBound:
 
 
 class TestValidation:
-    def test_horizon_beyond_delay_rejected(self):
+    def test_one_step_bounds_reject_a_horizon_beyond_the_delay(self):
+        # Tangents work at any horizon; the Hoelder bounds hold within one delay.
+        ctx = scalar_ctx(quadratic(), horizon=1.5)
+        with pytest.raises(ValueError, match="one-step bound"):
+            tangent_deviation_bound(ctx)
+        with pytest.raises(ValueError, match="one-step bound"):
+            derivative_gap(ctx, unit_direction(0.0), probes=1)
+
+    def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ValueError):
-            scalar_ctx(quadratic(), horizon=1.5)
+            scalar_ctx(quadratic(), horizon=-0.5)
 
     def test_small_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from ddehist.nonlinear import (
     quadratic,
     saturating,
     spectral_norm,
+    tangent_system,
     verify_growth,
 )
 
@@ -128,3 +129,13 @@ def test_batch_and_single_evaluation_agree():
     batch = nl(np.stack([x, 2 * x]))
     assert np.allclose(batch[0], single)
     assert nl.jacobian(x).shape == (2, 2)
+
+
+def test_tangent_system_pairs_the_map_with_its_linearization():
+    nl = saturating(2)
+    doubled = tangent_system(nl)
+    v = np.random.default_rng(0).standard_normal((7, 4))
+    out = doubled.fn(v)
+    assert doubled.dim == 4 and doubled.jac is None and doubled.df_growth is None
+    np.testing.assert_array_equal(out[:, :2], nl.fn(v[:, :2]))
+    np.testing.assert_allclose(out[:, 2:], np.einsum("kij,kj->ki", nl.jac(v[:, :2]), v[:, 2:]))

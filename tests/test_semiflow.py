@@ -229,12 +229,17 @@ class TestTimeMapRemainder:
         with pytest.raises(ValueError):
             time_map_remainder(scalar_problem(quadratic()), 1.0, unit_history(0.0), 5)
 
-    def test_horizon_beyond_one_delay_rejected(self):
-        with pytest.raises(ValueError):
-            time_map_remainder(scalar_problem(quadratic()), 1.5, unit_history(), 5)
 
 
 class TestTimeMapDerivativeGap:
+    def test_one_step_bound_rejects_a_horizon_beyond_the_delay(self):
+        # The remainders of the time-1.5 map are measured; its derivative
+        # gap bound is a one-step bound and refuses.
+        pb = scalar_problem(quadratic())
+        assert time_map_remainder(pb, 1.5, unit_history(), 5).remainders[-1] > 0.0
+        with pytest.raises(ValueError, match="one-step bound"):
+            time_map_derivative_gap(pb, 1.5, unit_history(0.0), probes=1)
+
     def test_same_base_gives_zero_on_both_sides(self):
         probed, bound = time_map_derivative_gap(scalar_problem(quadratic()), 1.0, unit_history())
         assert probed < 1e-12
@@ -304,7 +309,8 @@ class TestVerifyBattery:
     def test_time_r_schedule_is_solved_once(self, monkeypatch):
         # 8 stage windows and 9 second stages, then two halving schedules
         # of 1 + 13 solves at t = r/2 and t = r: the remainder table reuses
-        # the one at t = r.
+        # the one at t = r, and its tangent is one solve of the doubled
+        # equation.
         from ddehist import derivops, semiflow
 
         pb = scalar_problem(saturating(), unit_history(0.4), r=0.8)
@@ -318,7 +324,7 @@ class TestVerifyBattery:
         monkeypatch.setattr(derivops, "solve", counting_solve)
         report = verify_semiflow(pb, unit_history(), count=12)
         assert report.remainder is not None
-        assert len(calls) == 45
+        assert len(calls) == 46
 
     def test_schedule_inputs_are_measured_once(self, monkeypatch):
         # 1 identity defect and 16 stage defects; the zero-direction check
