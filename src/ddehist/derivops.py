@@ -25,7 +25,7 @@ from .corpus import piecewise_constant
 from .funcrep import LazyComposition, PiecewiseFunction, lp_norm, stack, sup_norm
 from .histspace import HistoryConfig, HistoryElement
 from .nonlinear import holder_conjugate, spectral_norm, tangent_system
-from .solver import Problem, Trajectory, solve
+from .solver import Problem, solve
 
 __all__ = [
     "DerivativeContext",
@@ -83,29 +83,31 @@ class DerivativeContext:
             raise ValueError(f"{bound} is a one-step bound: horizon must lie in (0, r]")
 
 
-def _tangent_solve(ctx: DerivativeContext, chi: HistoryElement) -> Trajectory:
-    # (x, y) on [-R, horizon] from (phi, chi): the base trajectory and the response.
-    pb = ctx.problem
-    cfg = HistoryConfig(pb.cfg.R, pb.cfg.p, 2 * pb.cfg.N)
+def _doubled_solve(ctx: DerivativeContext, chi: HistoryElement) -> tuple:
+    # The (x, y) blocks of one solve of tangent_system from (phi, chi) on
+    # [-R, horizon]: the base trajectory and the response, on one partition.
+    pb, n = ctx.problem, ctx.problem.cfg.N
+    cfg = HistoryConfig(pb.cfg.R, pb.cfg.p, 2 * n)
     history = HistoryElement(stack((pb.phi.rep, chi.rep)))
-    return solve(Problem(cfg, tangent_system(pb.nl), pb.r, history), ctx.horizon)
+    z = solve(Problem(cfg, tangent_system(pb.nl), pb.r, history), ctx.horizon).x
+    x = PiecewiseFunction(z.breakpoints, z.coeffs[:, :, :n], z.endpoint_value[:n])
+    return x, PiecewiseFunction(z.breakpoints, z.coeffs[:, :, n:], z.endpoint_value[n:])
 
 
 def tangent_trajectory(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
     """The first-order response to chi on [-R, horizon]."""
-    z, n = _tangent_solve(ctx, chi).x, ctx.problem.cfg.N
-    return PiecewiseFunction(z.breakpoints, z.coeffs[:, :, n:], z.endpoint_value[n:])
+    return _doubled_solve(ctx, chi)[1]
 
 
 def tangent_deviation(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
     """The first-order response less the static prolongation of chi: zero
     on the history, then y - chi(0).  Linear in chi."""
-    traj, n, start = _tangent_solve(ctx, chi), ctx.problem.cfg.N, chi.value_at_zero
-    z, k = traj.x, traj.problem.phi.rep.n_pieces
-    ys = z.coeffs[k:, :, n:].copy()
+    y, start = _doubled_solve(ctx, chi)[1], chi.value_at_zero
+    k = int(y.breakpoints.searchsorted(0.0))
+    ys = y.coeffs[k:].copy()
     ys[:, 0] -= start
-    bp = np.concatenate((z.breakpoints[:1], z.breakpoints[k:]))
-    return PiecewiseFunction(bp, [np.zeros((1, n)), ys], z.endpoint_value[n:] - start)
+    bp = np.concatenate((y.breakpoints[:1], y.breakpoints[k:]))
+    return PiecewiseFunction(bp, [np.zeros((1, y.n_components)), ys], y.endpoint_value - start)
 
 
 def tangent_deviation_bound(ctx: DerivativeContext) -> float:
@@ -170,27 +172,22 @@ def map_gap(fn, base: PiecewiseFunction, step: PiecewiseFunction) -> LazyComposi
 
 
 def halving_solves(pb: Problem, chi: HistoryElement, horizon: float, count: int):
-    """The trajectory gaps behind every dependence table: the solves from
-    pb.phi + chi/2^k, k = 0..count, less the one from pb.phi.
-
-    Returns one (2^-k, chi/2^k, x_k - x_0) row per k, where x_k is the
-    trajectory on [-R, horizon] from pb.phi + chi/2^k.
+    """The trajectory gaps behind every dependence table: one (f, f chi,
+    x(f) - x(0)) row per f = 2^-k, k = 0..count, where x(f) is the solve on
+    [-R, horizon] from pb.phi + f chi.  x(0), from pb.phi + 0 chi, shares
+    the rows' partition, so each gap is a coefficient difference.
     """
-    base = solve(pb, horizon).x
-    rows = []
-    for factor in halving(count):
-        step = chi.scale(factor)
-        moved = solve(replace(pb, phi=pb.phi + step), horizon).x
-        rows.append((factor, step, moved - base))
-    return rows
+    factors = halving(count)
+    steps = [chi.scale(f) for f in (0.0, *factors)]
+    xs = [solve(replace(pb, phi=pb.phi + step), horizon).x for step in steps]
+    return [(f, step, x - xs[0]) for f, step, x in zip(factors, steps[1:], xs[1:])]
 
 
 def remainder_function(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
     """Perturbed trajectory minus base trajectory minus first-order response."""
-    pb = ctx.problem
-    base = solve(pb, ctx.horizon).x
-    moved = solve(replace(pb, phi=pb.phi + chi), ctx.horizon).x
-    return moved - base - tangent_trajectory(ctx, chi)
+    base, tangent = _doubled_solve(ctx, chi)
+    moved = solve(replace(ctx.problem, phi=ctx.problem.phi + chi), ctx.horizon).x
+    return moved - base - tangent
 
 
 def remainder_schedule(ctx: DerivativeContext, chi0: HistoryElement, count: int) -> RemainderTable:

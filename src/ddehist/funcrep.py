@@ -408,7 +408,8 @@ def _merged_pieces(functions: Sequence[PiecewiseFunction]):
     partition, with the first function's ends, and each function's
     coefficients on it.  Of two breakpoints within the tolerance the left
     one is kept, so on the sliver between them a function takes the value
-    of its piece to the right."""
+    of its piece to the right.  Functions on the partition so far skip the
+    merge, which would return it unchanged, and keep their coefficients."""
     lows, highs = zip(*[f.domain for f in functions])
     a, b = lows[0], highs[0]
     tol = _scale_tol(min(lows), max(highs))
@@ -416,7 +417,8 @@ def _merged_pieces(functions: Sequence[PiecewiseFunction]):
         raise DomainError("domains differ")
     partition = functions[0].breakpoints.copy()
     for f in functions[1:]:
-        partition = _merge_partitions(partition, f.breakpoints, tol)
+        if not np.array_equal(f.breakpoints, partition):
+            partition = _merge_partitions(partition, f.breakpoints, tol)
     partition[0], partition[-1] = a, b
     return partition, [f._pieces_on(partition) for f in functions]
 

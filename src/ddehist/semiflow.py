@@ -10,8 +10,8 @@ limit claims are certified along geometric schedules.
 
 Every function takes the `Problem` whose phi is the base history; another
 history is evolved with `dataclasses.replace(pb, phi=...)`.  The tables
-along a schedule measure the trajectory gaps x(phi + chi/2^k) - x(phi) of
-`derivops.halving_solves`, each formed once.
+along a schedule measure the gaps of `derivops.halving_solves`: its solves,
+base included, share one partition, so each gap is a coefficient difference.
 """
 
 from __future__ import annotations

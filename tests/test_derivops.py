@@ -5,11 +5,14 @@ Hand-derived values: with Df(y) = y, base history 1 on [-1, 0] and direction
 constant direction of height h is exactly h^2 t / 2, with sup h^2/2 at t = 1.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ddehist import derivops, semiflow
 from ddehist.corpus import piecewise_constant, random_history, random_piecewise
 from ddehist.derivops import (
     DerivativeContext,
@@ -35,6 +38,7 @@ from ddehist.histspace import (
     seminorm,
 )
 from ddehist.nonlinear import Nonlinearity, linear, make, quadratic, saturating
+from ddehist.semiflow import time_map_remainder
 from ddehist.solver import Problem, solve
 
 SCALAR = HistoryConfig(R=1.0, p=2.0, N=1)
@@ -51,6 +55,15 @@ def scalar_ctx(nl, phi_value=1.0, r=1.0, horizon=None, p=None):
 
 def unit_direction(value=1.0):
     return HistoryElement.constant([value], SCALAR.R)
+
+
+def recording(results, fn):
+    # fn, appending each result to results.
+    def wrapper(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    return wrapper
 
 
 class TestTangentDeviation:
@@ -289,6 +302,13 @@ class TestRemainder:
         chi = random_history(rng, cfg, continuous=True)
         assert sup_norm(remainder_function(ctx, chi)) < 1e-10
 
+    def test_remainder_function_makes_two_solves(self, monkeypatch):
+        # The base trajectory is the x block of the solve behind the response.
+        solves = []
+        monkeypatch.setattr(derivops, "solve", recording(solves, solve))
+        remainder_function(scalar_ctx(quadratic()), unit_direction(0.25))
+        assert len(solves) == 2
+
     def test_remainder_function_vanishes_on_history(self):
         ctx = scalar_ctx(quadratic())
         rem = remainder_function(ctx, unit_direction(0.5))
@@ -361,15 +381,44 @@ class TestHalvingSolves:
         rng = np.random.default_rng(5)
         pb = Problem(SCALAR, saturating(), 0.8, random_history(rng, SCALAR, scale=0.5))
         chi = random_history(rng, SCALAR)
-        base = solve(pb, 0.6).x
         rows = halving_solves(pb, chi, 0.6, 4)
         assert [factor for factor, _, _ in rows] == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        # The base is the factor-0 row of the schedule.
+        base = solve(replace(pb, phi=pb.phi + chi.scale(0.0)), 0.6).x
+        plain = solve(pb, 0.6).x
         for factor, step, gap in rows:
             assert np.array_equal(step.rep.coeffs, chi.rep.coeffs * factor)
-            moved = solve(Problem(SCALAR, saturating(), 0.8, pb.phi + step), 0.6).x
-            expected = moved - base
-            assert np.array_equal(gap.breakpoints, expected.breakpoints)
-            assert np.array_equal(gap.coeffs, expected.coeffs)
+            moved = solve(replace(pb, phi=pb.phi + step), 0.6).x
+            for x in (moved, base):
+                assert np.array_equal(gap.breakpoints, x.breakpoints)
+            assert np.array_equal(gap.coeffs, moved.coeffs - base.coeffs)
+            assert np.array_equal(gap.endpoint_value, moved.endpoint_value - base.endpoint_value)
+            # The base solved from phi alone has a partition of its own and
+            # differs by rounding of the O(1) trajectories: 2.0e-15 here.
+            assert sup_norm(gap - (moved - plain)) <= 1e-13
+
+    def test_remainder_tables_live_on_one_partition(self, monkeypatch):
+        # Every solve behind remainder_schedule and time_map_remainder, the
+        # doubled one of the response included, has one partition, so each
+        # gap shares the response's breakpoints.
+        ctx = scalar_ctx(saturating(), phi_value=0.3, r=0.8)
+        chi = random_history(np.random.default_rng(9), SCALAR, scale=0.5)
+        for module, run in [
+            (derivops, lambda: remainder_schedule(ctx, chi, 4)),
+            (semiflow, lambda: time_map_remainder(ctx.problem, ctx.horizon, chi, 4)),
+        ]:
+            solves, schedules, responses = [], [], []
+            monkeypatch.setattr(derivops, "solve", recording(solves, solve))
+            monkeypatch.setattr(module, "halving_solves", recording(schedules, module.halving_solves))
+            monkeypatch.setattr(module, "tangent_trajectory", recording(responses, module.tangent_trajectory))
+            run()
+            (rows,), (y,) = schedules, responses
+            assert len(solves) == 7
+            for traj in solves:
+                assert np.array_equal(traj.x.breakpoints, y.breakpoints)
+            for _, _, gap in rows:
+                assert np.array_equal(gap.breakpoints, y.breakpoints)
+            monkeypatch.undo()
 
 
 class TestGateauxConsistency:

@@ -526,6 +526,61 @@ def test_sum_difference_and_stack_match_the_per_piece_reference(pair, ts):
     assert np.abs(stack((f,))(ts) - ref_f).max() <= tol
 
 
+def on_partition_of(f, g):
+    """g's pieces, cycled, on the breakpoints of f."""
+    return PiecewiseFunction(
+        f.breakpoints, [g.coeffs[i % g.n_pieces] for i in range(f.n_pieces)], g.endpoint_value
+    )
+
+
+def padded_to(coeffs, width):
+    return np.pad(coeffs, ((0, 0), (0, width - coeffs.shape[1]), (0, 0)))
+
+
+ZERO_BLOCKS = [np.zeros((1, 1))]
+ZERO = (PiecewiseFunction(np.array(DOMAIN), ZERO_BLOCKS, [0.0]), ZERO_BLOCKS)
+# Degrees 0 and 5 on two pieces: the difference pads the lower one.
+RAGGED_BLOCKS = [np.ones((1, 1)), np.full((6, 1), 0.5)]
+RAGGED = (PiecewiseFunction(np.array([-1.5, -0.2, 0.5]), RAGGED_BLOCKS, [3.0]), RAGGED_BLOCKS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pair=pairs, at=st.floats(0.0, 1.0))
+# One piece of degree 0 (a falsifier of a draft that padded to the degree,
+# not to the coefficient count), and padding to the larger degree.
+@example(pair=(ZERO, ZERO), at=0.5)
+@example(pair=(RAGGED, ZERO), at=0.0)
+@example(pair=(ZERO, RAGGED), at=0.65)
+def test_one_partition_combines_piece_by_piece(pair, at):
+    # Functions on one partition skip the merge: a sum, difference or stack
+    # is the coefficient sum, difference or concatenation, bit for bit.
+    (f, _), (g, _) = pair
+    g = on_partition_of(f, g)
+    bp = f.breakpoints
+    # The merge that is skipped would return the partition itself.
+    assert np.array_equal(funcrep._merge_partitions(bp, bp, funcrep._scale_tol(*DOMAIN)), bp)
+    width = max(f.degree, g.degree) + 1
+    mine, theirs = padded_to(f.coeffs, width), padded_to(g.coeffs, width)
+    ends = f.endpoint_value, g.endpoint_value
+    for h, coeffs, end in [
+        (f + g, mine + theirs, ends[0] + ends[1]),
+        (f - g, mine - theirs, ends[0] - ends[1]),
+        (stack((f, g)), np.concatenate((mine, theirs), axis=2), np.concatenate(ends)),
+    ]:
+        assert np.array_equal(h.breakpoints, bp)
+        assert np.array_equal(h.coeffs, coeffs)
+        assert np.array_equal(h.endpoint_value, end)
+    # A partition with one more point, away from the others, still merges.
+    t = DOMAIN[0] + (DOMAIN[1] - DOMAIN[0]) * at
+    assume(np.abs(bp - t).min() > 1e-6)
+    finer = g.refine([t])
+    ts = sample_points(np.array([t]), finer)
+    tol = 1e-13 * (size_bound(f) + size_bound(g))
+    for h, same in [(f - finer, f - g), (stack((f, finer)), stack((f, g)))]:
+        assert np.array_equal(h.breakpoints, finer.breakpoints)
+        assert np.abs(h(ts) - same(ts)).max() <= tol
+
+
 def _bend(v):
     return np.column_stack((np.tanh(v).sum(axis=1), v[:, 0] * v[:, -1]))
 
