@@ -44,8 +44,8 @@ from .derivops import (
     tangent_deviation,
     tangent_deviation_bound,
 )
-from .funcrep import PiecewiseFunction, lp_norm, sup_norm
-from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norm, seminorm, static_prolongation
+from .funcrep import PiecewiseFunction, aligned, lp_norm, sup_norm
+from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norm, prolongation_deviation, seminorm
 from .nonlinear import make
 from .semiflow import quotient_invariance, verify_semiflow
 from .solver import Problem, solve
@@ -384,10 +384,10 @@ def _run_dependence(spec) -> ExperimentResult:
     factors, steps, gaps = zip(*schedule)
     gap_in = seminorm(steps, spec.space)
     gap_out = endpoint_lp_norm(gaps, spec.space.p)
-    # Prolongation is linear, so the gap of the deviations x - prolongation(phi)
-    # is the gap less the prolongation of the step.
-    ygap = sup_norm([gap - static_prolongation(step, spec.horizon) for step, gap in zip(steps, gaps)])
-    l1 = [lp_norm(map_gap(spec.nl.fn, spec.history.rep, step.rep), 1.0) for step in steps]
+    # Prolongation is linear: the deviations' gap is the gap less the step's prolongation.
+    ygap = sup_norm([prolongation_deviation(gap, step) for step, gap in zip(steps, gaps)])
+    base = aligned((steps[0].rep, spec.history.rep))[1]
+    l1 = [lp_norm(map_gap(spec.nl.fn, base, step.rep), 1.0) for step in steps]
     rows = list(zip(factors, gap_in, gap_out, ygap, l1))
     cert = certify_decay(np.array([row[2] for row in rows]))
     worst = max(ygap - l1 for *_, ygap, l1 in rows)

@@ -20,6 +20,7 @@ from .funcrep import (
     LazyComposition,
     PiecewiseFunction,
     _scale_tol,
+    aligned,
     lp_norm,
     stack,
 )
@@ -149,6 +150,7 @@ def continuity_probe(
     p = ctx.continuity_p
     if lp_norm(direction, p) < 1e-13:
         raise ValueError("direction must be nonzero")
+    g, direction = aligned((g, direction))
     steps = [direction.scale(factor) for factor in factors]
     outs = [lp_norm(map_gap(ctx.nl.fn, g, h), ctx.q) for h in steps]
     return GapTable(lp_norm(steps, p), np.array(outs))
@@ -195,6 +197,7 @@ def smoothness_probe(
         linear_part = np.einsum("kij,kj->ki", jac(base), step)
         return fn(base + step) - fn(base) - linear_part
 
+    g, direction = aligned((g, direction))
     steps = [direction.scale(factor) for factor in factors]
     remainders = [lp_norm(LazyComposition(stack((g, h)), remainder_map, m), ctx.q) for h in steps]
     return RemainderTable(lp_norm(steps, p), np.array(remainders))

@@ -22,8 +22,8 @@ import numpy as np
 
 from .certify import RemainderTable, halving
 from .corpus import piecewise_constant
-from .funcrep import LazyComposition, PiecewiseFunction, lp_norm, stack, sup_norm
-from .histspace import HistoryConfig, HistoryElement
+from .funcrep import LazyComposition, PiecewiseFunction, aligned, lp_norm, stack, sup_norm
+from .histspace import HistoryConfig, HistoryElement, prolongation_deviation
 from .nonlinear import holder_conjugate, spectral_norm, tangent_system
 from .solver import Problem, solve
 
@@ -100,14 +100,10 @@ def tangent_trajectory(ctx: DerivativeContext, chi: HistoryElement) -> Piecewise
 
 
 def tangent_deviation(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
-    """The first-order response less the static prolongation of chi: zero
-    on the history, then y - chi(0).  Linear in chi."""
-    y, start = _doubled_solve(ctx, chi)[1], chi.value_at_zero
-    k = int(y.breakpoints.searchsorted(0.0))
-    ys = y.coeffs[k:].copy()
-    ys[:, 0] -= start
-    bp = np.concatenate((y.breakpoints[:1], y.breakpoints[k:]))
-    return PiecewiseFunction(bp, [np.zeros((1, y.n_components)), ys], y.endpoint_value - start)
+    """The first-order response y less the static prolongation of chi on
+    y's partition (`prolongation_deviation`): zero on the history, then
+    y - chi(0).  Linear in chi."""
+    return prolongation_deviation(_doubled_solve(ctx, chi)[1], chi)
 
 
 def tangent_deviation_bound(ctx: DerivativeContext) -> float:
@@ -174,12 +170,14 @@ def map_gap(fn, base: PiecewiseFunction, step: PiecewiseFunction) -> LazyComposi
 def halving_solves(pb: Problem, chi: HistoryElement, horizon: float, count: int):
     """The trajectory gaps behind every dependence table: one (f, f chi,
     x(f) - x(0)) row per f = 2^-k, k = 0..count, where x(f) is the solve on
-    [-R, horizon] from pb.phi + f chi.  x(0), from pb.phi + 0 chi, shares
-    the rows' partition, so each gap is a coefficient difference.
-    """
+    [-R, horizon] from pb.phi + f chi.  pb.phi and chi go onto one
+    partition once per schedule, and each step f chi is returned on it, so
+    each moved history is a coefficient sum.  x(0), from pb.phi + 0 chi,
+    shares the rows' partition: each gap is a coefficient difference."""
     factors = halving(count)
+    phi, chi = (HistoryElement(rep) for rep in aligned((pb.phi.rep, chi.rep)))
     steps = [chi.scale(f) for f in (0.0, *factors)]
-    xs = [solve(replace(pb, phi=pb.phi + step), horizon).x for step in steps]
+    xs = [solve(replace(pb, phi=phi + step), horizon).x for step in steps]
     return [(f, step, x - xs[0]) for f, step, x in zip(factors, steps[1:], xs[1:])]
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "DomainError",
     "PiecewiseFunction",
     "LazyComposition",
+    "aligned",
     "lp_norm",
     "sup_norm",
     "stack",
@@ -423,6 +424,13 @@ def _merged_pieces(functions: Sequence[PiecewiseFunction]):
     return partition, [f._pieces_on(partition) for f in functions]
 
 
+def aligned(functions: Sequence[PiecewiseFunction]) -> list:
+    """functions on the one partition of `_merged_pieces`: their sums,
+    differences and stacks then skip the merge."""
+    partition, per_fn = _merged_pieces(functions)
+    return [PiecewiseFunction(partition, c, f.endpoint_value) for f, c in zip(functions, per_fn)]
+
+
 @dataclass(frozen=True, eq=False)
 class LazyComposition:
     """A pointwise map applied to a piecewise function, never interpolated.
@@ -586,66 +594,56 @@ def _cheb_roots(series: np.ndarray) -> dict:
     return roots
 
 
-def _zeros_of_modulus(roots: np.ndarray, per_zero: int):
-    """Zeros of |f| on one piece from the roots of its modulus series (see
-    `_modulus_series`): (locations, multiplicities), sorted.
-
-    Real roots within _ROOT_TOL of each other are merged, those within
-    _END_TOL of an end are snapped onto it, and those outside the piece are
-    dropped: |f| does not vanish on the piece there, and the bend such a
-    zero puts near the end is left to the zero-free margin and the
-    bisection.  Each complex root x + iy with y within _NEAR_TOL of the axis
-    adds the points x - y, x, x + y with multiplicity 0: |f| does not vanish
-    there but bends sharply over a width of about y.
-    """
-    roots = roots[np.abs(roots.real) <= 1.0 + _ROOT_TOL]
-    real = np.sort(roots[np.abs(roots.imag) <= _ROOT_TOL].real)
-    group = np.cumsum(np.diff(real, prepend=-np.inf) > _ROOT_TOL) - 1
-    size = np.bincount(group)
-    bends = roots[(roots.imag > _ROOT_TOL) & (roots.imag <= _NEAR_TOL)]
-    near = np.concatenate((bends.real - bends.imag, bends.real, bends.real + bends.imag))
-    near = near[np.abs(near) < 1.0]
-    at = np.concatenate((np.bincount(group, weights=real) / size, near))
-    mults = np.concatenate((np.maximum(1, size // per_zero), np.zeros(near.size, dtype=int)))
-    at[np.abs(at + 1.0) <= _END_TOL] = -1.0
-    at[np.abs(at - 1.0) <= _END_TOL] = 1.0
-    inside = np.flatnonzero(np.abs(at) <= 1.0)
-    order = inside[np.argsort(at[inside])]
-    return at[order], mults[order]
-
-
 def _modulus_intervals(coeffs: np.ndarray):
-    """Split every piece at the zeros of |f| (see `_zeros_of_modulus`).
+    """Split every piece at the zeros of |f|, in one array pass over the
+    roots of the modulus series (`_modulus_series`) of all searched pieces.
 
     coeffs: padded (n_pieces, deg + 1, N) block.  Returns arrays (piece, lo,
-    hi, lo_mult, hi_mult) of sub-intervals in local coordinates, where the
-    multiplicities are those of the zeros of |f| at each end (0 if none).
-    A piece is not searched when the constant Chebyshev coefficient of some
-    component exceeds the sum of its other |c_k| >= |sum_k c_k T_k| by
-    _ZERO_FREE_MARGIN times the piece's coefficient scale.
+    hi, lo_mult, hi_mult) of sub-intervals in local coordinates, by piece and
+    position; the multiplicities are those of the zeros of |f| at each end (0
+    if none).  A piece is not searched when the constant Chebyshev
+    coefficient of some component exceeds the sum of its other |c_k| >=
+    |sum_k c_k T_k| by _ZERO_FREE_MARGIN times the piece's coefficient scale.
+    Real roots of a piece within _ROOT_TOL of each other merge into one zero
+    at their mean.  Zeros within _END_TOL of an end are snapped onto it and
+    those outside the piece dropped, leaving the bend they put near the end
+    to the zero-free margin and the bisection.  Each complex root x + iy
+    with y within _NEAR_TOL of the axis adds cuts x - y, x, x + y of
+    multiplicity 0: |f| bends sharply there over a width of about y.
     """
+    n = coeffs.shape[0]
     lead = np.abs(coeffs[:, 0, :]) - np.abs(coeffs[:, 1:, :]).sum(axis=1)
     scale = np.abs(coeffs).sum(axis=(1, 2))
-    free = np.any(lead > _ZERO_FREE_MARGIN * scale[:, None], axis=1)
-    if free.all():
-        ones, none = np.ones(free.size), np.zeros(free.size, dtype=int)
-        return np.arange(free.size), -ones, ones, none, none
-    searched = np.flatnonzero(~free)
+    searched = np.flatnonzero(~np.any(lead > _ZERO_FREE_MARGIN * scale[:, None], axis=1))
     series, per_zero = _modulus_series(coeffs[searched])
-    found = {int(searched[j]): roots for j, roots in _cheb_roots(series).items()}
-    rows = [(i, -1.0, 1.0, 0, 0) for i in range(free.size) if i not in found]
-    for i, roots in found.items():
-        cuts = [[-1.0, 0], [1.0, 0]]
-        for x, m in zip(*_zeros_of_modulus(roots, per_zero)):
-            if abs(x) == 1.0:
-                end = cuts[0 if x < 0 else -1]
-                end[1] = max(end[1], int(m))
-            else:
-                cuts.insert(-1, [float(x), int(m)])
-        for (lo, mlo), (hi, mhi) in zip(cuts[:-1], cuts[1:]):
-            rows.append((i, lo, hi, mlo, mhi))
-    rows.sort(key=lambda row: row[0])  # stable: each piece keeps its order
-    return tuple(np.array(col) for col in zip(*rows))
+    found = _cheb_roots(series)
+    roots = np.concatenate([np.empty(0, dtype=complex), *found.values()])
+    owner = np.repeat(searched[list(found)], [r.size for r in found.values()])
+    inside = np.abs(roots.real) <= 1.0 + _ROOT_TOL
+    real = inside & (np.abs(roots.imag) <= _ROOT_TOL)
+    order = np.lexsort((roots.real[real], owner[real]))
+    x, host = roots.real[real][order], owner[real][order]
+    first = (np.diff(x, prepend=-np.inf) > _ROOT_TOL) | (np.diff(host, prepend=-1) != 0)
+    group = np.cumsum(first) - 1
+    size = np.bincount(group)
+    bends = inside & (roots.imag > _ROOT_TOL) & (roots.imag <= _NEAR_TOL)
+    bx, by = roots.real[bends], roots.imag[bends]
+    near = np.concatenate((bx - by, bx, bx + by))
+    keep = np.abs(near) < 1.0
+    cut = np.concatenate((np.bincount(group, weights=x) / size, near[keep]))
+    mult = np.concatenate((np.maximum(1, size // per_zero), np.zeros(keep.sum(), dtype=int)))
+    piece = np.concatenate((host[first], np.tile(owner[bends], 3)[keep]))
+    cut = np.where(np.abs(np.abs(cut) - 1.0) <= _END_TOL, np.sign(cut), cut)
+    edge, ends = np.abs(cut) == 1.0, np.zeros((2, n), dtype=int)
+    np.maximum.at(ends, ((cut[edge] > 0.0).astype(int), piece[edge]), mult[edge])
+    inner, every = np.abs(cut) < 1.0, np.arange(n)
+    piece = np.concatenate((every, piece[inner], every))
+    cut = np.concatenate((-np.ones(n), cut[inner], np.ones(n)))
+    mult = np.concatenate((ends[0], mult[inner], ends[1]))
+    order = np.lexsort((cut, piece))
+    piece, cut, mult = piece[order], cut[order], mult[order]
+    same = piece[:-1] == piece[1:]
+    return piece[:-1][same], cut[:-1][same], cut[1:][same], mult[:-1][same], mult[1:][same]
 
 
 def _power_values(coeffs, piece, lo, hi, x, p):
@@ -789,13 +787,13 @@ def sup_norm(f: PiecewiseFunction | Sequence[PiecewiseFunction]) -> float | np.n
 
 def stack(functions: Sequence[PiecewiseFunction]) -> PiecewiseFunction:
     """Concatenate components of several functions on the partition of
-    `_merged_pieces`."""
+    `_merged_pieces`, into one zeroed array padded to the largest degree."""
     if not functions:
         raise ValueError("need at least one function")
     partition, per_fn = _merged_pieces(functions)
-    deg = max(c.shape[1] for c in per_fn)
-    blocks = np.concatenate(
-        [np.pad(c, ((0, 0), (0, deg - c.shape[1]), (0, 0))) for c in per_fn], axis=2
-    )
+    at = np.cumsum([0] + [c.shape[2] for c in per_fn])
+    blocks = np.zeros((partition.size - 1, max(c.shape[1] for c in per_fn), at[-1]))
+    for c, lo, hi in zip(per_fn, at[:-1], at[1:]):
+        blocks[:, : c.shape[1], lo:hi] = c
     endpoint = np.concatenate([g.endpoint_value for g in functions])
     return PiecewiseFunction(partition, blocks, endpoint)

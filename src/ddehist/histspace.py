@@ -27,6 +27,7 @@ __all__ = [
     "seminorm",
     "endpoint_lp_norm",
     "static_prolongation",
+    "prolongation_deviation",
     "history_segment",
     "to_pair",
     "from_pair",
@@ -167,6 +168,16 @@ def static_prolongation(phi: HistoryElement, T: float) -> PiecewiseFunction:
     return PiecewiseFunction(
         breakpoints, [rep.coeffs, frozen], rep.endpoint_value
     )
+
+
+def prolongation_deviation(x: PiecewiseFunction, phi: HistoryElement) -> PiecewiseFunction:
+    """x less the static prolongation of phi, its own history, on x's
+    partition: zero on [-R, 0], then x - phi(0).  x has a breakpoint at 0,
+    as every trajectory has."""
+    ahead = x.breakpoints[:-1] >= 0.0
+    coeffs = np.where(ahead[:, None, None], x.coeffs, 0.0)
+    coeffs[ahead, 0] -= phi.value_at_zero
+    return PiecewiseFunction(x.breakpoints, coeffs, x.endpoint_value - phi.value_at_zero)
 
 
 def history_segment(x: PiecewiseFunction, t: float, R: float) -> HistoryElement:

@@ -35,9 +35,9 @@ from .histspace import (
     HistoryElement,
     history_segment,
     prolongation_constant,
+    prolongation_deviation,
     regulation_constant,
     seminorm,
-    static_prolongation,
 )
 from .solver import Problem, solve
 
@@ -121,7 +121,7 @@ def _modulus_table(cfg: HistoryConfig, t: float, sizes, rows) -> ModulusTable:
     window = regulation_constant(-cfg.R, 0.0, cfg.p)
     inflate = prolongation_constant(t, cfg.p)
     outs = seminorm([history_segment(gap, t, cfg.R) for _, _, gap in rows], cfg)
-    ydiffs = [gap - static_prolongation(step, t) for _, step, gap in rows]
+    ydiffs = [prolongation_deviation(gap, step) for _, step, gap in rows]
     bounds = window * sup_norm(ydiffs) + inflate * sizes
     return ModulusTable(t, GapTable(sizes, outs), bounds)
 

@@ -11,8 +11,9 @@ The per-piece references at the end evaluate piecewise functions one piece
 at a time with numpy's `chebval`, for comparison with the batched array
 operations of `ddehist.funcrep`; the sup norm reference finds each piece's
 critical points with numpy's `chebroots`.  The split L^p reference keeps
-the per-group, per-rule-size Gauss-Jacobi loop that `funcrep` replaced by
-one evaluation per bisection level.  The last two loops measure one
+the per-piece zero split that `funcrep` replaced by one array pass over all
+roots, and the per-group, per-rule-size Gauss-Jacobi loop that it replaced
+by one evaluation per bisection level.  The last two loops measure one
 function at a time, the reference for `funcrep.lp_norm` and `sup_norm`
 given a sequence of functions.
 """
@@ -169,12 +170,68 @@ def sampled_sup_norm(f, samples=64, tol=1e-10, levels=7):
     return previous
 
 
+def modulus_intervals(coeffs):
+    """The zero split of `funcrep._modulus_intervals`, piece by piece: a
+    Python loop over the searched pieces, one `zeros_of_modulus` call and
+    one list of cuts per piece, rows sorted by piece at the end."""
+    from ddehist import funcrep
+
+    lead = np.abs(coeffs[:, 0, :]) - np.abs(coeffs[:, 1:, :]).sum(axis=1)
+    scale = np.abs(coeffs).sum(axis=(1, 2))
+    free = np.any(lead > funcrep._ZERO_FREE_MARGIN * scale[:, None], axis=1)
+    if free.all():
+        ones, none = np.ones(free.size), np.zeros(free.size, dtype=int)
+        return np.arange(free.size), -ones, ones, none, none
+    searched = np.flatnonzero(~free)
+    series, per_zero = funcrep._modulus_series(coeffs[searched])
+    found = {int(searched[j]): roots for j, roots in funcrep._cheb_roots(series).items()}
+    rows = [(i, -1.0, 1.0, 0, 0) for i in range(free.size) if i not in found]
+    for i, roots in found.items():
+        cuts = [[-1.0, 0], [1.0, 0]]
+        for x, m in zip(*zeros_of_modulus(roots, per_zero)):
+            if abs(x) == 1.0:
+                end = cuts[0 if x < 0 else -1]
+                end[1] = max(end[1], int(m))
+            else:
+                cuts.insert(-1, [float(x), int(m)])
+        for (lo, mlo), (hi, mhi) in zip(cuts[:-1], cuts[1:]):
+            rows.append((i, lo, hi, mlo, mhi))
+    rows.sort(key=lambda row: row[0])  # stable: each piece keeps its order
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def zeros_of_modulus(roots, per_zero):
+    """Zeros of |f| on one piece from the roots of its modulus series:
+    (locations, multiplicities), sorted.  Real roots within _ROOT_TOL of
+    each other are merged at their mean, those within _END_TOL of an end
+    are snapped onto it and those outside the piece dropped; each complex
+    root x + iy with y within _NEAR_TOL of the axis adds x - y, x, x + y
+    with multiplicity 0."""
+    from ddehist.funcrep import _END_TOL, _NEAR_TOL, _ROOT_TOL
+
+    roots = roots[np.abs(roots.real) <= 1.0 + _ROOT_TOL]
+    real = np.sort(roots[np.abs(roots.imag) <= _ROOT_TOL].real)
+    group = np.cumsum(np.diff(real, prepend=-np.inf) > _ROOT_TOL) - 1
+    size = np.bincount(group)
+    bends = roots[(roots.imag > _ROOT_TOL) & (roots.imag <= _NEAR_TOL)]
+    near = np.concatenate((bends.real - bends.imag, bends.real, bends.real + bends.imag))
+    near = near[np.abs(near) < 1.0]
+    at = np.concatenate((np.bincount(group, weights=real) / size, near))
+    mults = np.concatenate((np.maximum(1, size // per_zero), np.zeros(near.size, dtype=int)))
+    at[np.abs(at + 1.0) <= _END_TOL] = -1.0
+    at[np.abs(at - 1.0) <= _END_TOL] = 1.0
+    inside = np.flatnonzero(np.abs(at) <= 1.0)
+    order = inside[np.argsort(at[inside])]
+    return at[order], mults[order]
+
+
 def split_power_integral(f, p):
     """The integral of |f|^p over the domain by the zero-splitting
-    Gauss-Jacobi rule of `funcrep._power_integrals`, with the loop it
-    replaced: one |f|^p evaluation per group of sub-intervals with equal
-    endpoint-zero multiplicities and per rule size, each divided by the
-    Jacobi weight function before it is summed.  No warning is raised."""
+    Gauss-Jacobi rule of `funcrep._power_integrals`, with the loops it
+    replaced: the per-piece zero split of `modulus_intervals`, and one |f|^p
+    evaluation per group of sub-intervals with equal endpoint-zero
+    multiplicities and per rule size, each divided by the Jacobi weight
+    function before it is summed.  No warning is raised."""
     import math
 
     from ddehist import funcrep
@@ -192,7 +249,7 @@ def split_power_integral(f, p):
 
     scale = 0.5 * np.diff(f.breakpoints)
     n = max(funcrep._NODES_PER_PIECE, math.ceil((p * f.degree + 1.0) / 2.0))
-    piece, lo, hi, mlo, mhi = funcrep._modulus_intervals(f.coeffs)
+    piece, lo, hi, mlo, mhi = modulus_intervals(f.coeffs)
     if p == round(p) and f.n_components == 1:
         return float(scale[piece] @ jacobi_integrals(piece, lo, hi, mlo, mhi, n))
     total = 0.0

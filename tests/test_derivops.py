@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddehist import derivops, semiflow
+from ddehist import cli, derivops, funcrep, semiflow
+from ddehist.composition import CompositionContext, MeasureDomain, continuity_probe, smoothness_probe
 from ddehist.corpus import piecewise_constant, random_history, random_piecewise
 from ddehist.derivops import (
     DerivativeContext,
@@ -34,6 +35,7 @@ from ddehist.histspace import (
     endpoint_lp_norm,
     history_segment,
     prolongation_constant,
+    prolongation_deviation,
     regulation_constant,
     seminorm,
 )
@@ -67,6 +69,15 @@ def recording(results, fn):
 
 
 class TestTangentDeviation:
+    def test_is_the_deviation_of_the_response_from_its_prolonged_history(self):
+        ctx = scalar_ctx(saturating(), phi_value=0.3, r=0.8)
+        chi = random_history(np.random.default_rng(4), SCALAR)
+        dev = tangent_deviation(ctx, chi)
+        expected = prolongation_deviation(tangent_trajectory(ctx, chi), chi)
+        assert np.array_equal(dev.breakpoints, expected.breakpoints)
+        assert np.array_equal(dev.coeffs, expected.coeffs)
+        assert np.array_equal(dev.endpoint_value, expected.endpoint_value)
+
     def test_zero_direction_gives_zero(self):
         ctx = scalar_ctx(quadratic())
         out = tangent_deviation(ctx, unit_direction(0.0))
@@ -386,9 +397,16 @@ class TestHalvingSolves:
         # The base is the factor-0 row of the schedule.
         base = solve(replace(pb, phi=pb.phi + chi.scale(0.0)), 0.6).x
         plain = solve(pb, 0.6).x
+        ts = np.concatenate((np.linspace(-1.0, 0.0, 41), chi.rep.breakpoints, pb.phi.rep.breakpoints))
         for factor, step, gap in rows:
-            assert np.array_equal(step.rep.coeffs, chi.rep.coeffs * factor)
-            moved = solve(replace(pb, phi=pb.phi + step), 0.6).x
+            # Each step is f chi on the one partition of phi and chi, the
+            # moved history's, so the history sum skips the merge.
+            history = pb.phi + step
+            assert np.array_equal(step.rep.breakpoints, history.rep.breakpoints)
+            assert np.array_equal(step.rep.breakpoints, (pb.phi + chi).rep.breakpoints)
+            want = factor * chi(ts)
+            assert np.abs(step(ts) - want).max() <= 1e-15 * np.abs(want).max()
+            moved = solve(replace(pb, phi=history), 0.6).x
             for x in (moved, base):
                 assert np.array_equal(gap.breakpoints, x.breakpoints)
             assert np.array_equal(gap.coeffs, moved.coeffs - base.coeffs)
@@ -419,6 +437,44 @@ class TestHalvingSolves:
             for _, _, gap in rows:
                 assert np.array_equal(gap.breakpoints, y.breakpoints)
             monkeypatch.undo()
+
+
+def _schedules():
+    # One run of each halving-schedule loop at a given count; each loop's
+    # base and direction have partitions of their own.
+    rng = np.random.default_rng(12)
+    pb = Problem(SCALAR, saturating(), 0.8, random_history(rng, SCALAR, scale=0.5))
+    chi = random_history(rng, SCALAR)
+    ctx = CompositionContext(saturating(), 1.0, MeasureDomain(0.0, 1.0))
+    g, h = random_piecewise(rng, (0.0, 1.0), n_pieces=3), random_piecewise(rng, (0.0, 1.0), n_pieces=2)
+    exp = {
+        "name": "dep", "kind": "dependence", "nonlinearity": {"name": "mackey_glass"},
+        "space": {"R": 1.0, "p": 2.0, "N": 1}, "delay": 0.8, "horizon": 0.8,
+        "history": {"random": {"scale": 0.5}}, "direction": {"random": {"scale": 1.0}},
+    }
+    return {
+        "halving_solves": lambda count: halving_solves(pb, chi, 0.6, count),
+        "_run_dependence": lambda count: cli._run_dependence(
+            cli.parse_config({"experiments": [dict(exp, count=count)]}, 7)[0]
+        ),
+        "continuity_probe": lambda count: continuity_probe(ctx, g, h, count),
+        "smoothness_probe": lambda count: smoothness_probe(ctx, g, h, count),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_schedules()))
+def test_a_schedule_merges_its_partitions_once(monkeypatch, name):
+    # The base and the direction go onto one partition once per schedule,
+    # so the rows add no merge: as many merges at count 4 as at count 12.
+    merges = []
+    monkeypatch.setattr(funcrep, "_merge_partitions", recording(merges, funcrep._merge_partitions))
+    run, counts = _schedules()[name], []
+    for count in (4, 12):
+        merges.clear()
+        run(count)
+        counts.append(len(merges))
+    assert counts[0] >= 1
+    assert counts[0] == counts[1]
 
 
 class TestGateauxConsistency:

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from numpy.polynomial import chebyshev
 
 import oracles
 from ddehist import funcrep
@@ -615,6 +616,50 @@ def test_split_lp_norm_matches_the_per_group_reference(f, p):
     # sub-interval, against one per endpoint-zero group and rule size.
     expected = oracles.split_power_integral(f, p) ** (1.0 / p)
     assert abs(lp_norm(f, p) - expected) <= 1e-14 * expected
+
+
+@st.composite
+def rooted_blocks(draw):
+    """(n, deg + 1, N) Chebyshev blocks whose pieces have chosen real roots,
+    some on or next to the ends of [-1, 1] or beyond them, some repeated,
+    and complex pairs near the real axis; a second component, when there is
+    one, is a multiple of the first, so the zeros are common."""
+    spots = st.one_of(
+        st.sampled_from([-1.0, -1.0 - 1e-13, -1.0 - 1e-7, 0.0, 0.5, 1.0 - 1e-13, 1.0, 1.05]),
+        st.floats(-1.2, 1.2),
+    )
+    near = st.tuples(st.floats(-1.2, 1.2), st.sampled_from([1e-8, 1e-5, 3e-3, 1e-2, 0.05]))
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        roots = draw(st.lists(spots, max_size=4))
+        roots += [x + sign * 1j * y for x, y in draw(st.lists(near, max_size=1)) for sign in (1, -1)]
+        series = np.real(chebyshev.chebfromroots(roots)) * draw(st.floats(0.1, 10.0))
+        pieces.append(series + draw(st.sampled_from([0.0, 0.0, 1e-3, 2.0])) * (np.arange(series.size) == 0))
+    first = np.array([np.pad(c, (0, 7 - c.size)) for c in pieces])[:, :, None]
+    scales = [1.0] + draw(st.lists(st.floats(-2.0, 2.0), max_size=1))
+    return np.concatenate([first * c for c in scales], axis=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.one_of(rooted_blocks(), singles.map(lambda fb: fb[0].coeffs)))
+@example(coeffs=DOUBLE_ZERO.coeffs)
+@example(coeffs=ZERO_AT_ENDS.coeffs)
+@example(coeffs=_near_root_bump()[0].coeffs)
+# Every piece zero-free by the coefficient test: nothing is searched.
+@example(coeffs=PiecewiseFunction.from_power([-1.0, 0.0, 1.0], [[[3.0, 0.5]], [[-2.0, 1.0]]]).coeffs)
+# N = 2, t^2 - 1/4 and -1/2 times it: four roots of sum_j f_j^2 make the
+# two zeros of |f| at -1/2 and 1/2.
+@example(coeffs=np.array([[[0.25, -0.125], [0.0, 0.0], [0.5, -0.25]]]))
+# Searched pieces whose roots all miss [-1, 1]: t^2 + 0.05 (complex, far
+# from the axis) and t^2 - 1.1025 (real, at -1.05 and 1.05).
+@example(coeffs=np.array([[[0.55], [0.0], [0.5]], [[-0.6025], [0.0], [0.5]]]))
+def test_zero_split_equals_the_per_piece_reference(coeffs):
+    # One array pass over every root against the loop over pieces it
+    # replaced: the same sub-intervals and multiplicities, array for array.
+    split, reference = funcrep._modulus_intervals(coeffs), oracles.modulus_intervals(coeffs)
+    for got, want in zip(split, reference):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 3])

@@ -25,11 +25,14 @@ from ddehist.histspace import (
     history_segment,
     pair_norm,
     prolongation_constant,
+    prolongation_deviation,
     regulation_constant,
     seminorm,
     static_prolongation,
     to_pair,
 )
+from ddehist.nonlinear import saturating
+from ddehist.solver import Problem, solve
 
 RT3_INV = 0.5773502691896258  # (1/3)**0.5 by hand
 
@@ -122,6 +125,28 @@ def test_static_prolongation_bound_on_corpus(p, T):
         bar = static_prolongation(phi, T)
         bound = prolongation_constant(T, p) * seminorm(phi, cfg)
         assert endpoint_lp_norm(bar, p) <= bound + 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 2),
+    r=st.sampled_from([0.4, 1.0, 1.5]),
+    T=st.sampled_from([0.3, 1.0, 2.5]),
+)
+def test_prolongation_deviation_is_the_trajectory_less_its_prolonged_history(seed, n, r, T):
+    rng = np.random.default_rng(seed)
+    cfg = HistoryConfig(R=1.5, p=2.0, N=n)
+    phi = random_history(rng, cfg, n_pieces=int(rng.integers(1, 5)), scale=2.0)
+    x = solve(Problem(cfg, saturating(n), r, phi), T).x
+    dev = prolongation_deviation(x, phi)
+    # On x's partition, exactly zero on the history.
+    assert np.array_equal(dev.breakpoints, x.breakpoints)
+    assert not dev.coeffs[: int(x.breakpoints.searchsorted(0.0))].any()
+    ts = np.concatenate((np.linspace(-1.5, T, 61), x.breakpoints))
+    assert not dev(ts[ts < 0.0]).any()
+    reference = x - static_prolongation(phi, T)
+    assert sup_norm(dev - reference) <= 1e-15 * sup_norm(x)
 
 
 # ---------------------------------------------------------------- regulation
