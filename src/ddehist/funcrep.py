@@ -64,18 +64,14 @@ def _scale_tol(a: float, b: float) -> float:
 @lru_cache(maxsize=None)
 def _gauss_rule(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return _sealed(x), _sealed(w)
 
 
 @lru_cache(maxsize=None)
 def _cheb_nodes(n: int):
     # Chebyshev points of the first kind, ascending, strictly inside (-1, 1).
     k = np.arange(n)
-    x = -np.cos((2 * k + 1) * np.pi / (2 * n))
-    x.flags.writeable = False
-    return x
+    return _sealed(-np.cos((2 * k + 1) * np.pi / (2 * n)))
 
 
 @lru_cache(maxsize=None)
@@ -87,8 +83,7 @@ def _cheb_interp_matrix(n: int):
     j = np.arange(n)
     mat = (2.0 / n) * np.cos(np.outer(j, theta))
     mat[0] *= 0.5
-    mat.flags.writeable = False
-    return mat
+    return _sealed(mat)
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +110,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     if arr.dtype != float or arr.flags.writeable:
         arr = np.array(arr, dtype=float)
         arr.flags.writeable = False
+    return arr
+
+
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    # A fresh float array that its maker hands on and never writes again,
+    # made read-only in place, so that `_frozen` shares it.
+    arr.flags.writeable = False
     return arr
 
 
@@ -365,7 +367,7 @@ class PiecewiseFunction:
         out[:, : mine.shape[1]] = mine
         out[:, : theirs.shape[1]] += sign * theirs
         endpoint = self.endpoint_value + sign * other.endpoint_value
-        return PiecewiseFunction(partition, out, endpoint)
+        return PiecewiseFunction(partition, _sealed(out), endpoint)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -376,7 +378,7 @@ class PiecewiseFunction:
     def scale(self, factor: float) -> "PiecewiseFunction":
         factor = float(factor)
         return PiecewiseFunction(
-            self.breakpoints, factor * self.coeffs, factor * self.endpoint_value
+            self.breakpoints, _sealed(factor * self.coeffs), factor * self.endpoint_value
         )
 
     def __neg__(self):
@@ -544,10 +546,7 @@ def _jacobi_rule(n: int, a: float, b: float):
         (a + b + 1.0) * math.log(2.0)
         + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
     )
-    weights = mass * vecs[0] ** 2
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return _sealed(nodes), _sealed(mass * vecs[0] ** 2)
 
 
 @lru_cache(maxsize=None)
@@ -796,4 +795,4 @@ def stack(functions: Sequence[PiecewiseFunction]) -> PiecewiseFunction:
     for c, lo, hi in zip(per_fn, at[:-1], at[1:]):
         blocks[:, : c.shape[1], lo:hi] = c
     endpoint = np.concatenate([g.endpoint_value for g in functions])
-    return PiecewiseFunction(partition, blocks, endpoint)
+    return PiecewiseFunction(partition, _sealed(blocks), endpoint)

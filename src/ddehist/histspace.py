@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcrep import DomainError, PiecewiseFunction, lp_norm
+from .funcrep import DomainError, PiecewiseFunction, _sealed, lp_norm
 
 __all__ = [
     "HistoryConfig",
@@ -177,7 +177,7 @@ def prolongation_deviation(x: PiecewiseFunction, phi: HistoryElement) -> Piecewi
     ahead = x.breakpoints[:-1] >= 0.0
     coeffs = np.where(ahead[:, None, None], x.coeffs, 0.0)
     coeffs[ahead, 0] -= phi.value_at_zero
-    return PiecewiseFunction(x.breakpoints, coeffs, x.endpoint_value - phi.value_at_zero)
+    return PiecewiseFunction(x.breakpoints, _sealed(coeffs), x.endpoint_value - phi.value_at_zero)
 
 
 def history_segment(x: PiecewiseFunction, t: float, R: float) -> HistoryElement:

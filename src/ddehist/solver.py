@@ -9,9 +9,12 @@ in closed form.  Because each step re-interpolates at a fixed node count, the
 polynomial degree of trajectory pieces never grows with the step index.
 
 Every delayed cut lies inside one piece of the previous step (or of the
-history), so a step is one batched Chebyshev evaluation of the delayed
-argument, one call of f, two matrix products and a cumulative sum of the cut
-increments.  The trajectory is built once, so a solve is linear in its steps.
+history).  All but the first cut when r < R and the last cut of a truncated
+step are, as a rule, that whole piece up to rounding, and read it at the
+fixed local nodes through one cached Chebyshev-Vandermonde product; the
+others map their points into it.  A step is that read, one call of f, two
+fixed matrix products and a cumulative sum of the cut increments.  The
+trajectory is assembled once, in one array, so a solve is linear in its steps.
 
 Interpolation nodes are strictly interior to the cut intervals, so the
 trajectory depends on the history only through its almost-everywhere class
@@ -34,6 +37,7 @@ from .funcrep import (
     _cheb_values,
     _piece_index,
     _scale_tol,
+    _sealed,
 )
 from .histspace import HistoryConfig, HistoryElement, _check, history_segment
 from .nonlinear import Nonlinearity
@@ -63,7 +67,8 @@ class Trajectory:
     """A solved trajectory on [-R, horizon].
 
     integration_defect is the largest sampled residual |x'(t) - f(x(t - r))|
-    on the solved part, a direct measure of how well the interpolated
+    on the solved part: each cut's interpolant minus f at 5 Chebyshev probe
+    points of the cut, a direct measure of how well the interpolated
     integrands matched the true ones.
     """
 
@@ -104,7 +109,7 @@ def solve(problem: Problem, T: float) -> Trajectory:
     if not T > 0:
         raise ValueError("horizon must be positive")
     r, rep, n = problem.r, problem.phi.rep, _NODES_PER_PIECE
-    u, fit, antider, slope = _step_matrices(n)
+    integrate, probe = _step_matrices(n)[1:]
     # The known pieces a step reads: the history, then the previous step.
     window_bp, window, value = rep.breakpoints, rep.coeffs, rep.endpoint_value
     breakpoints, blocks, defect = [rep.breakpoints], [], 0.0
@@ -114,43 +119,59 @@ def solve(problem: Problem, T: float) -> Trajectory:
         shifted = window_bp + r
         inner = shifted[(shifted > t0 + tol) & (shifted < t1 - tol)]
         cuts = np.concatenate(([t0], inner, [t1]))
-        half = 0.5 * np.diff(cuts)[:, None, None]
-        rhs = _delayed_rhs(problem, window_bp, window, cuts, u)
+        rhs = _delayed_rhs(problem, window_bp, window, cuts, n)
         # The antiderivative of each cut's interpolant, chained across the
         # cuts so that it starts from the value reached so far.
-        integ = half * (antider @ (fit @ rhs[:, :n]))
-        chain = np.cumsum(np.vstack((value, integ.sum(axis=1))), axis=0)
+        integ = 0.5 * (cuts[1:] - cuts[:-1])[:, None, None] * (integrate @ rhs[:, :n])
+        chain = np.cumsum(np.concatenate((value[None], integ.sum(axis=1))), axis=0)
         integ[:, 0] += chain[:-1]
         value = chain[-1]
-        defect = max(defect, float(np.abs(slope @ integ / half - rhs[:, n:]).max()))
+        defect = max(defect, float(np.abs(probe @ rhs[:, :n] - rhs[:, n:]).max()))
         breakpoints.append(cuts[1:])
         blocks.append(integ)
         window_bp, window = cuts, integ
-    x = PiecewiseFunction(np.concatenate(breakpoints), [rep.coeffs] + blocks, value)
+    bp = _sealed(np.concatenate(breakpoints))
+    coeffs = np.zeros((bp.size - 1, max(rep.degree, n) + 1, rep.n_components))
+    coeffs[: rep.n_pieces, : rep.degree + 1] = rep.coeffs
+    np.concatenate(blocks, out=coeffs[rep.n_pieces :, : n + 1])
+    x = PiecewiseFunction(bp, _sealed(coeffs), value)
     return Trajectory(problem, float(T), x, edges, defect)
 
 
 @lru_cache(maxsize=None)
 def _step_matrices(n: int):
-    """Local points u (n interpolation nodes, then 5 defect probes) and the
-    matrices fit (values to coefficients), antider (n coefficients to the
-    n + 1 of the antiderivative vanishing at -1) and slope (those n + 1 to
-    the derivative at the probes)."""
+    """Local points u (n interpolation nodes, then 5 defect probes) and two
+    matrices on values at the nodes: integrate, to the n + 1 coefficients of
+    the interpolant's antiderivative vanishing at -1, and probe, to that
+    antiderivative's derivative at the probes, which ignores its constant."""
     u = np.concatenate((_cheb_nodes(n), _cheb_nodes(5)))
-    antider = _cheb.chebint(np.eye(n), lbnd=-1, axis=0)
-    slope = _cheb_values(_cheb.chebder(np.eye(n + 1), axis=0), u[n:])
-    for mat in (u, antider, slope):
-        mat.flags.writeable = False
-    return u, _cheb_interp_matrix(n), antider, slope
+    integrate = _cheb.chebint(np.eye(n), lbnd=-1, axis=0) @ _cheb_interp_matrix(n)
+    probe = _cheb.chebvander(u[n:], n - 1) @ _cheb.chebder(np.eye(n + 1), axis=0) @ integrate
+    return _sealed(u), _sealed(integrate), _sealed(probe)
 
 
-def _delayed_rhs(problem: Problem, bp: np.ndarray, coeffs: np.ndarray, cuts, u) -> np.ndarray:
-    """f(x(t - r)) at the local points u of each cut, shape (cuts, len(u), N),
-    where x is the padded block (bp, coeffs) and holds each delayed cut in
-    one piece, found from the cut's midpoint."""
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    t = (mid[:, None] + 0.5 * np.diff(cuts)[:, None] * u) - problem.r
+@lru_cache(maxsize=None)
+def _vandermonde(n: int, deg: int) -> np.ndarray:
+    """The Chebyshev-Vandermonde matrix of degree deg at the local points u of `_step_matrices(n)`."""
+    return _sealed(_cheb.chebvander(_step_matrices(n)[0], deg))
+
+
+def _delayed_rhs(problem: Problem, bp: np.ndarray, coeffs: np.ndarray, cuts, n: int) -> np.ndarray:
+    """f(x(t - r)) at the local points u of `_step_matrices(n)` on each cut,
+    shape (cuts, n + 5, N), where x is the padded block (bp, coeffs) and holds
+    each delayed cut in one piece, found from the cut's midpoint.  A cut whose
+    ends are the piece's up to a few ulps reads it whole through one cached
+    Vandermonde product; the others map their points into the piece."""
+    delayed, mid = cuts - problem.r, 0.5 * (cuts[:-1] + cuts[1:])
     piece = _piece_index(bp, mid - problem.r)
-    lo, hi = bp[piece][:, None], bp[piece + 1][:, None]
-    vals = _cheb_values(coeffs[piece], (2.0 * t - (lo + hi)) / (hi - lo))
+    lo, hi = bp[piece], bp[piece + 1]
+    # A few ulps, not `_scale_tol`: at t = 200 that is 2e-10, and would take a
+    # cut a real amount off its piece for the whole piece.
+    tol = 8.0 * np.finfo(float).eps * max(1.0, abs(bp[0]), abs(cuts[-1]))
+    moved = np.flatnonzero(np.maximum(np.abs(delayed[:-1] - lo), np.abs(delayed[1:] - hi)) > tol)
+    vals = _vandermonde(n, coeffs.shape[1] - 1) @ coeffs[piece]
+    if moved.size:
+        lo, hi, half = lo[moved, None], hi[moved, None], 0.5 * (cuts[moved + 1] - cuts[moved])[:, None]
+        t = (mid[moved, None] + half * _step_matrices(n)[0]) - problem.r
+        vals[moved] = _cheb_values(coeffs[piece[moved]], (2.0 * t - (lo + hi)) / (hi - lo))
     return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)

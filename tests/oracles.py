@@ -15,7 +15,9 @@ the per-piece zero split that `funcrep` replaced by one array pass over all
 roots, and the per-group, per-rule-size Gauss-Jacobi loop that it replaced
 by one evaluation per bisection level.  The last two loops measure one
 function at a time, the reference for `funcrep.lp_norm` and `sup_norm`
-given a sequence of functions.
+given a sequence of functions.  The delayed read at the end evaluates every
+cut of a solver step at points mapped into its piece, the read the solver
+keeps only for cuts that are not a whole piece.
 """
 
 import numpy as np
@@ -284,3 +286,20 @@ def sup_norm_loop(fs):
     from ddehist.funcrep import sup_norm
 
     return np.array([sup_norm(f) for f in fs])
+
+
+def delayed_rhs(problem, bp, coeffs, cuts, u):
+    """f(x(t - r)) at the local points u of each cut, shape (cuts, len(u), N),
+    as `solver._delayed_rhs` read every cut before whole pieces took the
+    cached product: each cut's points mapped into the piece of (bp, coeffs)
+    that holds its delayed midpoint, and evaluated there with numpy's
+    chebval, one cut at a time."""
+    from numpy.polynomial.chebyshev import chebval
+
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    t = (mid[:, None] + 0.5 * np.diff(cuts)[:, None] * u) - problem.r
+    piece = np.searchsorted(bp[1:-1], mid - problem.r, side="right")
+    lo, hi = bp[piece][:, None], bp[piece + 1][:, None]
+    local = (2.0 * t - (lo + hi)) / (hi - lo)
+    vals = np.stack([chebval(x, coeffs[i]).T for x, i in zip(local, piece)])
+    return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)

@@ -6,11 +6,12 @@ independent numerical check for cases without a closed form.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,7 +19,7 @@ from ddehist import solver
 from ddehist.corpus import null_set_variant, random_history
 from ddehist.funcrep import PiecewiseFunction, sup_norm
 from ddehist.histspace import HistoryConfig, HistoryElement, seminorm, static_prolongation
-from ddehist.nonlinear import linear, make, quadratic, saturating
+from ddehist.nonlinear import linear, make, quadratic, saturating, tangent_system
 from ddehist.solver import Problem, Trajectory, solve, step_edges
 
 SCALAR = HistoryConfig(R=1.0, p=2.0, N=1)
@@ -30,6 +31,31 @@ def unit_history(value=1.0):
 
 def growth_problem():
     return Problem(SCALAR, linear(np.array([[1.0]])), 1.0, unit_history())
+
+
+def solve_reads(pb, T):
+    """Solve, and record every `_delayed_rhs` call as (arguments, result) and
+    the step start of every mapped-point `_cheb_values` read made inside
+    one."""
+    calls, mapped, inside = [], [], []
+    real_rhs, real_values = solver._delayed_rhs, solver._cheb_values
+
+    def recording_rhs(*args):
+        inside.append(float(args[3][0]))
+        out = real_rhs(*args)
+        inside.pop()
+        calls.append((args, out))
+        return out
+
+    def recording_values(*args):
+        if inside:
+            mapped.append(inside[-1])
+        return real_values(*args)
+
+    with mock.patch.object(solver, "_delayed_rhs", recording_rhs):
+        with mock.patch.object(solver, "_cheb_values", recording_values):
+            traj = solve(pb, T)
+    return traj, calls, mapped
 
 
 class TestStepEdges:
@@ -282,3 +308,74 @@ def test_random_problems_stay_consistent(seed, delay):
     assert traj.continuity_defect() < 1e-9
     assert traj.integration_defect < 1e-6
     assert seminorm(traj.history_at(0.0) - phi, SCALAR) < 1e-10
+
+
+class TestWholePieceReads:
+    """A delayed cut that is a whole piece is read through the cached
+    Vandermonde product; only the other cuts map points into their piece."""
+
+    HISTORY = HistoryElement(
+        PiecewiseFunction.from_power(
+            [-1.0, -0.55, -0.2, 0.0], [[[0.3, -0.4]], [[-0.2, 0.1, 0.5]], [[0.6, 0.0, 0.0, -0.3]]], [0.25]
+        )
+    )
+
+    @pytest.mark.parametrize("T", [50.0, 200.0])
+    def test_no_points_are_mapped_when_the_delay_is_the_memory(self, T):
+        _, calls, mapped = solve_reads(Problem(SCALAR, saturating(), 1.0, self.HISTORY), T)
+        assert len(calls) == T
+        assert mapped == []
+
+    def test_a_shorter_delay_maps_points_on_the_first_and_the_truncated_last_step(self):
+        traj, calls, mapped = solve_reads(Problem(SCALAR, saturating(), 0.7, self.HISTORY), 20.0)
+        edges = traj.step_boundaries
+        assert len(calls) == edges.size - 1 == 29
+        assert edges[-1] - edges[-2] < 0.7
+        assert mapped == [0.0, edges[-2]]
+
+    def test_a_cut_a_real_amount_off_its_piece_is_mapped_into_it(self):
+        # The breakpoint -0.7 + 3e-13, shifted by r = 0.7, falls within the
+        # step's end tolerance of 0 and is not a cut, so the first delayed
+        # cut [-0.7, -0.2] starts 3e-13 left of its piece: not a whole piece.
+        phi = PiecewiseFunction.from_power(
+            [-1.0, -0.7 + 3e-13, -0.2, 0.0], [[[0.1]], [[0.5, 2.0, -3.0]], [[-0.4, 1.0]]], [0.2]
+        )
+        pb = Problem(SCALAR, saturating(), 0.7, HistoryElement(phi))
+        _, calls, mapped = solve_reads(pb, 1.4)
+        assert mapped == [0.0]
+        u = solver._step_matrices(solver._NODES_PER_PIECE)[0]
+        for args, got in calls:
+            want = oracles.delayed_rhs(*args[:4], u)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+SYSTEMS = {
+    "saturating": (1, saturating),
+    "mackey_glass": (1, lambda: make("mackey_glass")),
+    "saturating-2": (2, lambda: saturating(2)),
+    "quadratic-tangent": (2, lambda: tangent_system(quadratic())),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pieces=st.integers(1, 4),
+    system=st.sampled_from(sorted(SYSTEMS)),
+    R=st.sampled_from([0.5, 1.0, 1.5]),
+    fraction=st.floats(0.05, 1.0),
+    steps=st.floats(0.1, 6.0),
+)
+# R = r over six whole steps: every cut is a whole piece.
+@example(seed=3, pieces=3, system="saturating", R=1.0, fraction=1.0, steps=6.0)
+# r < R and a truncated last step: whole and mapped cuts in one step.
+@example(seed=7, pieces=4, system="quadratic-tangent", R=1.5, fraction=0.4, steps=4.5)
+def test_delayed_read_matches_the_mapped_point_reference(seed, pieces, system, R, fraction, steps):
+    dim, build = SYSTEMS[system]
+    cfg = HistoryConfig(R=R, p=2.0, N=dim)
+    phi = random_history(np.random.default_rng(seed), cfg, n_pieces=pieces, max_degree=3, scale=0.8)
+    pb = Problem(cfg, build(), fraction * R, phi)
+    u = solver._step_matrices(solver._NODES_PER_PIECE)[0]
+    for args, got in solve_reads(pb, steps * pb.r)[1]:
+        want = oracles.delayed_rhs(*args[:4], u)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
