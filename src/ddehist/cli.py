@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -365,7 +366,6 @@ def _run_solve(spec) -> ExperimentResult:
     ts = np.linspace(-spec.space.R, spec.horizon, spec.grid)
     header = ["t"] + [f"x{j + 1}" for j in range(spec.space.N)]
     xs = traj.x(ts)
-    rows = [(float(t), *map(float, x)) for t, x in zip(ts, xs)]
     cont = traj.continuity_defect()
     claims = [
         Claim.bound(spec.name, "solve.continuity-defect", cont, 1e-9),
@@ -376,7 +376,7 @@ def _run_solve(spec) -> ExperimentResult:
         ref = _linear_reference(spec.nl.params["matrix"], spec.history.rep, spec.delay, spec.horizon, ts[ahead])
         gap = float(np.abs(xs[ahead] - ref).max() / max(1.0, np.abs(ref).max()))
         claims.append(Claim.bound(spec.name, "solve.oracle-gap", gap, _ORACLE_LIMIT))
-    return ExperimentResult(spec.name, [("trajectory", header, rows)], claims)
+    return ExperimentResult(spec.name, [("trajectory", header, np.column_stack((ts, xs)))], claims)
 
 
 def _run_dependence(spec) -> ExperimentResult:
@@ -649,6 +649,7 @@ def parse_experiment(doc, index, global_seed) -> SimpleNamespace:
 
 def parse_config(doc, global_seed):
     _require(isinstance(doc, dict), "config root must be an object")
+    _require(isinstance(doc.get("out", ""), str), "out must be a string")
     raw = doc.get("experiments", [])
     _require(isinstance(raw, list), "experiments must be a list")
     specs = [parse_experiment(entry, i, global_seed) for i, entry in enumerate(raw)]
@@ -664,26 +665,25 @@ def run_experiment(spec) -> ExperimentResult:
 # -- output -----------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
-
-
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    """Write a table, a sequence of rows or a 2-D array, in one formatting pass.
+
+    Each column takes its format from the first row's cell: ``%d`` for
+    integers, ``%.17g`` for floats (enough digits to round-trip a double).
+    """
+    text = ",".join(header) + "\n"
+    if len(rows):
+        row = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in rows[0]) + "\n"
+        cells = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [v for r in rows for v in r]
+        text += (row * len(rows)) % tuple(cells)
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 # -- entry point ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddehist",
@@ -741,7 +741,7 @@ def main(argv=None) -> int:
         print("no experiments to run")
         return 0
 
-    out_dir = args.out or (doc["out"] if isinstance(doc.get("out"), str) else os.path.join(".", "out"))
+    out_dir = args.out or doc.get("out", os.path.join(".", "out"))
     os.makedirs(out_dir, exist_ok=True)
 
     results = [run_experiment(spec) for spec in specs]

@@ -17,7 +17,9 @@ by one evaluation per bisection level.  The last two loops measure one
 function at a time, the reference for `funcrep.lp_norm` and `sup_norm`
 given a sequence of functions.  The delayed read at the end evaluates every
 cut of a solver step at points mapped into its piece, the read the solver
-keeps only for cuts that are not a whole piece.
+keeps only for cuts that are not a whole piece.  The CSV cell formatter
+at the very end prints one cell at a time, the reference for the
+one-pass table formatting of `cli.write_csv`.
 """
 
 import numpy as np
@@ -303,3 +305,22 @@ def delayed_rhs(problem, bp, coeffs, cuts, u):
     local = (2.0 * t - (lo + hi)) / (hi - lo)
     vals = np.stack([chebval(x, coeffs[i]).T for x, i in zip(local, piece)])
     return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)
+
+
+def csv_cell(value) -> str:
+    """One CSV cell as `cli.write_csv` printed it before whole tables were
+    formatted in one pass: an isinstance chain per cell."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % float(value)
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    """The CSV text of a table, cell by cell through `csv_cell`."""
+    lines = [",".join(header)]
+    lines.extend(",".join(csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"

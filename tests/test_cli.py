@@ -5,13 +5,17 @@ fast; file outputs go to pytest temporary directories.
 """
 
 import json
+import math
 import os
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ddehist import cli
 from ddehist.certify import certify_decay
 from ddehist.cli import Claim, ConfigError, main, parse_config, write_csv
@@ -415,6 +419,45 @@ class TestOutputPrecedence:
         assert main(["verify", "--config", cfg]) == 0
         assert (tmp_path / "out" / "jump-gaps.csv").exists()
 
+    @pytest.mark.parametrize("out", [5, ["d"], None, True])
+    def test_non_string_out_is_a_config_error(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, [DEMO_EXPERIMENT], extra={"out": out})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "out must be a string" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+        with pytest.raises(ConfigError, match="out"):
+            parse_config({"out": out, "experiments": []}, 0)
+
+
+# Signed zeros, subnormals, infinities, nan, and values that need all 17
+# significant digits to round-trip.
+SPECIAL_FLOATS = [
+    (0.0, -0.0),
+    (5e-324, 1e-320),
+    (math.inf, -math.inf),
+    (math.nan, 0.1),
+    (1 / 3, 0.1 + 0.2),
+    (2.0**0.5, 1.7976931348623157e308),
+    (float(4**20), -2.2250738585072014e-308),
+]
+FLOAT_CELLS = st.floats() | st.floats().map(np.float64)
+INT_CELLS = st.integers(-(2**63), 2**63 - 1) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows) with 1 + N columns for N in {1, 3}, each column all
+    floats or all integers; rows a list of tuples, or a 2-D array when every
+    column has one type."""
+    n = draw(st.sampled_from((1, 3)))
+    kinds = draw(st.lists(st.sampled_from((float, int)), min_size=n + 1, max_size=n + 1))
+    rows = draw(st.lists(st.tuples(*(FLOAT_CELLS if k is float else INT_CELLS for k in kinds)), max_size=12))
+    header = ["t"] + [f"x{j + 1}" for j in range(n)]
+    if len(set(kinds)) == 1 and draw(st.booleans()):
+        rows = np.array(rows, dtype=np.float64 if kinds[0] is float else np.int64).reshape(len(rows), n + 1)
+    return header, rows
+
 
 class TestDeterminism:
     RANDOMIZED = {
@@ -473,6 +516,38 @@ class TestDeterminism:
         text = path.read_text()
         assert text == "v\n0.10000000000000001\n0.33333333333333331\n"
         assert "\r" not in text
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=csv_tables())
+    @example(table=(["t", "x1"], SPECIAL_FLOATS))
+    @example(table=(["t", "x1"], np.array(SPECIAL_FLOATS)))
+    @example(table=(["n", "x1", "x2", "x3"], [(4**20, 0.1, -0.0, math.nan), (np.int64(1), np.float64(1 / 3), -math.inf, 5e-324)]))
+    @example(table=(["n", "x1"], np.array([[4**20, -1], [0, 2**62]])))
+    @example(table=(["t", "x1", "x2", "x3"], []))
+    @example(table=(["t", "x1"], np.empty((0, 2))))
+    def test_write_csv_matches_the_per_cell_reference(self, tmp_path_factory, table):
+        header, rows = table
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == oracles.csv_text(header, rows).encode("ascii")
+
+    def test_main_can_be_called_again_in_one_process(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [self.RANDOMIZED, DEMO_EXPERIMENT])
+
+        def run(name, *extra):
+            out = tmp_path / name
+            rc = main(["verify", "--config", cfg, "--out", str(out), *extra])
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+            return rc, capsys.readouterr(), files
+
+        first = run("first", "--seed", "5")
+        unseeded = run("unseeded")
+        jobs = run("jobs", "--jobs", "2")
+        again = run("again", "--seed", "5")
+        zero = run("zero", "--seed", "0")
+        assert unseeded[2] == zero[2] != first[2]
+        assert jobs[0] == 2 and "--jobs must be 1" in jobs[1].err and not jobs[2]
+        assert (again[0], again[1].out, again[2]) == (first[0], first[1].out, first[2])
 
 
 class TestClaim:
