@@ -149,6 +149,8 @@ def _function(spec, domain, n_components, rng, label) -> PiecewiseFunction:
             f"{label} breakpoints must span [{lo}, {hi}]",
         )
         _require(out.n_components == n_components, f"{label} has wrong component count")
+        if (a, b) != (lo, hi):
+            out = out._snap_domain(lo, hi)
     elif "random" in spec:
         opts = spec["random"]
         _require(isinstance(opts, dict), f"{label} random must be an object")
@@ -175,10 +177,10 @@ def _number_list(spec, key, n_components, label) -> np.ndarray:
     return np.array([_float_field({name: value}, name) for value in raw])
 
 
-def _history(doc, key, spec) -> HistoryElement:
+def _history(doc, key, spec) -> PiecewiseFunction:
     space = spec.space
     default = {"constant": [1.0] * space.N}
-    return HistoryElement(_function(doc.get(key, default), (-space.R, 0.0), space.N, spec.rng, key))
+    return _function(doc.get(key, default), (-space.R, 0.0), space.N, spec.rng, key)
 
 
 def _int_field(doc, key, default, lo, hi):
@@ -292,7 +294,7 @@ def _build_smooth(spec):
     _require(spec.horizon <= spec.delay + 1e-12, "smooth.gain-bound is a one-step bound: horizon must be <= delay")
     spec.ctx = DerivativeContext(problem, spec.horizon)
     alpha = spec.nl.df_growth.alpha
-    _require(lp_norm(spec.direction.rep, alpha + 1.0) > 1e-13, "direction must be nonzero")
+    _require(lp_norm(spec.direction, alpha + 1.0) > 1e-13, "direction must be nonzero")
 
 
 def _build_composition(spec):
@@ -373,7 +375,7 @@ def _run_solve(spec) -> ExperimentResult:
     ]
     if spec.nl.name == "linear":
         ahead = ts >= 0.0
-        ref = _linear_reference(spec.nl.params["matrix"], spec.history.rep, spec.delay, spec.horizon, ts[ahead])
+        ref = _linear_reference(spec.nl.params["matrix"], spec.history, spec.delay, spec.horizon, ts[ahead])
         gap = float(np.abs(xs[ahead] - ref).max() / max(1.0, np.abs(ref).max()))
         claims.append(Claim.bound(spec.name, "solve.oracle-gap", gap, _ORACLE_LIMIT))
     return ExperimentResult(spec.name, [("trajectory", header, np.column_stack((ts, xs)))], claims)
@@ -386,8 +388,8 @@ def _run_dependence(spec) -> ExperimentResult:
     gap_out = endpoint_lp_norm(gaps, spec.space.p)
     # Prolongation is linear: the deviations' gap is the gap less the step's prolongation.
     ygap = sup_norm([prolongation_deviation(gap, step) for step, gap in zip(steps, gaps)])
-    base = aligned((steps[0].rep, spec.history.rep))[1]
-    l1 = [lp_norm(map_gap(spec.nl.fn, base, step.rep), 1.0) for step in steps]
+    base = aligned((steps[0], spec.history))[1]
+    l1 = [lp_norm(map_gap(spec.nl.fn, base, step), 1.0) for step in steps]
     rows = list(zip(factors, gap_in, gap_out, ygap, l1))
     cert = certify_decay(np.array([row[2] for row in rows]))
     worst = max(ygap - l1 for *_, ygap, l1 in rows)
@@ -440,14 +442,13 @@ def _run_smooth(spec) -> ExperimentResult:
     bound = tangent_deviation_bound(ctx)
     probed = estimate_operator_norm(
         lambda chi: tangent_deviation(ctx, chi),
-        lambda chi: lp_norm(chi.rep, alpha + 1.0),
+        lambda chi: lp_norm(chi, alpha + 1.0),
         sup_norm,
         (-spec.space.R, 0.0),
         spec.space.N,
         probes=spec.probes,
         seed=spec.seed,
         extra=[spec.direction],
-        lift=HistoryElement,
     )
     claims = [
         Claim.decay(spec.name, "smooth.remainder-decay", table.certificate()),
@@ -649,7 +650,8 @@ def parse_experiment(doc, index, global_seed) -> SimpleNamespace:
 
 def parse_config(doc, global_seed):
     _require(isinstance(doc, dict), "config root must be an object")
-    _require(isinstance(doc.get("out", ""), str), "out must be a string")
+    _require(isinstance(doc.get("out", "."), str), "out must be a string")
+    _require(doc.get("out") != "", "out must not be empty")
     raw = doc.get("experiments", [])
     _require(isinstance(raw, list), "experiments must be a list")
     specs = [parse_experiment(entry, i, global_seed) for i, entry in enumerate(raw)]
@@ -706,17 +708,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error(message) -> int:
+    print(f"config error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not 0 <= args.seed < 2**64:
-        print("config error: seed must fit in u64", file=sys.stderr)
-        return 2
+        return _config_error("seed must fit in u64")
     if args.jobs != 1:
-        print("config error: experiments run one at a time; --jobs must be 1", file=sys.stderr)
-        return 2
+        return _config_error("experiments run one at a time; --jobs must be 1")
     if args.config is None and args.command != "demo":
-        print("config error: --config is required", file=sys.stderr)
-        return 2
+        return _config_error("--config is required")
 
     doc = {"experiments": [_DEMO]}
     if args.config is not None:
@@ -724,14 +728,12 @@ def main(argv=None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+            return _config_error(exc)
 
     try:
         specs = parse_config(doc, args.seed)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     if args.command == "solve":
         specs = [s for s in specs if s.kind == "solve"]
     elif args.command == "demo":
@@ -741,22 +743,27 @@ def main(argv=None) -> int:
         print("no experiments to run")
         return 0
 
-    out_dir = args.out or doc.get("out", os.path.join(".", "out"))
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = doc.get("out", os.path.join(".", "out")) if args.out is None else args.out
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        return _config_error(exc)
 
     results = [run_experiment(spec) for spec in specs]
-    failures = 0
-    for result in results:
-        for suffix, header, rows in result.tables:
-            write_csv(os.path.join(out_dir, f"{result.name}-{suffix}.csv"), header, rows)
-        for claim in result.claims:
-            print(claim.line())
-            failures += 0 if claim.passed else 1
-    total = sum(len(r.claims) for r in results)
+    try:
+        for result in results:
+            for suffix, header, rows in result.tables:
+                write_csv(os.path.join(out_dir, f"{result.name}-{suffix}.csv"), header, rows)
+    except OSError as exc:
+        return _config_error(exc)
+    claims = [claim for result in results for claim in result.claims]
+    for claim in claims:
+        print(claim.line())
+    failures = sum(not claim.passed for claim in claims)
     if failures:
-        print(f"{failures} of {total} claims failed")
+        print(f"{failures} of {len(claims)} claims failed")
         return 1
-    print(f"all {total} claims passed")
+    print(f"all {len(claims)} claims passed")
     return 0
 
 

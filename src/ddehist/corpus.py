@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .funcrep import PiecewiseFunction
-from .histspace import HistoryConfig, HistoryElement
+from .histspace import HistoryConfig
 
 __all__ = [
     "random_breakpoints",
@@ -74,17 +74,15 @@ def random_history(
     max_degree: int = 3,
     scale: float = 1.0,
     continuous: bool = False,
-) -> HistoryElement:
-    return HistoryElement(
-        random_piecewise(
-            rng,
-            (-cfg.R, 0.0),
-            n_pieces=n_pieces,
-            max_degree=max_degree,
-            n_components=cfg.N,
-            scale=scale,
-            continuous=continuous,
-        )
+) -> PiecewiseFunction:
+    return random_piecewise(
+        rng,
+        (-cfg.R, 0.0),
+        n_pieces=n_pieces,
+        max_degree=max_degree,
+        n_components=cfg.N,
+        scale=scale,
+        continuous=continuous,
     )
 
 
@@ -97,7 +95,7 @@ def piecewise_constant(
     return PiecewiseFunction(bp, values[:, None, :], values[-1])
 
 
-def indicator_history(cfg: HistoryConfig, lo: float, hi: float, height=1.0) -> HistoryElement:
+def indicator_history(cfg: HistoryConfig, lo: float, hi: float, height=1.0) -> PiecewiseFunction:
     """Indicator of [lo, hi) intersected with [-R, 0), scaled by height.
 
     The value at 0 is always 0: the indicator lives in the almost-everywhere
@@ -119,7 +117,7 @@ def indicator_history(cfg: HistoryConfig, lo: float, hi: float, height=1.0) -> H
         blocks.append(np.zeros((1, cfg.N)))
     cuts.append(0.0)
     bp = np.array(cuts, dtype=float)
-    return HistoryElement(PiecewiseFunction(bp, blocks, np.zeros(cfg.N)))
+    return PiecewiseFunction(bp, blocks, np.zeros(cfg.N))
 
 
 def bump_history(cfg: HistoryConfig, center: float, halfwidth: float, height=1.0):
@@ -127,12 +125,11 @@ def bump_history(cfg: HistoryConfig, center: float, halfwidth: float, height=1.0
     return indicator_history(cfg, center - halfwidth, center + halfwidth, height)
 
 
-def null_set_variant(phi: HistoryElement, rng, n_points: int = 3) -> HistoryElement:
+def null_set_variant(phi: PiecewiseFunction, rng, n_points: int = 3) -> PiecewiseFunction:
     """A representative of the same history with a refined partition.
 
     The represented function and its value at 0 are unchanged; only the
     breakpoint set differs, which is invisible to every norm.
     """
-    a, b = phi.rep.domain
-    pts = rng.uniform(a, b, n_points)
-    return HistoryElement(phi.rep.refine(pts))
+    a, b = phi.domain
+    return phi.refine(rng.uniform(a, b, n_points))

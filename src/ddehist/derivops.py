@@ -23,7 +23,7 @@ import numpy as np
 from .certify import RemainderTable, halving
 from .corpus import piecewise_constant
 from .funcrep import LazyComposition, PiecewiseFunction, aligned, lp_norm, stack, sup_norm
-from .histspace import HistoryConfig, HistoryElement, prolongation_deviation
+from .histspace import HistoryConfig, prolongation_deviation
 from .nonlinear import holder_conjugate, spectral_norm, tangent_system
 from .solver import Problem, solve
 
@@ -83,23 +83,23 @@ class DerivativeContext:
             raise ValueError(f"{bound} is a one-step bound: horizon must lie in (0, r]")
 
 
-def _doubled_solve(ctx: DerivativeContext, chi: HistoryElement) -> tuple:
+def _doubled_solve(ctx: DerivativeContext, chi: PiecewiseFunction) -> tuple:
     # The (x, y) blocks of one solve of tangent_system from (phi, chi) on
     # [-R, horizon]: the base trajectory and the response, on one partition.
     pb, n = ctx.problem, ctx.problem.cfg.N
     cfg = HistoryConfig(pb.cfg.R, pb.cfg.p, 2 * n)
-    history = HistoryElement(stack((pb.phi.rep, chi.rep)))
+    history = stack((pb.phi, chi))
     z = solve(Problem(cfg, tangent_system(pb.nl), pb.r, history), ctx.horizon).x
     x = PiecewiseFunction(z.breakpoints, z.coeffs[:, :, :n], z.endpoint_value[:n])
     return x, PiecewiseFunction(z.breakpoints, z.coeffs[:, :, n:], z.endpoint_value[n:])
 
 
-def tangent_trajectory(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
+def tangent_trajectory(ctx: DerivativeContext, chi: PiecewiseFunction) -> PiecewiseFunction:
     """The first-order response to chi on [-R, horizon]."""
     return _doubled_solve(ctx, chi)[1]
 
 
-def tangent_deviation(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
+def tangent_deviation(ctx: DerivativeContext, chi: PiecewiseFunction) -> PiecewiseFunction:
     """The first-order response y less the static prolongation of chi on
     y's partition (`prolongation_deviation`): zero on the history, then
     y - chi(0).  Linear in chi."""
@@ -115,7 +115,7 @@ def tangent_deviation_bound(ctx: DerivativeContext) -> float:
     ctx.require_one_step("tangent_deviation_bound")
     pb = ctx.problem
     jac = pb.nl.jacobian
-    gains = LazyComposition(pb.phi.rep, lambda v: spectral_norm(jac(v))[:, None], 1)
+    gains = LazyComposition(pb.phi, lambda v: spectral_norm(jac(v))[:, None], 1)
     return lp_norm(gains, ctx.q)
 
 
@@ -128,21 +128,18 @@ def estimate_operator_norm(
     probes: int = 12,
     seed: int = 0,
     extra=(),
-    lift=lambda h: h,
 ) -> float:
     """Empirical lower bound for an operator norm via seeded step-function probes.
 
     Probes are random piecewise-constant functions on span with n_components
     components (dense enough in every L^p and integrated exactly by the
-    quadrature), passed through lift (HistoryElement for operators on
-    histories), plus any caller-supplied directions in extra.
+    quadrature), plus any caller-supplied directions in extra.  On the span
+    (-R, 0) each probe is a history.
     """
     rng = np.random.default_rng(seed)
     candidates = list(extra)
     for _ in range(int(probes)):
-        candidates.append(
-            lift(piecewise_constant(rng, span, n_pieces=8, n_components=n_components))
-        )
+        candidates.append(piecewise_constant(rng, span, n_pieces=8, n_components=n_components))
     best = 0.0
     for chi in candidates:
         size = norm_in(chi)
@@ -167,7 +164,7 @@ def map_gap(fn, base: PiecewiseFunction, step: PiecewiseFunction) -> LazyComposi
     return LazyComposition(stack((base, step)), lambda v: fn(v[:, :n] + v[:, n:]) - fn(v[:, :n]), n)
 
 
-def halving_solves(pb: Problem, chi: HistoryElement, horizon: float, count: int):
+def halving_solves(pb: Problem, chi: PiecewiseFunction, horizon: float, count: int):
     """The trajectory gaps behind every dependence table: one (f, f chi,
     x(f) - x(0)) row per f = 2^-k, k = 0..count, where x(f) is the solve on
     [-R, horizon] from pb.phi + f chi.  pb.phi and chi go onto one
@@ -175,20 +172,20 @@ def halving_solves(pb: Problem, chi: HistoryElement, horizon: float, count: int)
     each moved history is a coefficient sum.  x(0), from pb.phi + 0 chi,
     shares the rows' partition: each gap is a coefficient difference."""
     factors = halving(count)
-    phi, chi = (HistoryElement(rep) for rep in aligned((pb.phi.rep, chi.rep)))
+    phi, chi = aligned((pb.phi, chi))
     steps = [chi.scale(f) for f in (0.0, *factors)]
     xs = [solve(replace(pb, phi=phi + step), horizon).x for step in steps]
     return [(f, step, x - xs[0]) for f, step, x in zip(factors, steps[1:], xs[1:])]
 
 
-def remainder_function(ctx: DerivativeContext, chi: HistoryElement) -> PiecewiseFunction:
+def remainder_function(ctx: DerivativeContext, chi: PiecewiseFunction) -> PiecewiseFunction:
     """Perturbed trajectory minus base trajectory minus first-order response."""
     base, tangent = _doubled_solve(ctx, chi)
     moved = solve(replace(ctx.problem, phi=ctx.problem.phi + chi), ctx.horizon).x
     return moved - base - tangent
 
 
-def remainder_schedule(ctx: DerivativeContext, chi0: HistoryElement, count: int) -> RemainderTable:
+def remainder_schedule(ctx: DerivativeContext, chi0: PiecewiseFunction, count: int) -> RemainderTable:
     """Linearization remainders along the halving schedule chi0, chi0/2, ...
 
     The first-order response is computed once and rescaled (it is linear by
@@ -196,12 +193,12 @@ def remainder_schedule(ctx: DerivativeContext, chi0: HistoryElement, count: int)
     """
     tangent0 = tangent_trajectory(ctx, chi0)
     rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
-    scales = lp_norm([chi.rep for _, chi, _ in rows], ctx.alpha + 1.0)
+    scales = lp_norm([chi for _, chi, _ in rows], ctx.alpha + 1.0)
     remainders = sup_norm([gap - tangent0.scale(f) for f, _, gap in rows])
     return RemainderTable(scales, remainders)
 
 
-def curvature_remainder_bound(ctx: DerivativeContext, chi: HistoryElement) -> float:
+def curvature_remainder_bound(ctx: DerivativeContext, chi: PiecewiseFunction) -> float:
     """Quadratic remainder bound available when Df is Lipschitz.
 
     Taylor with the integral form of the remainder gives half the Lipschitz
@@ -210,12 +207,12 @@ def curvature_remainder_bound(ctx: DerivativeContext, chi: HistoryElement) -> fl
     lip = ctx.problem.nl.df_lipschitz
     if lip is None:
         raise ValueError("nonlinearity does not certify a jacobian Lipschitz constant")
-    return 0.5 * lip * lp_norm(chi.rep, 2.0) ** 2
+    return 0.5 * lip * lp_norm(chi, 2.0) ** 2
 
 
 def derivative_gap(
     ctx: DerivativeContext,
-    phi0: HistoryElement,
+    phi0: PiecewiseFunction,
     probes: int = 12,
     seed: int = 0,
     extra=(),
@@ -230,16 +227,15 @@ def derivative_gap(
     ctx.require_one_step("derivative_gap")
     pb = ctx.problem
     ctx0 = DerivativeContext(replace(pb, phi=phi0), ctx.horizon)
-    bound = lp_norm(jacobian_gap(pb.nl.jac, pb.phi.rep, phi0.rep), ctx.q)
+    bound = lp_norm(jacobian_gap(pb.nl.jac, pb.phi, phi0), ctx.q)
     probed = estimate_operator_norm(
         lambda chi: tangent_deviation(ctx, chi) - tangent_deviation(ctx0, chi),
-        norm_in=lambda chi: lp_norm(chi.rep, ctx.alpha + 1.0),
+        norm_in=lambda chi: lp_norm(chi, ctx.alpha + 1.0),
         norm_out=sup_norm,
         span=(-pb.cfg.R, 0.0),
         n_components=pb.cfg.N,
         probes=probes,
         seed=seed,
         extra=extra,
-        lift=HistoryElement,
     )
     return probed, bound

@@ -226,10 +226,6 @@ class PiecewiseFunction:
         return cls(np.array([a, b]), values[None, None, :], values)
 
     @classmethod
-    def zero(cls, n_components, domain):
-        return cls.constant(np.zeros(n_components), domain)
-
-    @classmethod
     def identity(cls, domain):
         return cls.from_power(list(domain), [[[0.0, 1.0]]])
 

@@ -5,6 +5,11 @@ The space is seminormed.  For an exponent p >= 1 the seminorm of a history is
     ( integral of |phi|^p over [-R, 0]  +  |phi(0)|^p )^(1/p)
 
 where phi(0) is the stored endpoint value, not an almost-everywhere limit.
+A history is any `PiecewiseFunction` on [-R, 0] with N components: a
+representative plus that endpoint value.  `Problem` and `seminorm` check
+both ends and N where a history enters.  `HistoryElement` is the
+PiecewiseFunction that puts a right end within 1e-9 of 0 onto 0, and
+`HistoryElement.constant(values, R)` builds a constant history.
 Identifying histories with seminorm-zero difference yields a product of an
 L^p class and a point value; `to_pair` / `from_pair` realize that isometry.
 The same endpoint-augmented norm on arbitrary intervals (`endpoint_lp_norm`)
@@ -54,58 +59,22 @@ class HistoryConfig:
             raise ValueError("N must be at least 1")
 
 
-@dataclass(frozen=True, eq=False)
-class HistoryElement:
-    """A representative on [-R, 0]; the endpoint value plays the role of phi(0)."""
-
-    rep: PiecewiseFunction
+class HistoryElement(PiecewiseFunction):
+    """A PiecewiseFunction built on [-R, 0]: a right end within 1e-9 of 0 is
+    put on 0, and its endpoint value plays the role of phi(0)."""
 
     def __post_init__(self):
-        a, b = self.rep.domain
+        super().__post_init__()
+        a, b = self.domain
         if abs(b) > 1e-9 * max(1.0, abs(a)):
             raise DomainError("histories must end at 0")
         if b != 0.0:
-            object.__setattr__(self, "rep", self.rep._snap_domain(a, 0.0))
+            object.__setattr__(self, "breakpoints", np.append(self.breakpoints[:-1], 0.0))
+            super().__post_init__()
 
     @classmethod
     def constant(cls, values, R: float) -> "HistoryElement":
-        return cls(PiecewiseFunction.constant(values, (-float(R), 0.0)))
-
-    @classmethod
-    def from_power(cls, breakpoints, pieces, endpoint_value=None) -> "HistoryElement":
-        return cls(PiecewiseFunction.from_power(breakpoints, pieces, endpoint_value))
-
-    @property
-    def R(self) -> float:
-        return -self.rep.domain[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.rep.n_components
-
-    @property
-    def value_at_zero(self) -> np.ndarray:
-        return self.rep.endpoint_value
-
-    def __call__(self, t):
-        return self.rep(t)
-
-    def __add__(self, other: "HistoryElement") -> "HistoryElement":
-        return HistoryElement(self.rep + other.rep)
-
-    def __sub__(self, other: "HistoryElement") -> "HistoryElement":
-        return HistoryElement(self.rep - other.rep)
-
-    def scale(self, factor: float) -> "HistoryElement":
-        return HistoryElement(self.rep.scale(factor))
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"HistoryElement(R={self.R:g}, components={self.n_components})"
+        return super().constant(values, (-float(R), 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +92,11 @@ class QuotientPair:
         object.__setattr__(self, "eta", eta)
 
 
-def _check(phi: HistoryElement, cfg: HistoryConfig) -> None:
-    if abs(phi.R - cfg.R) > 1e-9 * max(1.0, cfg.R):
-        raise DomainError(f"history length {phi.R} does not match R={cfg.R}")
+def _check(phi: PiecewiseFunction, cfg: HistoryConfig) -> None:
+    # The solver starts its steps at exactly 0, where the history ends.
+    a, b = phi.domain
+    if abs(a + cfg.R) > 1e-9 * max(1.0, cfg.R) or b != 0.0:
+        raise DomainError(f"history on [{a}, {b}] is not on [-R, 0] with R={cfg.R}")
     if phi.n_components != cfg.N:
         raise ValueError("history component count does not match config")
 
@@ -144,17 +115,16 @@ def endpoint_lp_norm(
 
 
 def seminorm(
-    phi: HistoryElement | Sequence[HistoryElement], cfg: HistoryConfig
+    phi: PiecewiseFunction | Sequence[PiecewiseFunction], cfg: HistoryConfig
 ) -> float | np.ndarray:
-    """The history seminorm at exponent cfg.p: a float for one
-    HistoryElement, an array for a sequence of them, in one pass."""
-    single = isinstance(phi, HistoryElement)
-    for each in [phi] if single else phi:
+    """The history seminorm at exponent cfg.p: a float for one history, an
+    array for a sequence of them, in one pass."""
+    for each in [phi] if isinstance(phi, PiecewiseFunction) else phi:
         _check(each, cfg)
-    return endpoint_lp_norm(phi.rep if single else [each.rep for each in phi], cfg.p)
+    return endpoint_lp_norm(phi, cfg.p)
 
 
-def static_prolongation(phi: HistoryElement, T: float) -> PiecewiseFunction:
+def static_prolongation(phi: PiecewiseFunction, T: float) -> PiecewiseFunction:
     """Extend a history to [-R, T] by freezing it at phi(0) on [0, T].
 
     The output always has a breakpoint at 0, and its endpoint value is
@@ -162,25 +132,22 @@ def static_prolongation(phi: HistoryElement, T: float) -> PiecewiseFunction:
     """
     if not T > 0:
         raise ValueError("prolongation horizon must be positive")
-    rep = phi.rep
-    breakpoints = np.append(rep.breakpoints, float(T))
-    frozen = rep.endpoint_value[None, :]
-    return PiecewiseFunction(
-        breakpoints, [rep.coeffs, frozen], rep.endpoint_value
-    )
+    breakpoints = np.append(phi.breakpoints, float(T))
+    frozen = phi.endpoint_value[None, :]
+    return PiecewiseFunction(breakpoints, [phi.coeffs, frozen], phi.endpoint_value)
 
 
-def prolongation_deviation(x: PiecewiseFunction, phi: HistoryElement) -> PiecewiseFunction:
+def prolongation_deviation(x: PiecewiseFunction, phi: PiecewiseFunction) -> PiecewiseFunction:
     """x less the static prolongation of phi, its own history, on x's
     partition: zero on [-R, 0], then x - phi(0).  x has a breakpoint at 0,
     as every trajectory has."""
     ahead = x.breakpoints[:-1] >= 0.0
     coeffs = np.where(ahead[:, None, None], x.coeffs, 0.0)
-    coeffs[ahead, 0] -= phi.value_at_zero
-    return PiecewiseFunction(x.breakpoints, _sealed(coeffs), x.endpoint_value - phi.value_at_zero)
+    coeffs[ahead, 0] -= phi.endpoint_value
+    return PiecewiseFunction(x.breakpoints, _sealed(coeffs), x.endpoint_value - phi.endpoint_value)
 
 
-def history_segment(x: PiecewiseFunction, t: float, R: float) -> HistoryElement:
+def history_segment(x: PiecewiseFunction, t: float, R: float) -> PiecewiseFunction:
     """The history seen at time t: theta -> x(t + theta) on [-R, 0].
 
     The distinguished value is x(t) under the evaluation convention, so at a
@@ -193,17 +160,17 @@ def history_segment(x: PiecewiseFunction, t: float, R: float) -> HistoryElement:
         raise DomainError("segment window is not contained in the domain")
     lo = max(t - R, a)
     hi = min(t, b)
-    return HistoryElement(x.restrict(lo, hi).shift(-t)._snap_domain(-R, 0.0))
+    return x.restrict(lo, hi).shift(-t)._snap_domain(-R, 0.0)
 
 
-def to_pair(phi: HistoryElement) -> QuotientPair:
+def to_pair(phi: PiecewiseFunction) -> QuotientPair:
     """Quotient coordinates of a history: its a.e. class and its value at 0."""
-    return QuotientPair(phi.rep, phi.value_at_zero)
+    return QuotientPair(phi, phi.endpoint_value)
 
 
-def from_pair(pair: QuotientPair) -> HistoryElement:
+def from_pair(pair: QuotientPair) -> PiecewiseFunction:
     """The history whose representative is the class and whose phi(0) is eta."""
-    return HistoryElement(pair.ae_class.with_endpoint(pair.eta))
+    return pair.ae_class.with_endpoint(pair.eta)
 
 
 def pair_norm(pair: QuotientPair, p: float) -> float:

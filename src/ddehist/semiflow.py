@@ -29,10 +29,9 @@ from .derivops import (
     tangent_deviation,
     tangent_trajectory,
 )
-from .funcrep import lp_norm, sup_norm
+from .funcrep import PiecewiseFunction, lp_norm, sup_norm
 from .histspace import (
     HistoryConfig,
-    HistoryElement,
     history_segment,
     prolongation_constant,
     prolongation_deviation,
@@ -54,7 +53,7 @@ __all__ = [
 ]
 
 
-def evolve(pb: Problem, t: float) -> HistoryElement:
+def evolve(pb: Problem, t: float) -> PiecewiseFunction:
     """The history window after running the equation from pb.phi for time t."""
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
@@ -70,7 +69,7 @@ def semigroup_defect(pb: Problem, t: float, s: float) -> float:
     return seminorm(direct - staged, pb.cfg)
 
 
-def quotient_invariance(pb: Problem, t: float, psi: HistoryElement) -> float:
+def quotient_invariance(pb: Problem, t: float, psi: PiecewiseFunction) -> float:
     """Evolution gap between pb.phi and another representative psi of its class.
 
     The inputs must agree almost everywhere and at 0; the returned gap is
@@ -97,7 +96,7 @@ class ModulusTable:
     bounds: np.ndarray
 
 
-def continuity_modulus(pb: Problem, times, direction: HistoryElement, count: int) -> tuple:
+def continuity_modulus(pb: Problem, times, direction: PiecewiseFunction, count: int) -> tuple:
     """Evolution gaps along pb.phi + direction/2^k for each grid time."""
     factors = halving(count)
     if seminorm(direction, pb.cfg) < 1e-13:
@@ -126,7 +125,7 @@ def _modulus_table(cfg: HistoryConfig, t: float, sizes, rows) -> ModulusTable:
     return ModulusTable(t, GapTable(sizes, outs), bounds)
 
 
-def time_map_remainder(pb: Problem, t: float, chi0: HistoryElement, count: int) -> RemainderTable:
+def time_map_remainder(pb: Problem, t: float, chi0: PiecewiseFunction, count: int) -> RemainderTable:
     """Linearization remainders of the time-t map at pb.phi in the evolved
     seminorm.
 
@@ -139,7 +138,7 @@ def time_map_remainder(pb: Problem, t: float, chi0: HistoryElement, count: int) 
     return _remainder_table(ctx, chi0, sizes, rows)
 
 
-def _remainder_table(ctx: DerivativeContext, chi0: HistoryElement, sizes, rows) -> RemainderTable:
+def _remainder_table(ctx: DerivativeContext, chi0: PiecewiseFunction, sizes, rows) -> RemainderTable:
     # time_map_remainder at t = ctx.horizon, from the gaps of halving_solves along chi0.
     cfg, t = ctx.problem.cfg, ctx.horizon
     tangent0 = tangent_trajectory(ctx, chi0)
@@ -150,7 +149,7 @@ def _remainder_table(ctx: DerivativeContext, chi0: HistoryElement, sizes, rows) 
 def time_map_derivative_gap(
     pb: Problem,
     t: float,
-    phi0: HistoryElement,
+    phi0: PiecewiseFunction,
     probes: int = 12,
     seed: int = 0,
     extra=(),
@@ -166,7 +165,7 @@ def time_map_derivative_gap(
     ctx = DerivativeContext(pb, float(t))
     ctx.require_one_step("time_map_derivative_gap")
     ctx0 = DerivativeContext(replace(pb, phi=phi0), float(t))
-    holder_gap = lp_norm(jacobian_gap(pb.nl.jac, pb.phi.rep, phi0.rep), ctx.q)
+    holder_gap = lp_norm(jacobian_gap(pb.nl.jac, pb.phi, phi0), ctx.q)
     bound = regulation_constant(-cfg.R, 0.0, cfg.p) * holder_gap
 
     def window_gap(chi):
@@ -182,7 +181,6 @@ def time_map_derivative_gap(
         probes=probes,
         seed=seed,
         extra=extra,
-        lift=HistoryElement,
     )
     return probed, bound
 
@@ -198,7 +196,7 @@ class SemiflowReport:
     remainder: RemainderTable | None
 
 
-def verify_semiflow(pb: Problem, direction: HistoryElement, count: int = 12) -> SemiflowReport:
+def verify_semiflow(pb: Problem, direction: PiecewiseFunction, count: int = 12) -> SemiflowReport:
     """Run the standard evidence battery from pb.phi.
 
     Axiom defects over a stage grid including boundary-crossing sums, the

@@ -39,7 +39,7 @@ from .funcrep import (
     _scale_tol,
     _sealed,
 )
-from .histspace import HistoryConfig, HistoryElement, _check, history_segment
+from .histspace import HistoryConfig, _check, history_segment
 from .nonlinear import Nonlinearity
 
 __all__ = ["Problem", "Trajectory", "solve", "step_edges"]
@@ -47,12 +47,13 @@ __all__ = ["Problem", "Trajectory", "solve", "step_edges"]
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """A delay equation instance: space, right-hand side, delay, history."""
+    """A delay equation instance: space, right-hand side, delay, and a
+    history phi on [-R, 0]."""
 
     cfg: HistoryConfig
     nl: Nonlinearity
     r: float
-    phi: HistoryElement
+    phi: PiecewiseFunction
 
     def __post_init__(self):
         if not 0.0 < self.r <= self.cfg.R + 1e-12 * max(1.0, self.cfg.R):
@@ -78,7 +79,7 @@ class Trajectory:
     step_boundaries: np.ndarray
     integration_defect: float
 
-    def history_at(self, t: float) -> HistoryElement:
+    def history_at(self, t: float) -> PiecewiseFunction:
         return history_segment(self.x, t, self.problem.cfg.R)
 
     def continuity_defect(self) -> float:
@@ -108,14 +109,14 @@ def solve(problem: Problem, T: float) -> Trajectory:
     """Solve on [0, T] and return the trajectory on [-R, T]."""
     if not T > 0:
         raise ValueError("horizon must be positive")
-    r, rep, n = problem.r, problem.phi.rep, _NODES_PER_PIECE
+    r, phi, n = problem.r, problem.phi, _NODES_PER_PIECE
     integrate, probe = _step_matrices(n)[1:]
     # The known pieces a step reads: the history, then the previous step.
-    window_bp, window, value = rep.breakpoints, rep.coeffs, rep.endpoint_value
-    breakpoints, blocks, defect = [rep.breakpoints], [], 0.0
+    window_bp, window, value = phi.breakpoints, phi.coeffs, phi.endpoint_value
+    breakpoints, blocks, defect = [phi.breakpoints], [], 0.0
     edges = step_edges(T, r)
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        tol = _scale_tol(rep.breakpoints[0], t1)
+        tol = _scale_tol(phi.breakpoints[0], t1)
         shifted = window_bp + r
         inner = shifted[(shifted > t0 + tol) & (shifted < t1 - tol)]
         cuts = np.concatenate(([t0], inner, [t1]))
@@ -131,9 +132,9 @@ def solve(problem: Problem, T: float) -> Trajectory:
         blocks.append(integ)
         window_bp, window = cuts, integ
     bp = _sealed(np.concatenate(breakpoints))
-    coeffs = np.zeros((bp.size - 1, max(rep.degree, n) + 1, rep.n_components))
-    coeffs[: rep.n_pieces, : rep.degree + 1] = rep.coeffs
-    np.concatenate(blocks, out=coeffs[rep.n_pieces :, : n + 1])
+    coeffs = np.zeros((bp.size - 1, max(phi.degree, n) + 1, phi.n_components))
+    coeffs[: phi.n_pieces, : phi.degree + 1] = phi.coeffs
+    np.concatenate(blocks, out=coeffs[phi.n_pieces :, : n + 1])
     x = PiecewiseFunction(bp, _sealed(coeffs), value)
     return Trajectory(problem, float(T), x, edges, defect)
 

@@ -33,7 +33,7 @@ def riemann_solve(problem, T, panels_per_step=20000):
     """
     r = problem.r
     f = problem.nl.fn
-    phi = problem.phi.rep
+    phi = problem.phi
     count = int(np.floor(T / r + 1e-12))
     edges = [i * r for i in range(count + 1)]
     if T - edges[-1] > 1e-12 * max(1.0, T):
@@ -42,7 +42,7 @@ def riemann_solve(problem, T, panels_per_step=20000):
         edges[-1] = T
 
     ts = np.array([0.0])
-    xs = np.array(problem.phi.value_at_zero, ndmin=2)
+    xs = np.array(problem.phi.endpoint_value, ndmin=2)
     for t0, t1 in zip(edges[:-1], edges[1:]):
         panels = int(panels_per_step)
         h = (t1 - t0) / panels

@@ -176,7 +176,7 @@ def _bound_row_holder_gain(rng):
         chi = random_history(rng, cfg)
         ctx = DerivativeContext(Problem(cfg, nl, r, phi), horizon)
         lhs = sup_norm(tangent_deviation(ctx, chi))
-        rhs = tangent_deviation_bound(ctx) * lp_norm(chi.rep, 2.0)
+        rhs = tangent_deviation_bound(ctx) * lp_norm(chi, 2.0)
         worst = min(worst, rhs - lhs)
     return worst
 
@@ -438,7 +438,7 @@ def test_criterion_7_continuity_probes_with_direct_bounds():
             # The deviation gap: each trajectory less its history's static prolongation.
             deviation = traj.x - static_prolongation(moved, r)
             ygap = sup_norm(deviation - (base.x - static_prolongation(phi, r)))
-            paired = stack((moved.rep, phi.rep))
+            paired = stack((moved, phi))
             fgap = LazyComposition(paired, lambda v: fn(v[:, :1]) - fn(v[:, 1:]), 1)
             worst_excess = max(worst_excess, ygap - lp_norm(fgap, 1.0))
         from ddehist.certify import certify_decay

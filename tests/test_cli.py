@@ -291,6 +291,40 @@ class TestKindValidation:
             )
 
 
+class TestBreakpointFunctions:
+    """A `breakpoints` spec whose ends lie within 1e-9 of its domain is put
+    onto the domain; one further off is a config error."""
+
+    @staticmethod
+    def experiments(off):
+        # Constant pieces have the same coefficients on any interval, so
+        # with its ends put back the function is the exact one.
+        history = {"breakpoints": [-1.0 - off, -0.4, 0.0 + off], "pieces": [[[0.5]], [[-0.25]]], "endpoint": [1.0]}
+        base = {"breakpoints": [0.0 - off, 0.3, 1.0 + off], "pieces": [[[0.2]], [[0.7]]]}
+        composition = {"name": "comp", "kind": "composition", "nonlinearity": {"name": "mackey_glass"}, "base": base}
+        return [dict(SOLVE_EXPERIMENT, history=history), composition]
+
+    def test_ends_within_the_tolerance_are_put_on_the_domain(self, tmp_path, capsys):
+        runs = []
+        for off in (0.0, 1e-12):
+            cfg = write_config(tmp_path, self.experiments(off), filename=f"config-{off}.json")
+            out = tmp_path / f"out-{off}"
+            code = main(["verify", "--config", cfg, "--out", str(out)])
+            runs.append((code, capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and len(runs[0][2]) == 3
+        history, composition = parse_config({"experiments": self.experiments(1e-12)}, 0)
+        assert history.history.domain == (-1.0, 0.0)
+        assert composition.base.domain == (0.0, 1.0)
+
+    @pytest.mark.parametrize("which, label", [(0, "history"), (1, "base")])
+    def test_ends_further_off_are_config_errors(self, tmp_path, capsys, which, label):
+        cfg = write_config(tmp_path, [self.experiments(1e-6)[which]])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{label} breakpoints must span" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSolveCommand:
     def test_frozen_trajectory_spot_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [SOLVE_EXPERIMENT])
@@ -428,6 +462,35 @@ class TestOutputPrecedence:
         assert os.listdir(tmp_path) == ["config.json"]
         with pytest.raises(ConfigError, match="out"):
             parse_config({"out": out, "experiments": []}, 0)
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_empty_out_is_a_config_error(self, tmp_path, monkeypatch, capsys, flag):
+        # An empty --out is not skipped in favour of the config or ./out.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, [DEMO_EXPERIMENT], extra=None if flag else {"out": ""})
+        assert main(["verify", "--config", cfg] + (["--out", ""] if flag else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error:")
+        assert flag or "out must not be empty" in captured.err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert main(["demo", "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and str(taken) in captured.err
+        assert taken.read_text() == "kept"
+
+    def test_unwritable_csv_is_a_config_error(self, tmp_path, capsys):
+        # The directory exists, but the table's path is a directory: no
+        # claim line is printed before the tables are written.
+        (tmp_path / "demo-gaps.csv").mkdir()
+        assert main(["demo", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and "demo-gaps.csv" in captured.err
 
 
 # Signed zeros, subnormals, infinities, nan, and values that need all 17

@@ -96,9 +96,7 @@ class TestTangentDeviation:
         rotation = linear(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         phi = HistoryElement.constant([0.3, -0.2], cfg.R)
         ctx = DerivativeContext(Problem(cfg, rotation, 1.0, phi), 1.0)
-        chi = HistoryElement(
-            PiecewiseFunction.from_power([-1.0, 0.0], [[[0.0, 1.0], [1.0]]])
-        )
+        chi = PiecewiseFunction.from_power([-1.0, 0.0], [[[0.0, 1.0], [1.0]]])
         out = tangent_deviation(ctx, chi)
         # integral of (s-1, 1) over [0, t] is (t^2/2 - t, t); the rotation
         # sends that to (t, t - t^2/2).
@@ -110,7 +108,7 @@ class TestTangentDeviation:
     def test_linear_in_the_direction(self):
         rng = np.random.default_rng(9)
         ctx = scalar_ctx(make("mackey_glass", beta=2.0), phi_value=0.7)
-        chi1 = HistoryElement(piecewise_constant(rng, (-1.0, 0.0)))
+        chi1 = piecewise_constant(rng, (-1.0, 0.0))
         chi2 = random_history(rng, SCALAR, continuous=True)
         combo = chi1.scale(0.6) + chi2.scale(-1.7)
         direct = tangent_deviation(ctx, combo)
@@ -146,7 +144,7 @@ class TestTangentTrajectory:
         out = tangent_trajectory(ctx, chi)
         probes = np.linspace(0.0, 1.0, 17)
         np.testing.assert_allclose(
-            out(probes)[:, 0], chi.value_at_zero[0], atol=1e-12
+            out(probes)[:, 0], chi.endpoint_value[0], atol=1e-12
         )
 
 
@@ -223,7 +221,7 @@ class TestGainBound:
         assert tangent_deviation_bound(ctx) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_history_frozen_value(self):
-        phi = HistoryElement(PiecewiseFunction.identity((-1.0, 0.0)))
+        phi = PiecewiseFunction.identity((-1.0, 0.0))
         ctx = DerivativeContext(Problem(SCALAR, quadratic(), 1.0, phi), 1.0)
         assert tangent_deviation_bound(ctx) == pytest.approx(FROZEN_RT3_INV, abs=1e-12)
 
@@ -243,9 +241,9 @@ class TestGainBound:
                 ctx = DerivativeContext(pb, 0.5)
                 gain = tangent_deviation_bound(ctx)
                 for _ in range(3):
-                    chi = HistoryElement(piecewise_constant(rng, (-1.0, 0.0)))
+                    chi = piecewise_constant(rng, (-1.0, 0.0))
                     lhs = sup_norm(tangent_deviation(ctx, chi))
-                    rhs = gain * lp_norm(chi.rep, ctx.alpha + 1.0)
+                    rhs = gain * lp_norm(chi, ctx.alpha + 1.0)
                     assert lhs <= rhs + 1e-8
                     count += 1
         assert count >= 20
@@ -254,12 +252,11 @@ class TestGainBound:
 class TestOperatorNormEstimate:
     def test_zero_operator(self):
         probed = estimate_operator_norm(
-            lambda chi: PiecewiseFunction.zero(1, (-1.0, 1.0)),
-            norm_in=lambda chi: lp_norm(chi.rep, 2.0),
+            lambda chi: PiecewiseFunction.constant([0.0], (-1.0, 1.0)),
+            norm_in=lambda chi: lp_norm(chi, 2.0),
             norm_out=sup_norm,
             span=(-SCALAR.R, 0.0),
             n_components=SCALAR.N,
-            lift=HistoryElement,
         )
         assert probed == 0.0
 
@@ -267,11 +264,10 @@ class TestOperatorNormEstimate:
         ctx = scalar_ctx(quadratic())
         probed = estimate_operator_norm(
             lambda chi: tangent_deviation(ctx, chi),
-            norm_in=lambda chi: lp_norm(chi.rep, 2.0),
+            norm_in=lambda chi: lp_norm(chi, 2.0),
             norm_out=sup_norm,
             span=(-SCALAR.R, 0.0),
             n_components=SCALAR.N,
-            lift=HistoryElement,
             probes=6,
             extra=[unit_direction()],
         )
@@ -283,11 +279,10 @@ class TestOperatorNormEstimate:
             ctx = scalar_ctx(make(name), phi_value=0.6)
             probed = estimate_operator_norm(
                 lambda chi: tangent_deviation(ctx, chi),
-                norm_in=lambda chi: lp_norm(chi.rep, ctx.alpha + 1.0),
+                norm_in=lambda chi: lp_norm(chi, ctx.alpha + 1.0),
                 norm_out=sup_norm,
                 span=(-SCALAR.R, 0.0),
             n_components=SCALAR.N,
-            lift=HistoryElement,
                 seed=seed,
             )
             assert probed <= tangent_deviation_bound(ctx) + 1e-8
@@ -397,13 +392,13 @@ class TestHalvingSolves:
         # The base is the factor-0 row of the schedule.
         base = solve(replace(pb, phi=pb.phi + chi.scale(0.0)), 0.6).x
         plain = solve(pb, 0.6).x
-        ts = np.concatenate((np.linspace(-1.0, 0.0, 41), chi.rep.breakpoints, pb.phi.rep.breakpoints))
+        ts = np.concatenate((np.linspace(-1.0, 0.0, 41), chi.breakpoints, pb.phi.breakpoints))
         for factor, step, gap in rows:
             # Each step is f chi on the one partition of phi and chi, the
             # moved history's, so the history sum skips the merge.
             history = pb.phi + step
-            assert np.array_equal(step.rep.breakpoints, history.rep.breakpoints)
-            assert np.array_equal(step.rep.breakpoints, (pb.phi + chi).rep.breakpoints)
+            assert np.array_equal(step.breakpoints, history.breakpoints)
+            assert np.array_equal(step.breakpoints, (pb.phi + chi).breakpoints)
             want = factor * chi(ts)
             assert np.abs(step(ts) - want).max() <= 1e-15 * np.abs(want).max()
             moved = solve(replace(pb, phi=history), 0.6).x
@@ -543,7 +538,7 @@ class TestSegmentBound:
             pb = Problem(SCALAR, saturating(), 1.0, phi)
             ctx = DerivativeContext(pb, T)
             assert tangent_deviation_bound(ctx) <= 1.0 + 1e-9
-            chi = HistoryElement(piecewise_constant(rng, (-1.0, 0.0)))
+            chi = piecewise_constant(rng, (-1.0, 0.0))
             response = tangent_trajectory(ctx, chi)
             factor = prolongation_constant(T, SCALAR.p) + regulation_constant(
                 -SCALAR.R, 0.0, SCALAR.p

@@ -461,12 +461,12 @@ def test_derived_values_share_their_fresh_coefficient_arrays(monkeypatch):
     # Sums, differences, scalings, stacks, solves and prolongation
     # deviations build a fresh coefficient array, read-only before the
     # constructor sees it, so the constructor keeps it and copies nothing.
-    from ddehist.histspace import HistoryElement, prolongation_deviation
+    from ddehist.histspace import prolongation_deviation
     from ddehist.nonlinear import saturating
     from ddehist.solver import Problem, solve
 
-    phi = HistoryElement(PiecewiseFunction.from_power([-1.0, -0.4, 0.0], [[[0.2, 1.0]], [[-0.3, 0.0, 2.0]]], [0.5]))
-    chi = HistoryElement(PiecewiseFunction.from_power([-1.0, -0.7, 0.0], [[[1.0]], [[0.0, -1.0]]], [0.1]))
+    phi = PiecewiseFunction.from_power([-1.0, -0.4, 0.0], [[[0.2, 1.0]], [[-0.3, 0.0, 2.0]]], [0.5])
+    chi = PiecewiseFunction.from_power([-1.0, -0.7, 0.0], [[[1.0]], [[0.0, -1.0]]], [0.1])
     pb = Problem(HistoryConfig(R=1.0, p=2.0, N=1), saturating(), 1.0, phi)
     copies, frozen = [], funcrep._frozen
 
@@ -477,7 +477,7 @@ def test_derived_values_share_their_fresh_coefficient_arrays(monkeypatch):
         return out
 
     monkeypatch.setattr(funcrep, "_frozen", recording)
-    f, g = phi.rep, chi.rep
+    f, g = phi, chi
     derived = [f + g, f - g, f.scale(3.0), stack((f, g)), solve(pb, 2.5).x]
     derived.append(prolongation_deviation(derived[-1], phi))
     assert copies == []

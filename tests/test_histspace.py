@@ -77,6 +77,38 @@ def test_seminorm_checks_config():
         seminorm(phi, cfg1())
 
 
+@pytest.mark.parametrize("domain", [(-1.0, 0.5), (-1.0, -1e-6), (-2.0, 0.0), (-1.0, 1e-12)])
+def test_functions_off_the_history_interval_are_not_histories(domain):
+    # Any PiecewiseFunction on [-R, 0] is a history.  Its right end must be
+    # 0 exactly, where the solver starts its first step.
+    f = PiecewiseFunction.constant([1.0], domain)
+    with pytest.raises(DomainError, match="not on \\[-R, 0\\]"):
+        seminorm(f, cfg1())
+    with pytest.raises(DomainError, match="not on \\[-R, 0\\]"):
+        Problem(cfg1(), saturating(), 1.0, f)
+
+
+def test_a_function_on_the_history_interval_is_a_history():
+    f = PiecewiseFunction.from_power([-1.0 - 1e-12, -0.5, 0.0], [[[1.0]], [[0.0, 2.0]]], [3.0])
+    assert seminorm(f, cfg1(2.0)) == pytest.approx((0.5 + 1e-12 + 1.0 / 6.0 + 9.0) ** 0.5, abs=1e-12)
+    assert solve(Problem(cfg1(), saturating(), 1.0, f), 1.0).x.domain == (-1.0 - 1e-12, 1.0)
+
+
+@pytest.mark.parametrize("end", [1e-12, -1e-12])
+def test_history_element_puts_a_near_zero_right_end_on_zero(end):
+    near = HistoryElement([-1.0, -0.5, end], [[[1.0]], [[2.0]]], [3.0])
+    exact = PiecewiseFunction([-1.0, -0.5, 0.0], [[[1.0]], [[2.0]]], [3.0])
+    assert near.breakpoints[-1] == 0.0 and not near.breakpoints.flags.writeable
+    assert np.array_equal(near.breakpoints, exact.breakpoints)
+    assert seminorm(near, cfg1(3.0)) == seminorm(exact, cfg1(3.0))
+
+
+@pytest.mark.parametrize("end", [1e-6, -1e-6, 0.5])
+def test_history_element_refuses_a_right_end_further_from_zero(end):
+    with pytest.raises(DomainError, match="histories must end at 0"):
+        HistoryElement([-1.0, end], [[[1.0]]], [1.0])
+
+
 # ---------------------------------------------------------------- bar norm
 
 
@@ -186,13 +218,13 @@ def test_history_segment_at_terminal_time():
     # theta -> 2 + theta
     for theta in np.linspace(-1.0, 0.0, 9):
         assert np.allclose(seg(theta), 2.0 + theta, atol=1e-12)
-    assert seg.value_at_zero == pytest.approx(2.0)
+    assert seg.endpoint_value == pytest.approx(2.0)
 
 
 def test_history_segment_at_zero_recovers_history():
     x = glued_trajectory()
     seg = history_segment(x, 0.0, R=1.0)
-    assert seg.value_at_zero == pytest.approx(1.0)
+    assert seg.endpoint_value == pytest.approx(1.0)
     for theta in np.linspace(-1.0, 0.0, 9)[:-1]:
         assert np.allclose(seg(theta), 1.0, atol=1e-12)
 
@@ -210,11 +242,11 @@ def test_pair_round_trip_is_exact():
     cfg = HistoryConfig(R=1.0, p=2.0, N=2)
     phi = random_history(rng, cfg)
     back = from_pair(to_pair(phi))
-    assert np.array_equal(back.rep.breakpoints, phi.rep.breakpoints)
+    assert np.array_equal(back.breakpoints, phi.breakpoints)
     assert all(
-        np.array_equal(a, b) for a, b in zip(back.rep.coeffs, phi.rep.coeffs)
+        np.array_equal(a, b) for a, b in zip(back.coeffs, phi.coeffs)
     )
-    assert np.array_equal(back.value_at_zero, phi.value_at_zero)
+    assert np.array_equal(back.endpoint_value, phi.endpoint_value)
 
 
 def test_pair_norm_isometry_examples():
@@ -244,9 +276,9 @@ def test_seminorms_of_one_history_are_floats_equal_to_their_batch_of_one(seed, p
     value = seminorm(phi, cfg)
     assert type(value) is float
     assert np.array_equal(seminorm([phi], cfg), [value])
-    value = endpoint_lp_norm(phi.rep, p)
+    value = endpoint_lp_norm(phi, p)
     assert type(value) is float
-    assert np.array_equal(endpoint_lp_norm([phi.rep], p), [value])
+    assert np.array_equal(endpoint_lp_norm([phi], p), [value])
 
 
 def test_pair_norm_forgets_ae_endpoint():
@@ -256,8 +288,8 @@ def test_pair_norm_forgets_ae_endpoint():
     pair_a = QuotientPair(base, np.array([3.0]))
     pair_b = QuotientPair(base.with_endpoint([99.0]), np.array([3.0]))
     assert pair_norm(pair_a, 2.0) == pytest.approx(pair_norm(pair_b, 2.0), abs=1e-14)
-    assert from_pair(pair_a).value_at_zero == pytest.approx(3.0)
-    assert from_pair(pair_b).value_at_zero == pytest.approx(3.0)
+    assert from_pair(pair_a).endpoint_value == pytest.approx(3.0)
+    assert from_pair(pair_b).endpoint_value == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------- indicators

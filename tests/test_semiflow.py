@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddehist.corpus import null_set_variant, random_history
+from ddehist.funcrep import PiecewiseFunction
 from ddehist.histspace import HistoryConfig, HistoryElement, seminorm
 from ddehist.nonlinear import linear, mackey_glass, quadratic, saturating
 from ddehist.semiflow import (
@@ -143,9 +144,7 @@ class TestQuotientInvariance:
 
     def test_endpoint_only_history_variants_agree(self):
         rng = np.random.default_rng(4)
-        phi = HistoryElement(
-            HistoryElement.constant([0.0], SCALAR.R).rep.with_endpoint([1.0])
-        )
+        phi = HistoryElement.constant([0.0], SCALAR.R).with_endpoint([1.0])
         psi = null_set_variant(phi, rng)
         assert quotient_invariance(scalar_problem(linear(np.array([[1.0]])), phi), 2.0, psi) < 1e-10
 
@@ -338,7 +337,7 @@ class TestVerifyBattery:
         passes = []
 
         def counting_seminorm(phi, cfg):
-            passes.append(("single", 1) if isinstance(phi, HistoryElement) else ("batch", len(phi)))
+            passes.append(("single", 1) if isinstance(phi, PiecewiseFunction) else ("batch", len(phi)))
             return seminorm(phi, cfg)
 
         monkeypatch.setattr(semiflow, "seminorm", counting_seminorm)

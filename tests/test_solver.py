@@ -94,8 +94,8 @@ class TestClosedForms:
     def test_endpoint_value_drives_nothing_but_the_start(self):
         # History vanishing a.e. with value 1 at 0: the rate on [0,1] is
         # f(0) = 0, so x stays at 1; on [1,2] the rate is x(t-1) = 1.
-        phi = HistoryElement.constant([0.0], SCALAR.R).rep.with_endpoint([1.0])
-        pb = Problem(SCALAR, linear(np.array([[1.0]])), 1.0, HistoryElement(phi))
+        phi = HistoryElement.constant([0.0], SCALAR.R).with_endpoint([1.0])
+        pb = Problem(SCALAR, linear(np.array([[1.0]])), 1.0, phi)
         traj = solve(pb, 2.0)
         assert traj.x(0.5)[0] == pytest.approx(1.0, abs=1e-12)
         assert traj.x(1.0)[0] == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +203,7 @@ class TestTrajectoryDiagnostics:
         # The history jumps at -0.5 and at 0, where the solution starts from
         # phi(0) = 1: neither seam is checked.
         phi = PiecewiseFunction.from_power([-1.0, -0.5, 0.0], [[[0.3]], [[0.0]]], [1.0])
-        pb = Problem(SCALAR, linear(np.array([[1.0]])), 1.0, HistoryElement(phi))
+        pb = Problem(SCALAR, linear(np.array([[1.0]])), 1.0, phi)
         traj = solve(pb, 2.0)
         assert traj.continuity_defect() < 1e-12
         x = traj.x
@@ -234,15 +234,15 @@ class TestTrajectoryDiagnostics:
         traj = solve(growth_problem(), 2.0)
         seg = traj.history_at(0.0)
         probes = np.array([-0.9, -0.3])
-        np.testing.assert_allclose(seg.rep(probes), 1.0, atol=1e-12)
-        np.testing.assert_allclose(seg.value_at_zero, [1.0], atol=1e-12)
+        np.testing.assert_allclose(seg(probes), 1.0, atol=1e-12)
+        np.testing.assert_allclose(seg.endpoint_value, [1.0], atol=1e-12)
 
     def test_history_at_interior_time_shifts_the_window(self):
         traj = solve(growth_problem(), 2.0)
         seg = traj.history_at(1.5)
-        assert seg.rep.domain == (-1.0, 0.0)
-        assert seg.rep(-0.25)[0] == pytest.approx(traj.x(1.25)[0], abs=1e-12)
-        np.testing.assert_allclose(seg.value_at_zero, traj.x(1.5), atol=1e-12)
+        assert seg.domain == (-1.0, 0.0)
+        assert seg(-0.25)[0] == pytest.approx(traj.x(1.25)[0], abs=1e-12)
+        np.testing.assert_allclose(seg.endpoint_value, traj.x(1.5), atol=1e-12)
 
 
 class TestStructuralProperties:
@@ -252,7 +252,7 @@ class TestStructuralProperties:
         rng = np.random.default_rng(71)
         phi1 = random_history(rng, cfg, max_degree=2, continuous=True)
         phi2 = random_history(rng, cfg, max_degree=2, continuous=True)
-        both = HistoryElement(phi1.rep + phi2.rep)
+        both = phi1 + phi2
         t_end = 3.0
         x1 = solve(Problem(cfg, rotation, 1.0, phi1), t_end).x
         x2 = solve(Problem(cfg, rotation, 1.0, phi2), t_end).x
@@ -314,10 +314,8 @@ class TestWholePieceReads:
     """A delayed cut that is a whole piece is read through the cached
     Vandermonde product; only the other cuts map points into their piece."""
 
-    HISTORY = HistoryElement(
-        PiecewiseFunction.from_power(
-            [-1.0, -0.55, -0.2, 0.0], [[[0.3, -0.4]], [[-0.2, 0.1, 0.5]], [[0.6, 0.0, 0.0, -0.3]]], [0.25]
-        )
+    HISTORY = PiecewiseFunction.from_power(
+        [-1.0, -0.55, -0.2, 0.0], [[[0.3, -0.4]], [[-0.2, 0.1, 0.5]], [[0.6, 0.0, 0.0, -0.3]]], [0.25]
     )
 
     @pytest.mark.parametrize("T", [50.0, 200.0])
@@ -340,7 +338,7 @@ class TestWholePieceReads:
         phi = PiecewiseFunction.from_power(
             [-1.0, -0.7 + 3e-13, -0.2, 0.0], [[[0.1]], [[0.5, 2.0, -3.0]], [[-0.4, 1.0]]], [0.2]
         )
-        pb = Problem(SCALAR, saturating(), 0.7, HistoryElement(phi))
+        pb = Problem(SCALAR, saturating(), 0.7, phi)
         _, calls, mapped = solve_reads(pb, 1.4)
         assert mapped == [0.0]
         u = solver._step_matrices(solver._NODES_PER_PIECE)[0]
