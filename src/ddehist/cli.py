@@ -267,6 +267,8 @@ def _indicator_width(R: float, r: float, k: int) -> float:
 def _build_solve(spec):
     spec.problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
     _require(spec.horizon > 0, "horizon must be positive")
+    steps = math.ceil(spec.horizon / spec.delay)
+    _require(steps <= _MAX_STEPS, f"horizon/delay is {steps} method-of-steps steps, above the limit of {_MAX_STEPS}")
 
 
 def _build_dependence(spec):
@@ -311,6 +313,8 @@ def _build_semiflow(spec):
 
 def _build_discontinuity(spec):
     _require(0 < spec.delay <= spec.space.R + 1e-12, "delay must lie in (0, R]")
+    n, dim = spec.space.N, spec.nl.dim
+    _require(dim == n, f"nonlinearity dimension {dim} does not match the space's N = {n}")
     R, r, count = spec.space.R, spec.delay, spec.count
     width, tol = _indicator_width(R, r, count), 1e-12 * max(1.0, R)
     _require(
@@ -535,7 +539,8 @@ def _run_discontinuity(spec) -> ExperimentResult:
     ks = range(spec.count + 1)
     indicators = [indicator_history(cfg, -r - 1.0 / 4**k, -r + 1.0 / 4**k) for k in ks]
     measured = seminorm([phi_n - zero for phi_n in indicators], cfg)
-    analytic = np.array([_indicator_width(cfg.R, r, k) ** (1.0 / cfg.p) for k in ks])
+    # Each indicator has height 1 in all N components: |phi_n| = sqrt(N) on its support.
+    analytic = np.array([math.sqrt(cfg.N) * _indicator_width(cfg.R, r, k) ** (1.0 / cfg.p) for k in ks])
     output = np.array([np.linalg.norm(spec.nl(phi_n(-r)) - spec.nl(zero(-r))) for phi_n in indicators])
     rows = list(zip([4**k for k in ks], measured, analytic, output))
     analytic_err = float(np.max(np.abs(measured - analytic)))
@@ -571,6 +576,7 @@ _COMMON = {"name", "kind", "seed", "nonlinearity"}  # read for every kind, first
 _PROBLEM = {"space": _space, "delay": _number(lambda s: s.space.R), "history": _history}
 _HORIZON = _number(lambda s: s.delay)
 _COUNT = _integer(12, 3, 40)
+_MAX_STEPS = 10**4  # method-of-steps steps of one solve: 50 times the benchmark's longest, 200
 
 _KIND_TABLE = {
     "solve": Kind(

@@ -205,6 +205,20 @@ class TestKindValidation:
         (spec,) = parse_config({"experiments": [dict(exp, count=18)]}, 0)
         assert spec.count == 18
 
+    def test_discontinuity_map_must_have_the_space_dimension(self, tmp_path, capsys):
+        # A 1 x 1 linear map on N = 2 ended in a numpy traceback (exit 1), and
+        # a scalar cubic on N = 3 ran.
+        for nonlinearity, n, dim in [
+            ({"name": "linear", "params": {"matrix": [[1.0]]}}, 2, 1),
+            ({"name": "cubic"}, 3, 1),
+            ({"name": "cubic", "params": {"dim": 3}}, 1, 3),
+        ]:
+            exp = dict(DEMO_EXPERIMENT, nonlinearity=nonlinearity, space={"R": 1.0, "p": 1.0, "N": n})
+            cfg = write_config(tmp_path, [exp])
+            assert main(["demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert f"jump: nonlinearity dimension {dim} does not match the space's N = {n}" in err
+
     @pytest.mark.parametrize(
         "random", [{"pieces": 0}, {"pieces": "x"}, {"pieces": 100000000}, []]
     )
@@ -383,6 +397,19 @@ class TestSolveCommand:
         assert "PASS ramp-solve solve.continuity-defect" in out
         assert "PASS ramp-solve solve.integration-defect" in out
 
+    def test_step_count_beyond_the_limit_is_a_config_error(self, tmp_path, capsys):
+        # delay 1e-6 and horizon 10 asked for 10^7 method-of-steps steps and
+        # ran without end in sight.
+        far = dict(SOLVE_EXPERIMENT, delay=1e-6, horizon=10.0)
+        cfg = write_config(tmp_path, [far])
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "10000000 method-of-steps steps, above the limit of 10000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ConfigError, match="10001 method-of-steps steps"):
+            parse_config({"experiments": [dict(SOLVE_EXPERIMENT, delay=0.5, horizon=5000.5)]}, 0)
+        (spec,) = parse_config({"experiments": [dict(SOLVE_EXPERIMENT, delay=0.5, horizon=5000.0)]}, 0)
+        assert spec.horizon == 5000.0
+
     def test_solve_command_skips_other_kinds(self, tmp_path):
         cfg = write_config(tmp_path, [SOLVE_EXPERIMENT, DEMO_EXPERIMENT])
         out = tmp_path / "out"
@@ -425,6 +452,27 @@ class TestDemoCommand:
             expected = min(-0.5 + 1.0 / n, 0.0) - max(-0.5 - 1.0 / n, -1.0)
             assert float(row[1]) == pytest.approx(expected, abs=1e-15)
 
+
+    def test_discontinuity_input_gaps_in_n_components(self, tmp_path, capsys):
+        # The indicator has height 1 in each of N = 3 components, so its
+        # seminorm is sqrt(3) w^(1/p); the scalar w^(1/p) was off by
+        # sqrt(3) - 1 = 0.732 on every row.  With R = 3 and r = 1.5 the
+        # k-th indicator is w = 2 / 4^k wide, as in the test below.
+        experiment = dict(
+            DEMO_EXPERIMENT,
+            nonlinearity={"name": "cubic", "params": {"dim": 3}},
+            space={"R": 3.0, "p": 3.0, "N": 3},
+            delay=1.5,
+        )
+        cfg = write_config(tmp_path, [experiment])
+        assert main(["demo", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "PASS jump discontinuity.input-gap-analytic" in capsys.readouterr().out
+        _, rows = read_rows(tmp_path / "out" / "jump-gaps.csv")
+        assert len(rows) == 16
+        for row in rows:
+            width = 2.0 / int(row[0])
+            assert float(row[2]) == pytest.approx(math.sqrt(3.0) * width ** (1.0 / 3.0), rel=1e-15)
+            assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-12)
 
     def test_discontinuity_at_p3_certifies_the_input_gap_decay(self, tmp_path, capsys):
         # With R = 3 and r = 1.5 every indicator lies inside [-R, 0], so the

@@ -1,9 +1,10 @@
 """Golden test: `ddehist verify` on the shipped configs against stored outputs.
 
 tests/golden holds the CSV tables and the claim lines that both shipped
-configs give at seed 7.  File names and CSV headers must match exactly.
-Every numeric cell, and the measured value of every claim line, must agree
-within |a - b| <= 1e-12 + 1e-9 |b|, which absorbs last-digit differences
+configs and `bench/odd-exponent.json` give at seed 7; the last holds the
+odd-p norm paths and the p = 2.5 semiflow tables to the same tolerance.
+File names and CSV headers must match exactly.  Every numeric cell, and
+the measured value of every claim line, must agree within |a - b| <= 1e-12 + 1e-9 |b|, which absorbs last-digit differences
 between machines and numpy builds.  The rest of a claim line (verdict,
 experiment, claim, relation and limit) and the summary line must match
 exactly.
@@ -44,7 +45,13 @@ def read_csv(path):
 
 @pytest.mark.parametrize(
     "config, golden, exit_code",
-    [("verify.json", "verify", 0), ("falsify-dependence.json", "falsify", 1)],
+    [
+        ("verify.json", "verify", 0),
+        ("falsify-dependence.json", "falsify", 1),
+        # Read in place; it exits 1 because cubic-jump-p3 fails its decay
+        # claim, the fault documented in bench/README.md.
+        pytest.param("../bench/odd-exponent.json", "odd-exponent", 1, id="odd-exponent.json-odd-exponent-1"),
+    ],
 )
 def test_verify_reproduces_the_golden_outputs(tmp_path, capsys, config, golden, exit_code):
     argv = ["verify", "--config", str(CONFIGS / config), "--seed", "7", "--out", str(tmp_path)]

@@ -8,6 +8,7 @@ whose seminorm is 4^-k / sqrt(3).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,45 @@ class TestContinuityModulus:
             assert cert.passed, cert.reason
             assert within_bounds(table)
 
+    def test_one_schedule_serves_every_time(self, monkeypatch):
+        # One schedule of 1 + (count + 1) solves, all to the last time.
+        from ddehist import derivops, semiflow
+
+        rng = np.random.default_rng(9)
+        phi = random_history(rng, SCALAR, scale=0.6)
+        step = random_history(rng, SCALAR, scale=1.0)
+        calls = []
+
+        def counting_solve(problem, T):
+            calls.append(T)
+            return solve(problem, T)
+
+        monkeypatch.setattr(semiflow, "solve", counting_solve)
+        monkeypatch.setattr(derivops, "solve", counting_solve)
+        for count in (5, 12):
+            calls.clear()
+            continuity_modulus(scalar_problem(mackey_glass(), phi, r=0.7), [0.35, 0.7, 1.5], step, count)
+            assert calls == [1.5] * (count + 2)
+
+    def test_a_table_read_inside_a_longer_solve_matches_one_solved_to_its_time(self):
+        # Each gap is cut to [-R, t] before the bound's sup: a table read at
+        # t from a solve to 1.5 is the table of a solve to t, up to the
+        # interpolation of the solve's other cuts.
+        rng = np.random.default_rng(9)
+        phi = random_history(rng, SCALAR, scale=0.6)
+        step = random_history(rng, SCALAR, scale=1.0)
+        pb = scalar_problem(mackey_glass(), phi, r=0.7)
+        longer = continuity_modulus(pb, [0.0, 0.35, 0.7, 1.5], step, 12)
+        for t, read in zip([0.0, 0.35, 0.7], longer):
+            (alone,) = continuity_modulus(pb, [t], step, 12)
+            assert read.time == alone.time == t
+            for got, want in [
+                (read.gaps.input_gaps, alone.gaps.input_gaps),
+                (read.gaps.output_gaps, alone.gaps.output_gaps),
+                (read.bounds, alone.bounds),
+            ]:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_bad_inputs_rejected(self):
         pb = scalar_problem(saturating())
         with pytest.raises(ValueError):
@@ -280,7 +320,7 @@ class TestVerifyBattery:
     def test_full_report_for_a_smooth_flow(self):
         pb = scalar_problem(saturating(), unit_history(0.4), r=0.8)
         report = verify_semiflow(pb, unit_history())
-        assert report.identity_defect == 0.0
+        assert report.identity_defect < 1e-15
         assert max(report.composition_defects) < 1e-9
         assert len(report.modulus) == 2
         for table in report.modulus:
@@ -288,28 +328,27 @@ class TestVerifyBattery:
         assert report.remainder is not None
         assert report.remainder.certificate().passed
 
-    def test_stage_grid_evolves_phi_once_per_distinct_time(self, monkeypatch):
-        # The stage grid {0, 0.3r, 0.5r, r} reaches phi's windows at the 8
-        # nonzero times 0.3r, 0.5r, 0.6r, 0.8r, r, 1.3r, 1.5r and 2r.
+    def test_stage_grid_solves_phi_once_and_each_stage_window_once(self, monkeypatch):
+        # phi is solved once to 2r, which holds every direct window S(t + s)
+        # phi; each of the 4 stage windows S(t) phi is solved once to r.
         from ddehist import semiflow
 
         phi = unit_history(0.4)
-        horizons = []
+        starts = []
 
         def counting_solve(problem, T):
-            if problem.phi is phi:
-                horizons.append(T)
+            starts.append((problem.phi is phi, T))
             return solve(problem, T)
 
         monkeypatch.setattr(semiflow, "solve", counting_solve)
         verify_semiflow(scalar_problem(saturating(), phi, r=0.8), unit_history(), count=3)
-        assert len(horizons) == len(set(horizons)) == 8
+        assert starts == [(True, 1.6)] + [(False, 0.8)] * 4
 
     def test_time_r_schedule_is_solved_once(self, monkeypatch):
-        # 8 stage windows and 9 second stages, then two halving schedules
-        # of 1 + 13 solves at t = r/2 and t = r: the remainder table reuses
-        # the one at t = r, and its tangent is one solve of the doubled
-        # equation.
+        # 1 solve of phi to 2r and 4 from the stage windows, then one
+        # halving schedule of 1 + 13 solves to r, which gives the tables at
+        # r/2 and r and the remainders; the remainders' tangent is one solve
+        # of the doubled equation.
         from ddehist import derivops, semiflow
 
         pb = scalar_problem(saturating(), unit_history(0.4), r=0.8)
@@ -323,7 +362,8 @@ class TestVerifyBattery:
         monkeypatch.setattr(derivops, "solve", counting_solve)
         report = verify_semiflow(pb, unit_history(), count=12)
         assert report.remainder is not None
-        assert len(calls) == 46
+        assert len(calls) == 20
+        assert calls == [1.6] + [0.8] * 19
 
     def test_schedule_inputs_are_measured_once(self, monkeypatch):
         # 1 identity defect and 16 stage defects; the zero-direction check
@@ -347,6 +387,29 @@ class TestVerifyBattery:
         assert sorted(passes) == [("batch", 13)] * 4 + [("batch", 16)] + [("single", 1)] * 2
         with pytest.raises(ValueError, match="direction must be nonzero"):
             verify_semiflow(pb, unit_history(0.0), count=12)
+
+    def test_identity_defect_checks_the_start_from_the_stored_endpoint(self, monkeypatch):
+        # phi jumps at 0: its left limit 0.4 is not its stored phi(0) = -0.6.
+        # The window at 0 of the solve is phi, and each stage row with t = 0
+        # or s = 0 measures a restart.  A solve that starts from the left
+        # limit instead moves the window's endpoint by 1: the defect is the
+        # seminorm of that endpoint gap.
+        from ddehist import semiflow
+
+        pb = scalar_problem(saturating(), unit_history(0.4).with_endpoint([-0.6]), r=0.8)
+        report = verify_semiflow(pb, unit_history(), count=3)
+        assert report.identity_defect < 1e-15
+        restarts = [d for (t, s), d in zip(report.stage_pairs, report.composition_defects) if t == 0 or s == 0]
+        assert len(restarts) == 7
+        assert max(restarts) < 1e-14
+
+        def left_limit_start(problem, T):
+            left = problem.phi.coeffs[-1].sum(axis=0)
+            return solve(replace(problem, phi=problem.phi.with_endpoint(left)), T)
+
+        monkeypatch.setattr(semiflow, "solve", left_limit_start)
+        report = verify_semiflow(pb, unit_history(), count=3)
+        assert report.identity_defect == pytest.approx(1.0, rel=1e-12)
 
     def test_report_survives_a_rough_right_hand_side(self):
         # Cubic growth needs p >= 3, so the smoothness table is skipped on
