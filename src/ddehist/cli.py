@@ -46,7 +46,7 @@ from .derivops import (
     tangent_deviation_bound,
 )
 from .funcrep import PiecewiseFunction, aligned, lp_norm, sup_norm
-from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norm, prolongation_deviation, seminorm
+from .histspace import HistoryConfig, endpoint_lp_norm, prolongation_deviation, seminorm
 from .nonlinear import make
 from .semiflow import quotient_invariance, verify_semiflow
 from .solver import Problem, solve
@@ -138,8 +138,10 @@ def _function(spec, domain, n_components, rng, label) -> PiecewiseFunction:
     if "constant" in spec:
         out = PiecewiseFunction.constant(_number_list(spec, "constant", n_components, label), (lo, hi))
     elif "breakpoints" in spec:
+        breakpoints = _numbers(spec["breakpoints"], f"{label} breakpoints")
+        pieces = _numbers(spec.get("pieces"), f"{label} pieces")
         try:
-            out = PiecewiseFunction.from_power(spec["breakpoints"], spec["pieces"], endpoint)
+            out = PiecewiseFunction.from_power(breakpoints, pieces, endpoint)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad {label} pieces: {exc}") from exc
         a, b = out.domain
@@ -175,6 +177,12 @@ def _number_list(spec, key, n_components, label) -> np.ndarray:
     raw, name = spec[key] if isinstance(spec[key], list) else [spec[key]], f"{label} {key}"
     _require(len(raw) == n_components, f"{name} has wrong length")
     return np.array([_float_field({name: value}, name) for value in raw])
+
+
+def _numbers(value, name):
+    """value, a JSON number or nested lists of them, each entry read by
+    `_float_field`'s rule."""
+    return [_numbers(v, name) for v in value] if isinstance(value, list) else _float_field({name: value}, name)
 
 
 def _history(doc, key, spec) -> PiecewiseFunction:
@@ -285,6 +293,7 @@ def _build_lipschitz(spec):
         "needs a globally Lipschitz map (constant Jacobian bound)",
     )
     _require(0 < spec.horizon < spec.space.R, "horizon must satisfy 0 < T < R")
+    _require(0 < spec.scale <= 1e6, "scale must lie in (0, 1e6]")
     _require(
         spec.horizon <= spec.delay <= spec.space.R + 1e-12, "delay must lie in [horizon, R]"
     )
@@ -295,8 +304,7 @@ def _build_smooth(spec):
     problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
     _require(spec.horizon <= spec.delay + 1e-12, "smooth.gain-bound is a one-step bound: horizon must be <= delay")
     spec.ctx = DerivativeContext(problem, spec.horizon)
-    alpha = spec.nl.df_growth.alpha
-    _require(lp_norm(spec.direction, alpha + 1.0) > 1e-13, "direction must be nonzero")
+    _require(lp_norm(spec.direction, spec.ctx.alpha + 1.0) > 1e-13, "direction must be nonzero")
 
 
 def _build_composition(spec):
@@ -386,23 +394,19 @@ def _run_solve(spec) -> ExperimentResult:
 
 
 def _run_dependence(spec) -> ExperimentResult:
-    schedule = halving_solves(spec.problem, spec.direction, spec.horizon, spec.count)
-    factors, steps, gaps = zip(*schedule)
-    gap_in = seminorm(steps, spec.space)
+    factors, steps, gaps = zip(*halving_solves(spec.problem, spec.direction, spec.horizon, spec.count))
+    gap_in = halving(spec.count) * seminorm(spec.direction, spec.space)
     gap_out = endpoint_lp_norm(gaps, spec.space.p)
     # Prolongation is linear: the deviations' gap is the gap less the step's prolongation.
     ygap = sup_norm([prolongation_deviation(gap, step) for step, gap in zip(steps, gaps)])
     base = aligned((steps[0], spec.history))[1]
-    l1 = [lp_norm(map_gap(spec.nl.fn, base, step), 1.0) for step in steps]
-    rows = list(zip(factors, gap_in, gap_out, ygap, l1))
-    cert = certify_decay(np.array([row[2] for row in rows]))
-    worst = max(ygap - l1 for *_, ygap, l1 in rows)
+    l1 = np.array([lp_norm(map_gap(spec.nl.fn, base, step), 1.0) for step in steps])
     claims = [
-        Claim.decay(spec.name, "dependence.gap-decay", cert),
-        Claim.bound(spec.name, "dependence.deviation-l1-bound", worst, 1e-8),
+        Claim.decay(spec.name, "dependence.gap-decay", certify_decay(gap_out)),
+        Claim.bound(spec.name, "dependence.deviation-l1-bound", float(np.max(ygap - l1)), 1e-8),
     ]
     header = ["scale", "input_gap", "output_gap", "deviation_gap_sup", "l1_bound"]
-    return ExperimentResult(spec.name, [("gaps", header, rows)], claims)
+    return ExperimentResult(spec.name, [("gaps", header, list(zip(factors, gap_in, gap_out, ygap, l1)))], claims)
 
 
 def _run_lipschitz(spec) -> ExperimentResult:
@@ -429,7 +433,7 @@ def _run_lipschitz(spec) -> ExperimentResult:
     xs = [solve(Problem(spec.space, spec.nl, spec.delay, phi), T).x for i in kept for phi in pairs[i]]
     gap_out = endpoint_lp_norm([x1 - x2 for x1, x2 in zip(xs[::2], xs[1::2])], spec.space.p)
     ratios = gap_out / gap_in[kept]
-    worst = float(np.max(ratios, initial=0.0))
+    worst = float(np.max(ratios)) if kept.size else math.nan  # no instance kept: both claims fail
     rows = list(zip(kept.tolist(), gap_in[kept], gap_out, ratios))
     claims = [
         Claim.bound(spec.name, "lipschitz.stated-constant", worst, stated, slack=1e-8),
@@ -442,11 +446,10 @@ def _run_lipschitz(spec) -> ExperimentResult:
 def _run_smooth(spec) -> ExperimentResult:
     ctx = spec.ctx
     table = remainder_schedule(ctx, spec.direction, spec.count)
-    alpha = spec.nl.df_growth.alpha
     bound = tangent_deviation_bound(ctx)
     probed = estimate_operator_norm(
         lambda chi: tangent_deviation(ctx, chi),
-        lambda chi: lp_norm(chi, alpha + 1.0),
+        lambda chi: lp_norm(chi, ctx.alpha + 1.0),
         sup_norm,
         (-spec.space.R, 0.0),
         spec.space.N,
@@ -459,11 +462,8 @@ def _run_smooth(spec) -> ExperimentResult:
         Claim.bound(spec.name, "smooth.gain-bound", probed, bound, slack=1e-8),
     ]
     if spec.nl.df_lipschitz is not None:
-        worst = max(
-            float(rem - curvature_remainder_bound(ctx, spec.direction.scale(f)))
-            for f, rem in zip(halving(spec.count), table.remainders)
-        )
-        claims.append(Claim.bound(spec.name, "smooth.curvature-bound", worst, 1e-8))
+        bounds = halving(spec.count) ** 2 * curvature_remainder_bound(ctx, spec.direction)  # quadratic in chi
+        claims.append(Claim.bound(spec.name, "smooth.curvature-bound", float(np.max(table.remainders - bounds)), 1e-8))
     header = ["scale", "remainder", "ratio"]
     return ExperimentResult(spec.name, [("remainder", header, table.as_rows())], claims)
 
@@ -535,13 +535,14 @@ def _run_semiflow(spec) -> ExperimentResult:
 
 def _run_discontinuity(spec) -> ExperimentResult:
     cfg, r = spec.space, spec.delay
-    zero = HistoryElement.constant(np.zeros(cfg.N), cfg.R)
     ks = range(spec.count + 1)
     indicators = [indicator_history(cfg, -r - 1.0 / 4**k, -r + 1.0 / 4**k) for k in ks]
-    measured = seminorm([phi_n - zero for phi_n in indicators], cfg)
-    # Each indicator has height 1 in all N components: |phi_n| = sqrt(N) on its support.
+    # Each gap to the zero history is an indicator, of height 1 in all N
+    # components: |phi_n| = sqrt(N) on its support.
+    measured = seminorm(indicators, cfg)
     analytic = np.array([math.sqrt(cfg.N) * _indicator_width(cfg.R, r, k) ** (1.0 / cfg.p) for k in ks])
-    output = np.array([np.linalg.norm(spec.nl(phi_n(-r)) - spec.nl(zero(-r))) for phi_n in indicators])
+    f0 = spec.nl(np.zeros(cfg.N))
+    output = np.array([np.linalg.norm(spec.nl(phi_n(-r)) - f0) for phi_n in indicators])
     rows = list(zip([4**k for k in ks], measured, analytic, output))
     analytic_err = float(np.max(np.abs(measured - analytic)))
     drift = float(np.max(np.abs(output - output[0])))

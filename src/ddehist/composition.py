@@ -141,19 +141,19 @@ def continuity_probe(
 ) -> GapTable:
     """Output gaps of the composition along g + direction/2^k.
 
-    Input gaps are measured in the source exponent p, output gaps in the
-    target exponent q; continuity is certified by decay of the outputs.
+    Input gaps are 2^-k times the size of the direction in the source
+    exponent p (every L^p norm is homogeneous), output gaps are measured in
+    the target exponent q; continuity is certified by decay of the outputs.
     """
     ctx._accept(g)
     ctx._accept(direction, "direction")
     factors = halving(count)
-    p = ctx.continuity_p
-    if lp_norm(direction, p) < 1e-13:
+    size = lp_norm(direction, ctx.continuity_p)
+    if size < 1e-13:
         raise ValueError("direction must be nonzero")
     g, direction = aligned((g, direction))
-    steps = [direction.scale(factor) for factor in factors]
-    outs = [lp_norm(map_gap(ctx.nl.fn, g, h), ctx.q) for h in steps]
-    return GapTable(lp_norm(steps, p), np.array(outs))
+    outs = [lp_norm(map_gap(ctx.nl.fn, g, direction.scale(f)), ctx.q) for f in factors]
+    return GapTable(factors * size, np.array(outs))
 
 
 def apply_derivative(
@@ -185,10 +185,10 @@ def smoothness_probe(
     count: int,
 ) -> RemainderTable:
     """Linearization remainders of the composition along a halving schedule."""
-    p = ctx.smoothness_p
     ctx._accept(g)
     ctx._accept(direction, "direction")
     factors = halving(count)
+    size = lp_norm(direction, ctx.smoothness_p)
     m = ctx.nl.dim
     fn, jac = ctx.nl.fn, ctx.nl.jac
 
@@ -198,9 +198,8 @@ def smoothness_probe(
         return fn(base + step) - fn(base) - linear_part
 
     g, direction = aligned((g, direction))
-    steps = [direction.scale(factor) for factor in factors]
-    remainders = [lp_norm(LazyComposition(stack((g, h)), remainder_map, m), ctx.q) for h in steps]
-    return RemainderTable(lp_norm(steps, p), np.array(remainders))
+    remainders = [LazyComposition(stack((g, direction.scale(f))), remainder_map, m) for f in factors]
+    return RemainderTable(factors * size, np.array([lp_norm(rem, ctx.q) for rem in remainders]))
 
 
 def curvature_image_bound(ctx: CompositionContext, h: PiecewiseFunction) -> float:

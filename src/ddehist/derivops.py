@@ -168,14 +168,13 @@ def halving_solves(pb: Problem, chi: PiecewiseFunction, horizon: float, count: i
     """The trajectory gaps behind every dependence table: one (f, f chi,
     x(f) - x(0)) row per f = 2^-k, k = 0..count, where x(f) is the solve on
     [-R, horizon] from pb.phi + f chi.  pb.phi and chi go onto one
-    partition once per schedule, and each step f chi is returned on it, so
-    each moved history is a coefficient sum.  x(0), from pb.phi + 0 chi,
-    shares the rows' partition: each gap is a coefficient difference."""
-    factors = halving(count)
+    partition once, each step f chi is returned on it, and x(0) is solved
+    from pb.phi on it: each gap is a coefficient difference.  Every norm is
+    homogeneous, so a table's input sizes are 2^-k times the size of chi."""
     phi, chi = aligned((pb.phi, chi))
-    steps = [chi.scale(f) for f in (0.0, *factors)]
-    xs = [solve(replace(pb, phi=phi + step), horizon).x for step in steps]
-    return [(f, step, x - xs[0]) for f, step, x in zip(factors, steps[1:], xs[1:])]
+    base = solve(replace(pb, phi=phi), horizon).x
+    steps = [(f, chi.scale(f)) for f in halving(count)]
+    return [(f, step, solve(replace(pb, phi=phi + step), horizon).x - base) for f, step in steps]
 
 
 def remainder_function(ctx: DerivativeContext, chi: PiecewiseFunction) -> PiecewiseFunction:
@@ -189,13 +188,13 @@ def remainder_schedule(ctx: DerivativeContext, chi0: PiecewiseFunction, count: i
     """Linearization remainders along the halving schedule chi0, chi0/2, ...
 
     The first-order response is computed once and rescaled (it is linear by
-    construction); each row re-solves the perturbed problem.
+    construction); each row re-solves the perturbed problem.  The sizes are
+    2^-k times the L^(alpha+1) size of chi0.
     """
     tangent0 = tangent_trajectory(ctx, chi0)
     rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
-    scales = lp_norm([chi for _, chi, _ in rows], ctx.alpha + 1.0)
     remainders = sup_norm([gap - tangent0.scale(f) for f, _, gap in rows])
-    return RemainderTable(scales, remainders)
+    return RemainderTable(halving(count) * lp_norm(chi0, ctx.alpha + 1.0), remainders)
 
 
 def curvature_remainder_bound(ctx: DerivativeContext, chi: PiecewiseFunction) -> float:

@@ -12,7 +12,8 @@ Every function takes the `Problem` whose phi is the base history; another
 history is evolved with `dataclasses.replace(pb, phi=...)`.  Since
 S(t + s) phi = S(s) S(t) phi, a battery reads each time-t window from one
 solve, and all its tables from one `derivops.halving_solves` schedule,
-whose solves share one partition: each gap is a coefficient difference.
+whose solves share one partition: each gap is a coefficient difference,
+and each input size is 2^-k times the direction's seminorm (homogeneity).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certify import GapTable, RemainderTable
+from .certify import GapTable, RemainderTable, halving
 from .derivops import (
     DerivativeContext,
     estimate_operator_norm,
@@ -107,11 +108,11 @@ def continuity_modulus(pb: Problem, times, direction: PiecewiseFunction, count: 
 
 
 def _schedule(pb: Problem, direction: PiecewiseFunction, horizon: float, count: int) -> tuple:
-    # The input sizes and rows of halving_solves along a nonzero direction.
-    if seminorm(direction, pb.cfg) < 1e-13:
+    # The input sizes 2^-k |direction| and rows of halving_solves along a nonzero direction.
+    size = seminorm(direction, pb.cfg)
+    if size < 1e-13:
         raise ValueError("direction must be nonzero")
-    rows = halving_solves(pb, direction, float(horizon), count)
-    return seminorm([step for _, step, _ in rows], pb.cfg), rows
+    return halving(count) * size, halving_solves(pb, direction, float(horizon), count)
 
 
 def _modulus_table(cfg: HistoryConfig, t: float, sizes, rows) -> ModulusTable:

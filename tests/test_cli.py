@@ -273,6 +273,29 @@ class TestKindValidation:
         assert f"history {entry} {error}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "kind, breakpoints, pieces, error",
+        [
+            ("solve", [-1.0, "-0.5", 0.0], [[[1.0]], [[2.0]]], "history breakpoints must be a number"),
+            ("solve", [-1.0, 0.0], [[[True, "0.5"]]], "history pieces must be a number"),
+            ("solve", [-1.0, 0.0], [[[1.0, float("inf")]]], "history pieces must be a finite number"),
+            ("solve", [-1.0, 0.0], [[[10**400]]], "history pieces must be a finite number"),
+            ("dependence", [-1.0, 0.0], [[[float("nan")]]], "history pieces must be a finite number"),
+        ],
+        ids=["string-breakpoint", "bool-and-string-piece", "infinite-piece", "huge-integer-piece", "nan-piece"],
+    )
+    def test_breakpoint_functions_take_only_finite_json_numbers(
+        self, tmp_path, capsys, kind, breakpoints, pieces, error
+    ):
+        history = {"breakpoints": breakpoints, "pieces": pieces}
+        exp = dict(SOLVE_EXPERIMENT, history=history)
+        if kind == "dependence":
+            exp = dict(exp, kind=kind, nonlinearity={"name": "mackey_glass"}, horizon=1.0, direction={"constant": [1.0]})
+            del exp["grid"]
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "value", [10**400, -(10**400), float("inf")], ids=["10**400", "-10**400", "inf"]
     )
     def test_numbers_beyond_the_float_range_are_config_errors(self, tmp_path, capsys, value):
@@ -708,6 +731,24 @@ class TestFailurePropagation:
         out = capsys.readouterr().out
         assert "FAIL lip lipschitz.stated-constant" in out
         assert "PASS lip lipschitz.corrected-constant" in out
+
+    @pytest.mark.parametrize("scale", [0.0, -0.8, 2e6])
+    def test_lipschitz_scale_outside_its_range_is_a_config_error(self, tmp_path, capsys, scale):
+        cfg = write_config(tmp_path, [dict(self.LIPSCHITZ, scale=scale)])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "scale must lie in (0, 1e6]" in capsys.readouterr().err
+
+    def test_lipschitz_run_keeping_no_instance_fails_both_claims(self, tmp_path, capsys):
+        # At scale 1e-14 every input gap is below 1e-13, so no instance is
+        # kept: with no ratio measured, neither constant is confirmed.
+        exp = dict(self.LIPSCHITZ, scale=1e-14, adversarial=False)
+        cfg = write_config(tmp_path, [exp])
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "FAIL lip lipschitz.stated-constant measured=nan" in text
+        assert "FAIL lip lipschitz.corrected-constant measured=nan" in text
+        assert (out / "lip-ratios.csv").read_text() == "instance,input_gap,output_gap,ratio\n"
 
     def test_summary_counts_failures(self, tmp_path, capsys):
         exp = {

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddehist import cli, derivops, funcrep, semiflow
+from ddehist import cli, composition, derivops, funcrep, semiflow
 from ddehist.composition import CompositionContext, MeasureDomain, continuity_probe, smoothness_probe
 from ddehist.corpus import piecewise_constant, random_history, random_piecewise
 from ddehist.derivops import (
@@ -389,7 +389,7 @@ class TestHalvingSolves:
         chi = random_history(rng, SCALAR)
         rows = halving_solves(pb, chi, 0.6, 4)
         assert [factor for factor, _, _ in rows] == [1.0, 0.5, 0.25, 0.125, 0.0625]
-        # The base is the factor-0 row of the schedule.
+        # pb.phi + 0 chi is pb.phi on the schedule's partition, where its base is solved.
         base = solve(replace(pb, phi=pb.phi + chi.scale(0.0)), 0.6).x
         plain = solve(pb, 0.6).x
         ts = np.concatenate((np.linspace(-1.0, 0.0, 41), chi.breakpoints, pb.phi.breakpoints))
@@ -470,6 +470,66 @@ def test_a_schedule_merges_its_partitions_once(monkeypatch, name):
         counts.append(len(merges))
     assert counts[0] >= 1
     assert counts[0] == counts[1]
+
+
+def _multiples_measured(monkeypatch, module, names, chi, run):
+    # Run, recording every argument of the norms `names` of module; return
+    # (f, batch size) for each measured function that is f chi on chi's
+    # domain, with batch size 0 for a single function.
+    found = []
+
+    def recorder(norm):
+        def wrapper(fs, *args):
+            batch = isinstance(fs, (list, tuple))
+            for fn in fs if batch else [fs]:
+                if isinstance(fn, PiecewiseFunction) and fn.domain == chi.domain:
+                    ts = np.linspace(*chi.domain, 97)
+                    got, want = fn(ts), chi(ts)
+                    f = float(np.vdot(got, want) / np.vdot(want, want))
+                    if np.abs(got - f * want).max() <= 1e-15 * np.abs(want).max():
+                        found.append((f, len(fs) if batch else 0))
+            return norm(fs, *args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, recorder(getattr(module, name)))
+    run()
+    monkeypatch.undo()
+    return found
+
+
+def _directions():
+    # Each schedule that sizes its rows: the module whose norms it calls,
+    # those norms, its direction, and one run at count 12.
+    rng = np.random.default_rng(12)
+    pb = Problem(SCALAR, saturating(), 0.8, random_history(rng, SCALAR, scale=0.5))
+    chi = random_history(rng, SCALAR)
+    ctx = CompositionContext(saturating(), 1.0, MeasureDomain(0.0, 1.0))
+    g, h = random_piecewise(rng, (0.0, 1.0), n_pieces=3), random_piecewise(rng, (0.0, 1.0), n_pieces=2)
+    exp = {
+        "name": "dep", "kind": "dependence", "nonlinearity": {"name": "mackey_glass"},
+        "space": {"R": 1.0, "p": 2.0, "N": 1}, "delay": 0.8, "horizon": 0.8, "count": 12,
+        "history": {"random": {"scale": 0.5}}, "direction": {"random": {"scale": 1.0}},
+    }
+    spec = cli.parse_config({"experiments": [exp]}, 7)[0]
+    norms = ["seminorm", "endpoint_lp_norm", "lp_norm", "sup_norm"]
+    return {
+        "remainder_schedule": (
+            derivops, ["lp_norm", "sup_norm"], chi, lambda: remainder_schedule(DerivativeContext(pb, 0.6), chi, 12)
+        ),
+        "continuity_probe": (composition, ["lp_norm"], h, lambda: continuity_probe(ctx, g, h, 12)),
+        "smoothness_probe": (composition, ["lp_norm"], h, lambda: smoothness_probe(ctx, g, h, 12)),
+        "_run_dependence": (cli, norms, spec.direction, lambda: cli._run_dependence(spec)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_directions()))
+def test_a_schedule_measures_its_direction_once(monkeypatch, name):
+    # Every norm is homogeneous: a table's input sizes are 2^-k times the
+    # size of its direction, so no norm receives the count + 1 steps.
+    module, names, direction, run = _directions()[name]
+    assert _multiples_measured(monkeypatch, module, names, direction, run) == [(1.0, 0)]
 
 
 class TestGateauxConsistency:

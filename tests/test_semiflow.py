@@ -366,11 +366,12 @@ class TestVerifyBattery:
         assert calls == [1.6] + [0.8] * 19
 
     def test_schedule_inputs_are_measured_once(self, monkeypatch):
-        # 1 identity defect and 16 stage defects; the zero-direction check
-        # and the 13 inputs chi/2^k, shared by the tables at t = r/2 and
-        # t = r and the remainders; 13 output gaps per table and 13
-        # remainders.  The two checks measure one history each, and each
-        # of the five tables of histories is measured in one batched pass.
+        # 1 identity defect and 16 stage defects; the direction chi, once:
+        # the seminorm is homogeneous, so the inputs chi/2^k shared by the
+        # tables at t = r/2 and t = r and the remainders are 2^-k times
+        # its size; 13 output gaps per table and 13 remainders.  The two
+        # single histories are measured one each, and each of the four
+        # tables of histories in one batched pass.
         from ddehist import semiflow
 
         pb = scalar_problem(saturating(), unit_history(0.4), r=0.8)
@@ -383,8 +384,8 @@ class TestVerifyBattery:
         monkeypatch.setattr(semiflow, "seminorm", counting_seminorm)
         report = verify_semiflow(pb, unit_history(), count=12)
         assert report.remainder is not None
-        assert sum(n for _, n in passes) == 1 + 16 + 1 + 13 + 3 * 13
-        assert sorted(passes) == [("batch", 13)] * 4 + [("batch", 16)] + [("single", 1)] * 2
+        assert sum(n for _, n in passes) == 1 + 16 + 1 + 3 * 13
+        assert sorted(passes) == [("batch", 13)] * 3 + [("batch", 16)] + [("single", 1)] * 2
         with pytest.raises(ValueError, match="direction must be nonzero"):
             verify_semiflow(pb, unit_history(0.0), count=12)
 
