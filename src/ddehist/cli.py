@@ -37,7 +37,9 @@ from .composition import (
 from .corpus import bump_history, indicator_history, null_set_variant, random_history, random_piecewise
 from .derivops import (
     DerivativeContext,
+    ZERO_SIZE,
     curvature_remainder_bound,
+    direction_size,
     estimate_operator_norm,
     halving_solves,
     map_gap,
@@ -282,7 +284,7 @@ def _build_solve(spec):
 def _build_dependence(spec):
     spec.problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
     _require(0 < spec.horizon <= spec.delay + 1e-12, "dependence probes need horizon <= delay")
-    _require(seminorm(spec.direction, spec.space) > 1e-13, "direction must be nonzero")
+    direction_size(spec.direction, lambda chi: seminorm(chi, spec.space))
 
 
 def _build_lipschitz(spec):
@@ -301,22 +303,22 @@ def _build_lipschitz(spec):
 
 
 def _build_smooth(spec):
-    problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
-    _require(spec.horizon <= spec.delay + 1e-12, "smooth.gain-bound is a one-step bound: horizon must be <= delay")
-    spec.ctx = DerivativeContext(problem, spec.horizon)
-    _require(lp_norm(spec.direction, spec.ctx.alpha + 1.0) > 1e-13, "direction must be nonzero")
+    spec.ctx = DerivativeContext(Problem(spec.space, spec.nl, spec.delay, spec.history), spec.horizon)
+    spec.ctx.require_one_step("smooth.gain-bound")
+    direction_size(spec.direction, lambda chi: lp_norm(chi, spec.ctx.alpha + 1.0))
 
 
 def _build_composition(spec):
     spec.ctx = CompositionContext(spec.nl, spec.q, spec.domain)
     spec.ctx._accept(spec.base, "base")
     spec.ctx._accept(spec.direction, "direction")
-    _require(lp_norm(spec.direction, 1.0) > 1e-13, "direction must be nonzero")
+    for p in (spec.ctx.continuity_p, spec.ctx.smoothness_p):  # the sizes of its two schedules
+        direction_size(spec.direction, lambda h: lp_norm(h, p))
 
 
 def _build_semiflow(spec):
     spec.problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
-    _require(seminorm(spec.direction, spec.space) > 1e-13, "direction must be nonzero")
+    direction_size(spec.direction, lambda chi: seminorm(chi, spec.space))
 
 
 def _build_discontinuity(spec):
@@ -394,8 +396,10 @@ def _run_solve(spec) -> ExperimentResult:
 
 
 def _run_dependence(spec) -> ExperimentResult:
-    factors, steps, gaps = zip(*halving_solves(spec.problem, spec.direction, spec.horizon, spec.count))
-    gap_in = halving(spec.count) * seminorm(spec.direction, spec.space)
+    gap_in, rows = halving_solves(
+        spec.problem, spec.direction, spec.horizon, spec.count, lambda chi: seminorm(chi, spec.space)
+    )
+    factors, steps, gaps = zip(*rows)
     gap_out = endpoint_lp_norm(gaps, spec.space.p)
     # Prolongation is linear: the deviations' gap is the gap less the step's prolongation.
     ygap = sup_norm([prolongation_deviation(gap, step) for step, gap in zip(steps, gaps)])
@@ -429,7 +433,7 @@ def _run_lipschitz(spec) -> ExperimentResult:
             phi2 = random_history(rng, spec.space, scale=spec.scale)
         pairs.append((phi1, phi2))
     gap_in = seminorm([phi1 - phi2 for phi1, phi2 in pairs], spec.space)
-    kept = np.flatnonzero(gap_in >= 1e-13)
+    kept = np.flatnonzero(gap_in >= ZERO_SIZE)
     xs = [solve(Problem(spec.space, spec.nl, spec.delay, phi), T).x for i in kept for phi in pairs[i]]
     gap_out = endpoint_lp_norm([x1 - x2 for x1, x2 in zip(xs[::2], xs[1::2])], spec.space.p)
     ratios = gap_out / gap_in[kept]

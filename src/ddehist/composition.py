@@ -5,7 +5,8 @@ carries L^(alpha q) into L^q; with a Jacobian of growth order alpha it does
 so differentiably from L^((alpha+1) q), the derivative at g acting as
 multiplication by Df(g(.)).  One context holds both source exponents.
 Images stay lazy: norms and gaps are integrated through the composed map
-without materializing it.
+without materializing it.  Both probes run along a
+`derivops.halving_schedule`, sized in their source exponent.
 """
 
 from __future__ import annotations
@@ -14,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import GapTable, RemainderTable, halving
-from .derivops import estimate_operator_norm, jacobian_gap, map_gap
-from .funcrep import (
-    LazyComposition,
-    PiecewiseFunction,
-    _scale_tol,
-    aligned,
-    lp_norm,
-    stack,
-)
+from .certify import GapTable, RemainderTable
+from .derivops import estimate_operator_norm, halving_schedule, jacobian_gap, map_gap
+from .funcrep import LazyComposition, PiecewiseFunction, _scale_tol, lp_norm, stack
 from .nonlinear import Nonlinearity, spectral_norm
 
 __all__ = [
@@ -147,13 +141,8 @@ def continuity_probe(
     """
     ctx._accept(g)
     ctx._accept(direction, "direction")
-    factors = halving(count)
-    size = lp_norm(direction, ctx.continuity_p)
-    if size < 1e-13:
-        raise ValueError("direction must be nonzero")
-    g, direction = aligned((g, direction))
-    outs = [lp_norm(map_gap(ctx.nl.fn, g, direction.scale(f)), ctx.q) for f in factors]
-    return GapTable(factors * size, np.array(outs))
+    g, _, steps, sizes = halving_schedule(g, direction, count, lambda h: lp_norm(h, ctx.continuity_p))
+    return GapTable(sizes, np.array([lp_norm(map_gap(ctx.nl.fn, g, step), ctx.q) for step in steps]))
 
 
 def apply_derivative(
@@ -187,8 +176,7 @@ def smoothness_probe(
     """Linearization remainders of the composition along a halving schedule."""
     ctx._accept(g)
     ctx._accept(direction, "direction")
-    factors = halving(count)
-    size = lp_norm(direction, ctx.smoothness_p)
+    g, _, steps, sizes = halving_schedule(g, direction, count, lambda h: lp_norm(h, ctx.smoothness_p))
     m = ctx.nl.dim
     fn, jac = ctx.nl.fn, ctx.nl.jac
 
@@ -197,9 +185,8 @@ def smoothness_probe(
         linear_part = np.einsum("kij,kj->ki", jac(base), step)
         return fn(base + step) - fn(base) - linear_part
 
-    g, direction = aligned((g, direction))
-    remainders = [LazyComposition(stack((g, direction.scale(f))), remainder_map, m) for f in factors]
-    return RemainderTable(factors * size, np.array([lp_norm(rem, ctx.q) for rem in remainders]))
+    remainders = [LazyComposition(stack((g, step)), remainder_map, m) for step in steps]
+    return RemainderTable(sizes, np.array([lp_norm(rem, ctx.q) for rem in remainders]))
 
 
 def curvature_image_bound(ctx: CompositionContext, h: PiecewiseFunction) -> float:

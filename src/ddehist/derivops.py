@@ -11,7 +11,8 @@ one delay the deviation is
 
 which this module bounds through the Hoelder inequality.  It also certifies
 that what remains after subtracting the first-order response shrinks faster
-than the perturbation.
+than the perturbation, along halving schedules: every one of the package
+is made by `halving_schedule`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ from .nonlinear import holder_conjugate, spectral_norm, tangent_system
 from .solver import Problem, solve
 
 __all__ = [
+    "ZERO_SIZE",
     "DerivativeContext",
     "curvature_remainder_bound",
     "derivative_gap",
+    "direction_size",
     "estimate_operator_norm",
+    "halving_schedule",
     "halving_solves",
     "jacobian_gap",
     "map_gap",
@@ -41,6 +45,8 @@ __all__ = [
     "tangent_deviation_bound",
     "tangent_trajectory",
 ]
+
+ZERO_SIZE = 1e-13  # a direction or probe smaller than this in its norm counts as zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +149,7 @@ def estimate_operator_norm(
     best = 0.0
     for chi in candidates:
         size = norm_in(chi)
-        if size < 1e-13:
+        if size < ZERO_SIZE:
             continue
         best = max(best, norm_out(op(chi)) / size)
     return best
@@ -164,17 +170,35 @@ def map_gap(fn, base: PiecewiseFunction, step: PiecewiseFunction) -> LazyComposi
     return LazyComposition(stack((base, step)), lambda v: fn(v[:, :n] + v[:, n:]) - fn(v[:, :n]), n)
 
 
-def halving_solves(pb: Problem, chi: PiecewiseFunction, horizon: float, count: int):
-    """The trajectory gaps behind every dependence table: one (f, f chi,
-    x(f) - x(0)) row per f = 2^-k, k = 0..count, where x(f) is the solve on
-    [-R, horizon] from pb.phi + f chi.  pb.phi and chi go onto one
-    partition once, each step f chi is returned on it, and x(0) is solved
-    from pb.phi on it: each gap is a coefficient difference.  Every norm is
-    homogeneous, so a table's input sizes are 2^-k times the size of chi."""
-    phi, chi = aligned((pb.phi, chi))
+def direction_size(direction: PiecewiseFunction, norm) -> float:
+    """norm(direction): the zero-direction rule of every schedule and of
+    every config that sets a direction, a ValueError below ZERO_SIZE."""
+    size = norm(direction)
+    if size < ZERO_SIZE:
+        raise ValueError("direction must be nonzero")
+    return size
+
+
+def halving_schedule(base: PiecewiseFunction, direction: PiecewiseFunction, count: int, norm) -> tuple:
+    """The schedule base + 2^-k direction, k = 0..count: (base, factors 2^-k,
+    steps 2^-k direction, input sizes), base and steps on one partition
+    (`aligned`) so that base + step skips the merge.  Every norm is
+    homogeneous: the direction is measured once, and no step is."""
+    factors = halving(count)
+    size = direction_size(direction, norm)
+    base, direction = aligned((base, direction))
+    return base, factors, [direction.scale(f) for f in factors], factors * size
+
+
+def halving_solves(pb: Problem, chi: PiecewiseFunction, horizon: float, count: int, norm) -> tuple:
+    """The trajectory gaps behind every dependence table: the input sizes of
+    the `halving_schedule` pb.phi + f chi under norm, and one (f, f chi,
+    x(f) - x(0)) row per f, where x(f) is the solve on [-R, horizon] from
+    pb.phi + f chi.  x(0) is solved on the schedule's partition, so each
+    gap is a coefficient difference."""
+    phi, factors, steps, sizes = halving_schedule(pb.phi, chi, count, norm)
     base = solve(replace(pb, phi=phi), horizon).x
-    steps = [(f, chi.scale(f)) for f in halving(count)]
-    return [(f, step, solve(replace(pb, phi=phi + step), horizon).x - base) for f, step in steps]
+    return sizes, [(f, step, solve(replace(pb, phi=phi + step), horizon).x - base) for f, step in zip(factors, steps)]
 
 
 def remainder_function(ctx: DerivativeContext, chi: PiecewiseFunction) -> PiecewiseFunction:
@@ -191,10 +215,9 @@ def remainder_schedule(ctx: DerivativeContext, chi0: PiecewiseFunction, count: i
     construction); each row re-solves the perturbed problem.  The sizes are
     2^-k times the L^(alpha+1) size of chi0.
     """
+    sizes, rows = halving_solves(ctx.problem, chi0, ctx.horizon, count, lambda chi: lp_norm(chi, ctx.alpha + 1.0))
     tangent0 = tangent_trajectory(ctx, chi0)
-    rows = halving_solves(ctx.problem, chi0, ctx.horizon, count)
-    remainders = sup_norm([gap - tangent0.scale(f) for f, _, gap in rows])
-    return RemainderTable(halving(count) * lp_norm(chi0, ctx.alpha + 1.0), remainders)
+    return RemainderTable(sizes, sup_norm([gap - tangent0.scale(f) for f, _, gap in rows]))
 
 
 def curvature_remainder_bound(ctx: DerivativeContext, chi: PiecewiseFunction) -> float:

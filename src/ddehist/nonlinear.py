@@ -92,24 +92,14 @@ class Nonlinearity:
 
 
 def spectral_norm(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value of a (batch of) matrices.
-
-    Dimensions 1 and 2 use closed forms; larger blocks fall back on batched
-    SVD.
-    """
+    """Largest singular value of a (batch of) matrices: the Euclidean norm
+    of a row or column, batched SVD otherwise."""
     mats = np.asarray(mats, dtype=float)
     if mats.ndim < 2:
         raise ValueError("expected at least one matrix")
     n, m = mats.shape[-2], mats.shape[-1]
     if n == 1 or m == 1:
         return np.sqrt(np.sum(mats**2, axis=(-2, -1)))
-    if n == 2 and m == 2:
-        a, b = mats[..., 0, 0], mats[..., 0, 1]
-        c, d = mats[..., 1, 0], mats[..., 1, 1]
-        fro2 = a * a + b * b + c * c + d * d
-        det = a * d - b * c
-        disc = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0))
-        return np.sqrt(0.5 * (fro2 + disc))
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certify import GapTable, RemainderTable, halving
+from .certify import GapTable, RemainderTable
 from .derivops import (
     DerivativeContext,
     estimate_operator_norm,
@@ -103,16 +103,8 @@ def continuity_modulus(pb: Problem, times, direction: PiecewiseFunction, count: 
     from one schedule solved to the last time (to r when every time is 0)."""
     if min(times) < 0:
         raise ValueError("grid times must be nonnegative")
-    sizes, rows = _schedule(pb, direction, max(times) or pb.r, count)
+    sizes, rows = halving_solves(pb, direction, float(max(times) or pb.r), count, lambda chi: seminorm(chi, pb.cfg))
     return tuple(_modulus_table(pb.cfg, float(t), sizes, rows) for t in times)
-
-
-def _schedule(pb: Problem, direction: PiecewiseFunction, horizon: float, count: int) -> tuple:
-    # The input sizes 2^-k |direction| and rows of halving_solves along a nonzero direction.
-    size = seminorm(direction, pb.cfg)
-    if size < 1e-13:
-        raise ValueError("direction must be nonzero")
-    return halving(count) * size, halving_solves(pb, direction, float(horizon), count)
 
 
 def _modulus_table(cfg: HistoryConfig, t: float, sizes, rows) -> ModulusTable:
@@ -135,7 +127,8 @@ def time_map_remainder(pb: Problem, t: float, chi0: PiecewiseFunction, count: in
     which is the norm the induced quotient map is differentiable in.
     """
     ctx = DerivativeContext(pb, float(t))
-    return _remainder_table(ctx, chi0, *_schedule(pb, chi0, ctx.horizon, count))
+    schedule = halving_solves(pb, chi0, ctx.horizon, count, lambda chi: seminorm(chi, pb.cfg))
+    return _remainder_table(ctx, chi0, *schedule)
 
 
 def _remainder_table(ctx: DerivativeContext, chi0: PiecewiseFunction, sizes, rows) -> RemainderTable:
@@ -216,7 +209,7 @@ def verify_semiflow(pb: Problem, direction: PiecewiseFunction, count: int = 12) 
         for s in stages:
             pairs.append((t, s))
             gaps.append(history_segment(x, t + s, cfg.R) - history_segment(staged, s, cfg.R))
-    sizes, rows = _schedule(pb, direction, r, count)
+    sizes, rows = halving_solves(pb, direction, r, count, lambda chi: seminorm(chi, cfg))
     modulus = tuple(_modulus_table(cfg, t, sizes, rows) for t in (0.5 * r, r))
     remainder = None
     differentiable = pb.nl.jac is not None and pb.nl.df_growth is not None

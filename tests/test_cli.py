@@ -328,6 +328,54 @@ class TestKindValidation:
             )
 
 
+class TestDirectionRule:
+    # A build measures its direction with every norm its run sizes a halving
+    # schedule with, under the one zero-direction rule.
+    HISTORY = {"nonlinearity": {"name": "mackey_glass"}, "history": {"constant": [0.5]}, "count": 3}
+    COMPOSITION = {"name": "tiny", "kind": "composition", "nonlinearity": {"name": "mackey_glass"}, "q": 2.0}
+
+    @pytest.mark.parametrize("height", [5e-15, 2e-14])
+    def test_composition_direction_below_zero_size_in_a_source_exponent_is_a_config_error(
+        self, tmp_path, capsys, height
+    ):
+        # On [0, 100] the L^2 and L^4 sizes of the constant 5e-15 are 5e-14
+        # and 1.6e-14: the continuity probe raised, exit 1.  At 2e-14 they
+        # are 2e-13 and 6.3e-14: the smoothness schedule ran below the rule
+        # and remainder-decay passed on zero remainders, exit 0.
+        domain = {"lower": 0.0, "upper": 100.0}
+        exp = dict(self.COMPOSITION, domain=domain, direction={"constant": [height]})
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: tiny: direction must be nonzero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", [1.0, 100.0])
+    @pytest.mark.parametrize("kind", ["composition", "dependence", "semiflow", "smooth"])
+    def test_a_build_rejects_exactly_the_directions_its_run_rejects(self, kind, length):
+        if kind == "composition":
+            exp = dict(self.COMPOSITION, domain={"lower": 0.0, "upper": length})
+        else:
+            exp = dict(self.HISTORY, name="tiny", kind=kind, space={"R": length, "p": 2.0, "N": 1})
+        (twin,) = parse_config({"experiments": [dict(exp, direction={"constant": [1.0]})]}, 0)
+        unit, verdicts = twin.direction, []
+        for height in np.geomspace(1e-16, 1e-11, 21):
+            try:
+                parse_config({"experiments": [dict(exp, direction={"constant": [height]})]}, 0)
+                built = True
+            except ConfigError as exc:
+                assert str(exc) == "tiny: direction must be nonzero"
+                built = False
+            twin.direction = unit.scale(height)  # the run of the built twin, along this direction
+            try:
+                cli.run_experiment(twin)
+                ran = True
+            except ValueError as exc:
+                assert str(exc) == "direction must be nonzero"
+                ran = False
+            assert built == ran, height
+            verdicts.append(built)
+        assert verdicts[0] is False and verdicts[-1] is True
+
+
 class TestBreakpointFunctions:
     """A `breakpoints` spec whose ends lie within 1e-9 of its domain is put
     onto the domain; one further off is a config error."""

@@ -40,7 +40,7 @@ from ddehist.histspace import (
     seminorm,
 )
 from ddehist.nonlinear import Nonlinearity, linear, make, quadratic, saturating
-from ddehist.semiflow import time_map_remainder
+from ddehist.semiflow import continuity_modulus, time_map_remainder, verify_semiflow
 from ddehist.solver import Problem, solve
 
 SCALAR = HistoryConfig(R=1.0, p=2.0, N=1)
@@ -387,8 +387,9 @@ class TestHalvingSolves:
         rng = np.random.default_rng(5)
         pb = Problem(SCALAR, saturating(), 0.8, random_history(rng, SCALAR, scale=0.5))
         chi = random_history(rng, SCALAR)
-        rows = halving_solves(pb, chi, 0.6, 4)
+        sizes, rows = halving_solves(pb, chi, 0.6, 4, lambda h: seminorm(h, SCALAR))
         assert [factor for factor, _, _ in rows] == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        assert np.array_equal(sizes, [f * seminorm(chi, SCALAR) for f, _, _ in rows])
         # pb.phi + 0 chi is pb.phi on the schedule's partition, where its base is solved.
         base = solve(replace(pb, phi=pb.phi + chi.scale(0.0)), 0.6).x
         plain = solve(pb, 0.6).x
@@ -425,7 +426,7 @@ class TestHalvingSolves:
             monkeypatch.setattr(module, "halving_solves", recording(schedules, module.halving_solves))
             monkeypatch.setattr(module, "tangent_trajectory", recording(responses, module.tangent_trajectory))
             run()
-            (rows,), (y,) = schedules, responses
+            ((_, rows),), (y,) = schedules, responses
             assert len(solves) == 7
             for traj in solves:
                 assert np.array_equal(traj.x.breakpoints, y.breakpoints)
@@ -448,7 +449,7 @@ def _schedules():
         "history": {"random": {"scale": 0.5}}, "direction": {"random": {"scale": 1.0}},
     }
     return {
-        "halving_solves": lambda count: halving_solves(pb, chi, 0.6, count),
+        "halving_solves": lambda count: halving_solves(pb, chi, 0.6, count, lambda h: seminorm(h, SCALAR)),
         "_run_dependence": lambda count: cli._run_dependence(
             cli.parse_config({"experiments": [dict(exp, count=count)]}, 7)[0]
         ),
@@ -475,7 +476,8 @@ def test_a_schedule_merges_its_partitions_once(monkeypatch, name):
 def _multiples_measured(monkeypatch, module, names, chi, run):
     # Run, recording every argument of the norms `names` of module; return
     # (f, batch size) for each measured function that is f chi on chi's
-    # domain, with batch size 0 for a single function.
+    # domain, with batch size 0 for a single function.  A function at
+    # rounding level (|f| <= 1e-12), such as a semigroup defect, is no step.
     found = []
 
     def recorder(norm):
@@ -486,7 +488,7 @@ def _multiples_measured(monkeypatch, module, names, chi, run):
                     ts = np.linspace(*chi.domain, 97)
                     got, want = fn(ts), chi(ts)
                     f = float(np.vdot(got, want) / np.vdot(want, want))
-                    if np.abs(got - f * want).max() <= 1e-15 * np.abs(want).max():
+                    if abs(f) > 1e-12 and np.abs(got - f * want).max() <= 1e-15 * np.abs(want).max():
                         found.append((f, len(fs) if batch else 0))
             return norm(fs, *args)
 
@@ -514,6 +516,7 @@ def _directions():
     }
     spec = cli.parse_config({"experiments": [exp]}, 7)[0]
     norms = ["seminorm", "endpoint_lp_norm", "lp_norm", "sup_norm"]
+    flow_norms = ["seminorm", "lp_norm", "sup_norm"]  # those semiflow imports
     return {
         "remainder_schedule": (
             derivops, ["lp_norm", "sup_norm"], chi, lambda: remainder_schedule(DerivativeContext(pb, 0.6), chi, 12)
@@ -521,6 +524,9 @@ def _directions():
         "continuity_probe": (composition, ["lp_norm"], h, lambda: continuity_probe(ctx, g, h, 12)),
         "smoothness_probe": (composition, ["lp_norm"], h, lambda: smoothness_probe(ctx, g, h, 12)),
         "_run_dependence": (cli, norms, spec.direction, lambda: cli._run_dependence(spec)),
+        "continuity_modulus": (semiflow, flow_norms, chi, lambda: continuity_modulus(pb, [0.4, 0.8], chi, 12)),
+        "time_map_remainder": (semiflow, flow_norms, chi, lambda: time_map_remainder(pb, 0.6, chi, 12)),
+        "verify_semiflow": (semiflow, flow_norms, chi, lambda: verify_semiflow(pb, chi, 12)),
     }
 
 
@@ -530,6 +536,38 @@ def test_a_schedule_measures_its_direction_once(monkeypatch, name):
     # size of its direction, so no norm receives the count + 1 steps.
     module, names, direction, run = _directions()[name]
     assert _multiples_measured(monkeypatch, module, names, direction, run) == [(1.0, 0)]
+
+
+def _entry_points():
+    # Each halving-schedule entry point: the norm it sizes its direction in,
+    # a direction, and a run along a given multiple of that direction.
+    rng = np.random.default_rng(12)
+    pb = Problem(SCALAR, saturating(), 0.8, random_history(rng, SCALAR, scale=0.5))
+    chi = random_history(rng, SCALAR)
+    ctx = CompositionContext(saturating(), 1.0, MeasureDomain(0.0, 1.0))
+    g, h = random_piecewise(rng, (0.0, 1.0), n_pieces=3), random_piecewise(rng, (0.0, 1.0), n_pieces=2)
+    window = lambda d: seminorm(d, SCALAR)
+    return {
+        "halving_solves": (window, chi, lambda d: halving_solves(pb, d, 0.6, 4, window)),
+        "remainder_schedule": (
+            lambda d: lp_norm(d, 2.0), chi, lambda d: remainder_schedule(DerivativeContext(pb, 0.6), d, 4)
+        ),
+        "continuity_probe": (lambda d: lp_norm(d, ctx.continuity_p), h, lambda d: continuity_probe(ctx, g, d, 4)),
+        "smoothness_probe": (lambda d: lp_norm(d, ctx.smoothness_p), h, lambda d: smoothness_probe(ctx, g, d, 4)),
+        "continuity_modulus": (window, chi, lambda d: continuity_modulus(pb, [0.4], d, 4)),
+        "time_map_remainder": (window, chi, lambda d: time_map_remainder(pb, 0.6, d, 4)),
+        "verify_semiflow": (window, chi, lambda d: verify_semiflow(pb, d, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_entry_points()))
+def test_every_schedule_applies_one_zero_direction_rule(name):
+    # Size 1e-15 in the schedule's own norm is below ZERO_SIZE: every entry
+    # point raises alike.  Size 1e-12 is above it and runs.
+    norm, chi, run = _entry_points()[name]
+    with pytest.raises(ValueError, match="^direction must be nonzero$"):
+        run(chi.scale(1e-15 / norm(chi)))
+    run(chi.scale(1e-12 / norm(chi)))
 
 
 class TestGateauxConsistency:
