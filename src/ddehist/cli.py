@@ -51,7 +51,7 @@ from .funcrep import PiecewiseFunction, aligned, lp_norm, sup_norm
 from .histspace import HistoryConfig, endpoint_lp_norm, prolongation_deviation, seminorm
 from .nonlinear import make
 from .semiflow import quotient_invariance, verify_semiflow
-from .solver import Problem, solve
+from .solver import Problem, solve, step_edges
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -271,7 +271,7 @@ def _indicator_width(R: float, r: float, k: int) -> float:
 
 
 # -- builders: check the parsed fields and make what the runner uses.  Their
-# errors, ConfigError or a constructor's ValueError, are prefixed with the name.
+# errors (ConfigError, or a ValueError of a constructor or `step_edges`) get the name prefixed.
 
 
 def _build_solve(spec):
@@ -279,11 +279,13 @@ def _build_solve(spec):
     _require(spec.horizon > 0, "horizon must be positive")
     steps = math.ceil(spec.horizon / spec.delay)
     _require(steps <= _MAX_STEPS, f"horizon/delay is {steps} method-of-steps steps, above the limit of {_MAX_STEPS}")
+    step_edges(spec.horizon, spec.delay)
 
 
 def _build_dependence(spec):
     spec.problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
     _require(0 < spec.horizon <= spec.delay + 1e-12, "dependence probes need horizon <= delay")
+    step_edges(spec.horizon, spec.delay)
     direction_size(spec.direction, lambda chi: seminorm(chi, spec.space))
 
 
@@ -300,11 +302,13 @@ def _build_lipschitz(spec):
         spec.horizon <= spec.delay <= spec.space.R + 1e-12, "delay must lie in [horizon, R]"
     )
     Problem(spec.space, spec.nl, spec.delay, spec.history)
+    step_edges(spec.horizon, spec.delay)
 
 
 def _build_smooth(spec):
     spec.ctx = DerivativeContext(Problem(spec.space, spec.nl, spec.delay, spec.history), spec.horizon)
     spec.ctx.require_one_step("smooth.gain-bound")
+    step_edges(spec.horizon, spec.delay)
     direction_size(spec.direction, lambda chi: lp_norm(chi, spec.ctx.alpha + 1.0))
 
 

@@ -306,24 +306,38 @@ class PiecewiseFunction:
             out[moved] = _cheb_interp_matrix(n) @ vals
         return out
 
-    def restrict(self, lo: float, hi: float) -> "PiecewiseFunction":
-        """Restriction to [lo, hi] within the domain.
+    def _value_at(self, t: float) -> np.ndarray:
+        """self(t) at one t in the domain, with its bits: the Chebyshev recurrence
+        on floats, then `__call__`'s product, on a contiguous block as there."""
+        bp = self.breakpoints
+        if t == bp[-1]:
+            return self.endpoint_value
+        i = int(_piece_index(bp, t))
+        lo, hi = float(bp[i]), float(bp[i + 1])
+        u = (2.0 * t - (lo + hi)) / (hi - lo)
+        row, two_u = [1.0, u], 2.0 * u
+        while len(row) <= self.degree:
+            row.append(row[-1] * two_u - row[-2])
+        return np.array(row[: self.degree + 1]) @ np.ascontiguousarray(self.coeffs[i])
 
-        The new endpoint value is the evaluation of self at hi, so a
-        restriction ending at an interior breakpoint takes its distinguished
-        value from the piece on the right, exactly like pointwise evaluation.
-        """
-        a, b = self.domain
-        lo, hi = float(lo), float(hi)
-        tol = _scale_tol(a, b)
+    def _cut(self, lo: float, hi: float):
+        """`restrict`'s partition of [lo, hi], coefficients and endpoint value."""
+        (a, b), bp = self.domain, self.breakpoints
+        lo, hi, tol = float(lo), float(hi), _scale_tol(a, b)
         if lo < a - tol or hi > b + tol or not lo < hi:
             raise DomainError("restriction interval must sit inside the domain")
         lo, hi = max(lo, a), min(hi, b)
-        inner = self.breakpoints[
-            (self.breakpoints > lo + tol) & (self.breakpoints < hi - tol)
-        ]
-        partition = np.concatenate(([lo], inner, [hi]))
-        return PiecewiseFunction(partition, self._pieces_on(partition), self(hi))
+        partition = np.concatenate(([lo], bp[(bp > lo + tol) & (bp < hi - tol)], [hi]))
+        return partition, self._pieces_on(partition), self._value_at(hi)
+
+    def restrict(self, lo: float, hi: float) -> "PiecewiseFunction":
+        """Restriction to [lo, hi] within the domain.
+
+        The new endpoint value is self's value at hi, read at that one point
+        with the bits of evaluation, so a restriction ending at an interior
+        breakpoint takes it from the piece on the right, like evaluation.
+        """
+        return PiecewiseFunction(*self._cut(lo, hi))
 
     def refine(self, points) -> "PiecewiseFunction":
         """Insert extra breakpoints; the represented function is unchanged."""
@@ -343,14 +357,7 @@ class PiecewiseFunction:
         return PiecewiseFunction(self.breakpoints, self.coeffs, values)
 
     def _snap_domain(self, lo: float, hi: float) -> "PiecewiseFunction":
-        # Replace the outermost breakpoints by exact targets (within rounding).
-        a, b = self.domain
-        tol = 1e-9 * max(1.0, abs(a), abs(b), abs(lo), abs(hi))
-        if abs(a - lo) > tol or abs(b - hi) > tol:
-            raise DomainError("snap targets too far from the actual domain")
-        bp = np.array(self.breakpoints)
-        bp[0], bp[-1] = lo, hi
-        return PiecewiseFunction(bp, self.coeffs, self.endpoint_value)
+        return PiecewiseFunction(_snapped(self.breakpoints, lo, hi), self.coeffs, self.endpoint_value)
 
     # -- algebra --------------------------------------------------------------
 
@@ -391,6 +398,14 @@ class PiecewiseFunction:
             f"PiecewiseFunction([{a:g}, {b:g}], pieces={self.n_pieces}, "
             f"components={self.n_components}, degree={self.degree})"
         )
+
+
+def _snapped(bp: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """bp with its ends put on exact targets lo and hi, 1e-9 (relative) away at most."""
+    tol = 1e-9 * max(1.0, abs(bp[0]), abs(bp[-1]), abs(lo), abs(hi))
+    if abs(bp[0] - lo) > tol or abs(bp[-1] - hi) > tol:
+        raise DomainError("snap targets too far from the actual domain")
+    return np.concatenate(([lo], bp[1:-1], [hi]))
 
 
 def _merge_partitions(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcrep import DomainError, PiecewiseFunction, _sealed, lp_norm
+from .funcrep import DomainError, PiecewiseFunction, _sealed, _snapped, lp_norm
 
 __all__ = [
     "HistoryConfig",
@@ -150,17 +150,16 @@ def prolongation_deviation(x: PiecewiseFunction, phi: PiecewiseFunction) -> Piec
 def history_segment(x: PiecewiseFunction, t: float, R: float) -> PiecewiseFunction:
     """The history seen at time t: theta -> x(t + theta) on [-R, 0].
 
-    The distinguished value is x(t) under the evaluation convention, so at a
-    breakpoint of x the value comes from the piece on the right, and at the
-    right end of x it is the stored endpoint value.
+    It is x.restrict(t - R, t).shift(-t) put on [-R, 0], bit for bit, in one
+    construction.  Its value at 0 is x(t), so at a breakpoint of x it comes
+    from the piece on the right, and at x's right end it is x's endpoint value.
     """
     a, b = x.domain
     tol = 1e-9 * max(1.0, abs(a), abs(b))
     if t - R < a - tol or t > b + tol:
         raise DomainError("segment window is not contained in the domain")
-    lo = max(t - R, a)
-    hi = min(t, b)
-    return x.restrict(lo, hi).shift(-t)._snap_domain(-R, 0.0)
+    partition, coeffs, value = x._cut(max(t - R, a), min(t, b))
+    return PiecewiseFunction(_snapped(partition - float(t), -R, 0.0), coeffs, value)
 
 
 def to_pair(phi: PiecewiseFunction) -> QuotientPair:

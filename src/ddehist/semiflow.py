@@ -194,21 +194,19 @@ def verify_semiflow(pb: Problem, direction: PiecewiseFunction, count: int = 12) 
 
     phi is solved once to 2r for every direct window S(t + s) phi, and each
     stage window S(t) phi once to r for its second stages, over t, s in
-    {0, 0.3r, 0.5r, r}; the identity defect checks that the solve starts
-    from the stored phi(0).  One halving schedule to r gives the continuity
-    moduli at r/2 and r and (when the right-hand side supports it) the
-    time-map linearization remainders.
+    {0, 0.3r, 0.5r, r}; each distinct t + s windows the solve once (9 windows).
+    The identity defect checks that the solve starts from the stored phi(0).
+    One halving schedule to r gives the continuity moduli at r/2 and r and
+    (when the right-hand side supports it) the time-map remainders.
     """
     cfg, r = pb.cfg, float(pb.r)
     x = solve(pb, 2.0 * r).x
-    identity = seminorm(history_segment(x, 0.0, cfg.R) - pb.phi, cfg)
     stages = [0.0, 0.3 * r, 0.5 * r, r]
-    pairs, gaps = [], []
-    for t in stages:
-        staged = solve(replace(pb, phi=history_segment(x, t, cfg.R)), r).x
-        for s in stages:
-            pairs.append((t, s))
-            gaps.append(history_segment(x, t + s, cfg.R) - history_segment(staged, s, cfg.R))
+    windows = {u: history_segment(x, u, cfg.R) for u in {t + s for t in stages for s in stages}}
+    identity = seminorm(windows[0.0] - pb.phi, cfg)
+    staged = {t: solve(replace(pb, phi=windows[t]), r).x for t in stages}
+    pairs = [(t, s) for t in stages for s in stages]
+    gaps = [windows[t + s] - history_segment(staged[t], s, cfg.R) for t, s in pairs]
     sizes, rows = halving_solves(pb, direction, r, count, lambda chi: seminorm(chi, cfg))
     modulus = tuple(_modulus_table(cfg, t, sizes, rows) for t in (0.5 * r, r))
     remainder = None

@@ -43,6 +43,7 @@ from .histspace import HistoryConfig, _check, history_segment
 from .nonlinear import Nonlinearity
 
 __all__ = ["Problem", "Trajectory", "solve", "step_edges"]
+_ULPS = 2.0**-49  # 8 float64 ulps of 1 (8 * 2^-52): `_delayed_rhs`' tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +95,17 @@ class Trajectory:
 
 
 def step_edges(T: float, r: float) -> np.ndarray:
-    """Partition of [0, T] at multiples of r, with a truncated last step."""
+    """Partition of [0, T] at multiples of r, with a truncated last step; a
+    ValueError when T is within 1e-12 max(1, T) of 0 and so has no step."""
     tol = 1e-12 * max(1.0, T)
     count = int(np.floor(T / r + 1e-12))
     edges = [i * r for i in range(count + 1)]
     if T - edges[-1] > tol:
         edges.append(T)
-    else:
+    elif count:
         edges[-1] = T
+    else:
+        raise ValueError(f"horizon {T:g} is within {tol:g} of 0, too short for one method-of-steps cut")
     return np.array(edges)
 
 
@@ -168,8 +172,8 @@ def _delayed_rhs(problem: Problem, bp: np.ndarray, coeffs: np.ndarray, cuts, n: 
     lo, hi = bp[piece], bp[piece + 1]
     # A few ulps, not `_scale_tol`: at t = 200 that is 2e-10, and would take a
     # cut a real amount off its piece for the whole piece.
-    tol = 8.0 * np.finfo(float).eps * max(1.0, abs(bp[0]), abs(cuts[-1]))
-    moved = np.flatnonzero(np.maximum(np.abs(delayed[:-1] - lo), np.abs(delayed[1:] - hi)) > tol)
+    tol = _ULPS * max(1.0, abs(bp[0]), abs(cuts[-1]))
+    moved = (np.maximum(np.abs(delayed[:-1] - lo), np.abs(delayed[1:] - hi)) > tol).nonzero()[0]
     vals = _vandermonde(n, coeffs.shape[1] - 1) @ coeffs[piece]
     if moved.size:
         lo, hi, half = lo[moved, None], hi[moved, None], 0.5 * (cuts[moved + 1] - cuts[moved])[:, None]

@@ -156,6 +156,23 @@ class TestKindValidation:
         cfg = write_config(tmp_path, [exp])
         assert main(["verify", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("kind", ["solve", "dependence", "lipschitz", "smooth"])
+    def test_a_horizon_too_short_for_one_step_is_a_config_error(self, tmp_path, capsys, kind):
+        # No method-of-steps cut fits in the horizon: refused before anything runs.
+        exp = {
+            "name": "blink",
+            "kind": kind,
+            "nonlinearity": {"name": "linear", "params": {"matrix": [[1.0]]}},
+            "space": {"R": 1.0, "p": 1.0 if kind == "lipschitz" else 2.0, "N": 1},
+            "delay": 0.8,
+            "horizon": 1e-300,
+        }
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "blink: horizon 1e-300 is within 1e-12 of 0, too short for one method-of-steps cut" in err
+        assert not (tmp_path / "o").exists()
+
     def test_discontinuity_default_count_beyond_its_range_names_p(self):
         # max(12, ceil(5p)) = 23 at p = 4.5: the config never set count, so
         # the error must be about p, not about the range of count.

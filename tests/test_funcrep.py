@@ -210,6 +210,24 @@ def test_restrict_retains_old_endpoint_when_full_width():
     assert g(1.0) == pytest.approx(-4.0)
 
 
+@pytest.mark.parametrize("n_components", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1, 16])
+def test_restrict_endpoint_has_the_bits_of_evaluation(degree, n_components):
+    # restrict reads its endpoint value at one point, not through __call__;
+    # the two must agree bit for bit, also on a strided coefficient block.
+    rng = np.random.default_rng(degree)
+    bp = np.cumsum(np.concatenate(([-2.0], rng.uniform(0.1, 1.0, 4))))
+    block = rng.normal(size=(4, degree + 3, n_components + 1))
+    strided = block[:, : degree + 1, :n_components]
+    dense = np.ascontiguousarray(strided)
+    strided.flags.writeable = dense.flags.writeable = False
+    for coeffs in (dense, strided):
+        f = PiecewiseFunction(bp, coeffs, rng.normal(size=n_components))
+        assert f.coeffs is coeffs
+        for hi in np.concatenate((rng.uniform(bp[0] + 0.05, bp[-1], 40), bp[1:])):
+            assert np.array_equal(f.restrict(bp[0], hi).endpoint_value, f(hi))
+
+
 # ---------------------------------------------------------------- algebra
 
 

@@ -234,6 +234,45 @@ def test_history_segment_window_check():
         history_segment(glued_trajectory(), 0.5, R=2.0)
 
 
+@st.composite
+def windowed(draw):
+    """(x, t, R): a function x on [-1, 2] with N = 1 or 2, and a window
+    [t - R, t] inside its domain."""
+    n, pieces = draw(st.sampled_from([1, 2])), draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.floats(-0.99, 1.99), min_size=pieces - 1, max_size=pieces - 1, unique=True))
+    bp = np.concatenate(([-1.0], np.sort(cuts), [2.0]))
+    if np.diff(bp).min() < 1e-3:
+        bp = np.linspace(-1.0, 2.0, pieces + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.normal(size=(pieces, draw(st.sampled_from([1, 2, 4, 17])), n))
+    R = draw(st.floats(0.05, 3.0))
+    t = draw(st.floats(R - 1.0, 2.0))
+    return PiecewiseFunction(bp, coeffs, rng.normal(size=n)), t, R
+
+
+SEAMED = PiecewiseFunction(
+    np.array([-1.0, -0.25, 0.5, 2.0]), np.arange(24.0).reshape(3, 4, 2) / 7.0, [0.5, -0.5]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=windowed())
+@example(case=(SEAMED, 0.5, 1.0))  # t on a breakpoint
+@example(case=(SEAMED, -0.25 + 1.5, 1.5))  # t - R on one
+@example(case=(SEAMED, 2.0, 1.0))  # t at the domain end
+@example(case=(SEAMED, 0.5 - 5e-10, 1.5))  # t - R 5e-10 before the domain start
+def test_history_segment_is_the_restricted_shifted_snapped_window(case):
+    # One construction, with the bits of the three-step reference.
+    x, t, R = case
+    a, b = x.domain
+    ref = x.restrict(max(t - R, a), min(t, b)).shift(-t)._snap_domain(-R, 0.0)
+    seg = history_segment(x, t, R)
+    assert seg.domain == (-R, 0.0)
+    assert np.array_equal(seg.breakpoints, ref.breakpoints)
+    assert np.array_equal(seg.coeffs, ref.coeffs)
+    assert np.array_equal(seg.endpoint_value, ref.endpoint_value)
+
+
 # ---------------------------------------------------------------- quotient
 
 

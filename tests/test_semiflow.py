@@ -365,6 +365,30 @@ class TestVerifyBattery:
         assert len(calls) == 20
         assert calls == [1.6] + [0.8] * 19
 
+    def test_each_distinct_time_of_the_solve_is_windowed_once(self, monkeypatch):
+        # The 16 direct times t + s, with the identity and 4 stage windows
+        # among them, take 9 distinct values, each windowed once from the
+        # solve to 2r; then 16 second-stage windows, 13 per modulus table at
+        # r/2 and r and 13 remainders: 64 windows in all.
+        from ddehist import semiflow
+        from ddehist.histspace import history_segment
+
+        pb = scalar_problem(saturating(), unit_history(0.4), r=0.8)
+        times = []
+
+        def counting_segment(x, t, R):
+            times.append((x.domain[1] == 1.6, t))
+            return history_segment(x, t, R)
+
+        monkeypatch.setattr(semiflow, "history_segment", counting_segment)
+        report = verify_semiflow(pb, unit_history(), count=12)
+        assert report.remainder is not None
+        assert len(times) == 64
+        on_x = [t for whole, t in times if whole]
+        assert len(on_x) == len(set(on_x)) == 9
+        stages = (0.0, 0.3 * 0.8, 0.5 * 0.8, 0.8)
+        assert set(on_x) == {t + s for t in stages for s in stages}
+
     def test_schedule_inputs_are_measured_once(self, monkeypatch):
         # 1 identity defect and 16 stage defects; the direction chi, once:
         # the seminorm is homogeneous, so the inputs chi/2^k shared by the

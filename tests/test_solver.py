@@ -68,6 +68,18 @@ class TestStepEdges:
     def test_horizon_below_delay(self):
         np.testing.assert_allclose(step_edges(0.3, 0.5), [0.0, 0.3])
 
+    @pytest.mark.parametrize("T", [1e-300, 1e-13, 1e-12])
+    def test_a_horizon_within_the_tolerance_of_zero_is_refused(self, T):
+        # No step fits: step_edges refuses the horizon, and so does solve.
+        with pytest.raises(ValueError, match=f"horizon {T:g} is within 1e-12 of 0"):
+            solve(growth_problem(), T)
+
+    def test_the_shortest_horizons_that_solve(self):
+        np.testing.assert_array_equal(step_edges(2e-12, 1.0), [0.0, 2e-12])
+        # A delay below the tolerance still steps up to the horizon.
+        np.testing.assert_array_equal(step_edges(1e-12, 5e-13), [0.0, 5e-13, 1e-12])
+        assert solve(growth_problem(), 2e-12).x.domain == (-1.0, 2e-12)
+
 
 class TestClosedForms:
     def test_growth_first_step_is_linear(self):
