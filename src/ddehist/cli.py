@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -109,158 +109,156 @@ class ExperimentResult:
     claims: list
 
 
-# -- field parsers: parse(doc, key, spec) returns doc[key] or its default,
-# range-checked, to be stored as spec.<key>; spec holds the fields before it.
+# -- the config schema: every config object is a table {key: Field}.  One
+# walker reads them all, in table order, so a default can use the fields
+# before it and random functions draw from spec.rng in field order.
+
+_REQUIRED = object()
+_POSITIVE = "(0, 1e6]"  # a time or a size
+_BOUNDED = "[-1e6, 1e6]"  # a position or a value
 
 
-def _space(doc, key, spec) -> HistoryConfig:
-    space = doc.get(key, {})
-    _require(isinstance(space, dict), "space must be an object with R, p, N")
+@dataclass(frozen=True)
+class Field:
+    """One config field.  type is float, int, bool, str, object (any JSON
+    value), list (a number or nested lists of numbers) or a table: an object,
+    walked into a dict that make(values, spec, label), if given, checks and
+    builds.  default is a value, a function of the spec, _REQUIRED, or None
+    for a field left out when missing.  range, "[lo, hi]" or "(lo, hi]" as
+    the messages and the README write it, bounds every finite number."""
+
+    type: object
+    default: object = _REQUIRED
+    range: str = ""
+    make: object = None
+
+
+@lru_cache(maxsize=None)
+def _bounds(text):
+    """[lo, hi] of a range written "[lo, hi]" or "(lo, hi]"."""
+    return json.loads(f"[{text[1:-1]}]")
+
+
+def _read(field, value, label, spec):
+    """value, checked against field's type and range, or walked and made."""
+    kind = field.type
+    if isinstance(kind, dict):
+        _require(isinstance(value, dict), f"{label} must be an object")
+        values = _walk(kind, value, spec, {}, label + " ", f"in {label}")
+        return field.make(values, spec, label) if field.make else values
+    if kind is list and isinstance(value, list):
+        return [_read(field, v, label, spec) for v in value]
+    if kind in (bool, str, object):
+        _require(isinstance(value, kind), f"{label} must be {'true or false' if kind is bool else 'a string'}")
+        return value
+    # JSON true and false arrive as bool, which is an int subclass.
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ConfigError(f"{label} must be {'an integer' if kind is int else 'a number'}")
+    # An integer literal can exceed the float range, and json reads 1e400 as inf.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{label} must be a finite number")
+    lo, hi = _bounds(field.range)
+    if not (lo < value if field.range[0] == "(" else lo <= value) or value > hi:
+        raise ConfigError(f"{label} must lie in {field.range}")
+    return value if kind is int else float(value)
+
+
+def _walk(table, doc, spec, into, label, where):
+    """Read doc's fields into the dict `into`: a given value, or else the
+    default, read alike.  label prefixes the fields' names in messages;
+    where names doc for its unknown keys."""
+    if not doc.keys() <= table.keys():
+        raise ConfigError(f"unknown field(s) {sorted(doc.keys() - table.keys())} {where}")
+    for key, field in table.items():
+        value = doc.get(key, field.default)
+        if key not in doc and callable(value):
+            value = value(spec)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required field {label}{key}")
+        if value is not None or key in doc:
+            into[key] = _read(field, value, label + key, spec)
+    return into
+
+
+_RANDOM = {
+    "pieces": Field(int, 3, "[1, 64]"), "degree": Field(int, 3, "[0, 16]"),
+    "scale": Field(float, 1.0, "[0, 1e6]"), "continuous": Field(bool, False),
+}
+_FUNCTION = {key: Field(list, None, _BOUNDED) for key in ("endpoint", "constant", "breakpoints", "pieces")}
+_FUNCTION["random"] = Field(_RANDOM, None)
+
+
+def _function_field(value, frame):
+    """A piecewise function on frame(spec) = (lower, upper, component count)
+    from exactly one of a `constant`, `breakpoints` with `pieces`, or
+    `random`, and an optional `endpoint`; by default the constant `value`."""
+
+    def make(f, spec, label) -> PiecewiseFunction:
+        lo, hi, n_components = frame(spec)
+        _require(
+            len({"constant", "breakpoints", "random"} & f.keys()) == 1 and ("pieces" in f) == ("breakpoints" in f),
+            f"{label} needs exactly one of 'constant', 'breakpoints' with 'pieces', or 'random'",
+        )
+        vectors = {key: np.array(f[key], ndmin=1) for key in ("endpoint", "constant") if key in f}
+        for key, vector in vectors.items():
+            _require(vector.shape == (n_components,), f"{label} {key} has wrong length")
+        endpoint = vectors.get("endpoint")
+        if "constant" in f:
+            out = PiecewiseFunction.constant(vectors["constant"], (lo, hi))
+        elif "breakpoints" in f:
+            try:
+                # The limits of a random function, which size the Gauss-Jacobi rules of its norms.
+                _require(len(f["pieces"]) <= 64, "more than 64 pieces")
+                _require(all(np.size(row) <= 17 for piece in f["pieces"] for row in piece), "a degree above 16")
+                out = PiecewiseFunction.from_power(f["breakpoints"], f["pieces"], endpoint)
+            except (KeyError, TypeError, ValueError, IndexError) as exc:
+                raise ConfigError(f"bad {label} pieces: {exc}") from exc
+            a, b = out.domain
+            tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+            _require(abs(a - lo) <= tol and abs(b - hi) <= tol, f"{label} breakpoints must span [{lo}, {hi}]")
+            _require(out.n_components == n_components, f"{label} has wrong component count")
+            if (a, b) != (lo, hi):
+                out = out._snap_domain(lo, hi)
+        else:
+            opts = f["random"]
+            out = random_piecewise(
+                spec.rng, (lo, hi), opts["pieces"], opts["degree"], n_components, opts["scale"], opts["continuous"]
+            )
+        if endpoint is not None and "breakpoints" not in f:
+            out = out.with_endpoint(endpoint)
+        return out
+
+    return Field(_FUNCTION, lambda s: {"constant": [value] * frame(s)[2]}, make=make)
+
+
+_HISTORY = _function_field(1.0, lambda s: (-s.space.R, 0.0, s.space.N))
+_ON_DOMAIN = lambda s: (s.domain.lower, s.domain.upper, s.nonlinearity.dim)
+
+
+def _nonlinearity(values, spec, label):
     try:
-        return HistoryConfig(_float_field(space, "R"), _float_field(space, "p"), _int_field(space, "N", 1, 1, math.inf))
-    except ValueError as exc:
-        raise ConfigError(f"bad space: {exc}") from exc
-
-
-def _nonlinearity(doc):
-    _require(isinstance(doc, dict) and "name" in doc, "nonlinearity needs a name")
-    params = doc.get("params", {})
-    _require(isinstance(params, dict), "nonlinearity params must be an object")
-    try:
-        return make(doc["name"], **params)
-    except (KeyError, TypeError, ValueError) as exc:
+        return make(values["name"], **values["params"])
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad nonlinearity: {exc}") from exc
 
 
-def _function(spec, domain, n_components, rng, label) -> PiecewiseFunction:
-    """A piecewise function on `domain` from a constant/pieces/random spec."""
-    _require(isinstance(spec, dict), f"{label} must be an object")
-    lo, hi = float(domain[0]), float(domain[1])
-    endpoint = _number_list(spec, "endpoint", n_components, label) if "endpoint" in spec else None
-    if "constant" in spec:
-        out = PiecewiseFunction.constant(_number_list(spec, "constant", n_components, label), (lo, hi))
-    elif "breakpoints" in spec:
-        breakpoints = _numbers(spec["breakpoints"], f"{label} breakpoints")
-        pieces = _numbers(spec.get("pieces"), f"{label} pieces")
-        try:
-            out = PiecewiseFunction.from_power(breakpoints, pieces, endpoint)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"bad {label} pieces: {exc}") from exc
-        a, b = out.domain
-        tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-        _require(
-            abs(a - lo) <= tol and abs(b - hi) <= tol,
-            f"{label} breakpoints must span [{lo}, {hi}]",
-        )
-        _require(out.n_components == n_components, f"{label} has wrong component count")
-        if (a, b) != (lo, hi):
-            out = out._snap_domain(lo, hi)
-    elif "random" in spec:
-        opts = spec["random"]
-        _require(isinstance(opts, dict), f"{label} random must be an object")
-        out = random_piecewise(
-            rng,
-            (lo, hi),
-            n_pieces=_int_field(opts, "pieces", 3, 1, 64),
-            max_degree=_int_field(opts, "degree", 3, 0, 16),
-            n_components=n_components,
-            scale=_float_field(opts, "scale", 1.0, 0.0, 1e6),
-            continuous=_bool_field(opts, "continuous", False),
-        )
-    else:
-        raise ConfigError(f"{label} needs 'constant', 'breakpoints', or 'random'")
-    if endpoint is not None and "breakpoints" not in spec:
-        out = out.with_endpoint(endpoint)
-    return out
+def _domain(values, spec, label) -> MeasureDomain:
+    # Random breakpoints lie at least 0.02 / 64 of the length apart, above the
+    # 1e-12 max(1, |end|) breakpoint tolerance when the length is this long.
+    lower, upper = values["lower"], values["upper"]
+    long = upper - lower >= 1e-6 * max(1.0, abs(lower), abs(upper))
+    _require(long, "domain must be at least 1e-6 max(1, |lower|, |upper|) long")
+    return MeasureDomain(lower, upper)
 
 
-def _number_list(spec, key, n_components, label) -> np.ndarray:
-    """spec[key], a JSON number or a list of n_components of them."""
-    raw, name = spec[key] if isinstance(spec[key], list) else [spec[key]], f"{label} {key}"
-    _require(len(raw) == n_components, f"{name} has wrong length")
-    return np.array([_float_field({name: value}, name) for value in raw])
-
-
-def _numbers(value, name):
-    """value, a JSON number or nested lists of them, each entry read by
-    `_float_field`'s rule."""
-    return [_numbers(v, name) for v in value] if isinstance(value, list) else _float_field({name: value}, name)
-
-
-def _history(doc, key, spec) -> PiecewiseFunction:
-    space = spec.space
-    default = {"constant": [1.0] * space.N}
-    return _function(doc.get(key, default), (-space.R, 0.0), space.N, spec.rng, key)
-
-
-def _int_field(doc, key, default, lo, hi):
-    value = doc.get(key, default)
-    # JSON true and false arrive as bool, which is an int subclass.
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{key} must be an integer")
-    _require(lo <= value <= hi, f"{key} must lie in [{lo}, {hi}]")
-    return value
-
-
-def _bool_field(doc, key, default):
-    value = doc.get(key, default)
-    _require(isinstance(value, bool), f"{key} must be true or false")
-    return value
-
-
-def _float_field(doc, key, default=None, lo=-math.inf, hi=math.inf):
-    value = doc.get(key, default)
-    _require(value is not None, f"missing required field {key}")
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{key} must be a number")
-    # An integer literal can exceed the float range, and json reads 1e400 as inf.
-    _require(abs(value) <= sys.float_info.max, f"{key} must be a finite number")
-    _require(lo <= value <= hi, f"{key} must lie in [{lo}, {hi}]")
-    return float(value)
-
-
-def _domain(doc, key, spec) -> MeasureDomain:
-    dom = doc.get(key, {"lower": 0.0, "upper": 1.0})
-    _require(isinstance(dom, dict), "domain must be an object with lower, upper")
-    try:
-        return MeasureDomain(_float_field(dom, "lower"), _float_field(dom, "upper"))
-    except ValueError as exc:
-        raise ConfigError(f"bad domain: {exc}") from exc
-
-
-def _domain_function(value):
-    """A piecewise function on spec.domain, by default the constant `value`."""
-
-    def parse(doc, key, spec):
-        dim, dom = spec.nl.dim, spec.domain
-        default = {"constant": [value] * dim}
-        return _function(doc.get(key, default), (dom.lower, dom.upper), dim, spec.rng, key)
-
-    return parse
-
-
-def _number(default=None):
-    """A float field; its default is a value, a function of the spec, or
-    None when the field is required."""
-    return lambda doc, key, spec: _float_field(
-        doc, key, default(spec) if callable(default) else default
-    )
-
-
-def _integer(default, lo, hi):
-    return lambda doc, key, spec: _int_field(doc, key, default, lo, hi)
-
-
-def _flag(default):
-    return lambda doc, key, spec: _bool_field(doc, key, default)
-
-
-def _discontinuity_count(doc, key, spec):
+def _discontinuity_count(spec):
     default = max(12, math.ceil(5.0 * spec.space.p))
     _require(
-        key in doc or default <= 20,
-        f"{spec.name}: at p = {spec.space.p:g} the default count would be {default}, "
+        default <= 20,
+        f"at p = {spec.space.p:g} the default count would be {default}, "
         "above the limit of 20 halvings; set count explicitly",
     )
-    return _int_field(doc, key, default, 3, 20)
+    return default
 
 
 def _indicator_width(R: float, r: float, k: int) -> float:
@@ -270,50 +268,46 @@ def _indicator_width(R: float, r: float, k: int) -> float:
     return min(-r + h, 0.0) - max(-r - h, -R)
 
 
-# -- builders: check the parsed fields and make what the runner uses.  Their
-# errors (ConfigError, or a ValueError of a constructor or `step_edges`) get the name prefixed.
+# -- builders: check the rules that join fields and make what the runner uses.
+# Their errors (ConfigError, or a ValueError of a constructor or `step_edges`) get the name prefixed.
 
 
 def _build_solve(spec):
-    spec.problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
-    _require(spec.horizon > 0, "horizon must be positive")
+    spec.problem = Problem(spec.space, spec.nonlinearity, spec.delay, spec.history)
     steps = math.ceil(spec.horizon / spec.delay)
     _require(steps <= _MAX_STEPS, f"horizon/delay is {steps} method-of-steps steps, above the limit of {_MAX_STEPS}")
     step_edges(spec.horizon, spec.delay)
 
 
 def _build_dependence(spec):
-    spec.problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
-    _require(0 < spec.horizon <= spec.delay + 1e-12, "dependence probes need horizon <= delay")
+    spec.problem = Problem(spec.space, spec.nonlinearity, spec.delay, spec.history)
+    _require(spec.horizon <= spec.delay + 1e-12, "dependence probes need horizon <= delay")
     step_edges(spec.horizon, spec.delay)
     direction_size(spec.direction, lambda chi: seminorm(chi, spec.space))
 
 
 def _build_lipschitz(spec):
     _require(spec.space.p == 1.0, "the dependence constant is stated for p = 1")
-    growth = spec.nl.df_growth
+    growth = spec.nonlinearity.df_growth
     _require(
         growth is not None and growth.c1 == 0.0,
         "needs a globally Lipschitz map (constant Jacobian bound)",
     )
-    _require(0 < spec.horizon < spec.space.R, "horizon must satisfy 0 < T < R")
-    _require(0 < spec.scale <= 1e6, "scale must lie in (0, 1e6]")
-    _require(
-        spec.horizon <= spec.delay <= spec.space.R + 1e-12, "delay must lie in [horizon, R]"
-    )
-    Problem(spec.space, spec.nl, spec.delay, spec.history)
+    _require(spec.horizon < spec.space.R, "horizon must satisfy 0 < T < R")
+    _require(spec.horizon <= spec.delay <= spec.space.R + 1e-12, "delay must lie in [horizon, R]")
+    Problem(spec.space, spec.nonlinearity, spec.delay, spec.history)
     step_edges(spec.horizon, spec.delay)
 
 
 def _build_smooth(spec):
-    spec.ctx = DerivativeContext(Problem(spec.space, spec.nl, spec.delay, spec.history), spec.horizon)
+    spec.ctx = DerivativeContext(Problem(spec.space, spec.nonlinearity, spec.delay, spec.history), spec.horizon)
     spec.ctx.require_one_step("smooth.gain-bound")
     step_edges(spec.horizon, spec.delay)
     direction_size(spec.direction, lambda chi: lp_norm(chi, spec.ctx.alpha + 1.0))
 
 
 def _build_composition(spec):
-    spec.ctx = CompositionContext(spec.nl, spec.q, spec.domain)
+    spec.ctx = CompositionContext(spec.nonlinearity, spec.q, spec.domain)
     spec.ctx._accept(spec.base, "base")
     spec.ctx._accept(spec.direction, "direction")
     for p in (spec.ctx.continuity_p, spec.ctx.smoothness_p):  # the sizes of its two schedules
@@ -321,13 +315,13 @@ def _build_composition(spec):
 
 
 def _build_semiflow(spec):
-    spec.problem = Problem(spec.space, spec.nl, spec.delay, spec.history)
+    spec.problem = Problem(spec.space, spec.nonlinearity, spec.delay, spec.history)
     direction_size(spec.direction, lambda chi: seminorm(chi, spec.space))
 
 
 def _build_discontinuity(spec):
-    _require(0 < spec.delay <= spec.space.R + 1e-12, "delay must lie in (0, R]")
-    n, dim = spec.space.N, spec.nl.dim
+    _require(spec.delay <= spec.space.R + 1e-12, "delay must lie in (0, R]")
+    n, dim = spec.space.N, spec.nonlinearity.dim
     _require(dim == n, f"nonlinearity dimension {dim} does not match the space's N = {n}")
     R, r, count = spec.space.R, spec.delay, spec.count
     width, tol = _indicator_width(R, r, count), 1e-12 * max(1.0, R)
@@ -391,9 +385,9 @@ def _run_solve(spec) -> ExperimentResult:
         Claim.bound(spec.name, "solve.continuity-defect", cont, 1e-9),
         Claim.bound(spec.name, "solve.integration-defect", traj.integration_defect, 1e-6),
     ]
-    if spec.nl.name == "linear":
+    if spec.nonlinearity.name == "linear":
         ahead = ts >= 0.0
-        ref = _linear_reference(spec.nl.params["matrix"], spec.history, spec.delay, spec.horizon, ts[ahead])
+        ref = _linear_reference(spec.nonlinearity.params["matrix"], spec.history, spec.delay, spec.horizon, ts[ahead])
         gap = float(np.abs(xs[ahead] - ref).max() / max(1.0, np.abs(ref).max()))
         claims.append(Claim.bound(spec.name, "solve.oracle-gap", gap, _ORACLE_LIMIT))
     return ExperimentResult(spec.name, [("trajectory", header, np.column_stack((ts, xs)))], claims)
@@ -408,7 +402,7 @@ def _run_dependence(spec) -> ExperimentResult:
     # Prolongation is linear: the deviations' gap is the gap less the step's prolongation.
     ygap = sup_norm([prolongation_deviation(gap, step) for step, gap in zip(steps, gaps)])
     base = aligned((steps[0], spec.history))[1]
-    l1 = np.array([lp_norm(map_gap(spec.nl.fn, base, step), 1.0) for step in steps])
+    l1 = np.array([lp_norm(map_gap(spec.nonlinearity.fn, base, step), 1.0) for step in steps])
     claims = [
         Claim.decay(spec.name, "dependence.gap-decay", certify_decay(gap_out)),
         Claim.bound(spec.name, "dependence.deviation-l1-bound", float(np.max(ygap - l1)), 1e-8),
@@ -418,7 +412,7 @@ def _run_dependence(spec) -> ExperimentResult:
 
 
 def _run_lipschitz(spec) -> ExperimentResult:
-    lip = spec.nl.df_growth.c2
+    lip = spec.nonlinearity.df_growth.c2
     T, R = spec.horizon, spec.space.R
     stated = lip * T / (T + R + 1.0) + (1.0 + T)
     corrected = (1.0 + T) * (1.0 + lip)
@@ -438,7 +432,7 @@ def _run_lipschitz(spec) -> ExperimentResult:
         pairs.append((phi1, phi2))
     gap_in = seminorm([phi1 - phi2 for phi1, phi2 in pairs], spec.space)
     kept = np.flatnonzero(gap_in >= ZERO_SIZE)
-    xs = [solve(Problem(spec.space, spec.nl, spec.delay, phi), T).x for i in kept for phi in pairs[i]]
+    xs = [solve(Problem(spec.space, spec.nonlinearity, spec.delay, phi), T).x for i in kept for phi in pairs[i]]
     gap_out = endpoint_lp_norm([x1 - x2 for x1, x2 in zip(xs[::2], xs[1::2])], spec.space.p)
     ratios = gap_out / gap_in[kept]
     worst = float(np.max(ratios)) if kept.size else math.nan  # no instance kept: both claims fail
@@ -461,7 +455,6 @@ def _run_smooth(spec) -> ExperimentResult:
         sup_norm,
         (-spec.space.R, 0.0),
         spec.space.N,
-        probes=spec.probes,
         seed=spec.seed,
         extra=[spec.direction],
     )
@@ -469,7 +462,7 @@ def _run_smooth(spec) -> ExperimentResult:
         Claim.decay(spec.name, "smooth.remainder-decay", table.certificate()),
         Claim.bound(spec.name, "smooth.gain-bound", probed, bound, slack=1e-8),
     ]
-    if spec.nl.df_lipschitz is not None:
+    if spec.nonlinearity.df_lipschitz is not None:
         bounds = halving(spec.count) ** 2 * curvature_remainder_bound(ctx, spec.direction)  # quadratic in chi
         claims.append(Claim.bound(spec.name, "smooth.curvature-bound", float(np.max(table.remainders - bounds)), 1e-8))
     header = ["scale", "remainder", "ratio"]
@@ -549,8 +542,8 @@ def _run_discontinuity(spec) -> ExperimentResult:
     # components: |phi_n| = sqrt(N) on its support.
     measured = seminorm(indicators, cfg)
     analytic = np.array([math.sqrt(cfg.N) * _indicator_width(cfg.R, r, k) ** (1.0 / cfg.p) for k in ks])
-    f0 = spec.nl(np.zeros(cfg.N))
-    output = np.array([np.linalg.norm(spec.nl(phi_n(-r)) - f0) for phi_n in indicators])
+    f0 = spec.nonlinearity(np.zeros(cfg.N))
+    output = np.array([np.linalg.norm(spec.nonlinearity(phi_n(-r)) - f0) for phi_n in indicators])
     rows = list(zip([4**k for k in ks], measured, analytic, output))
     analytic_err = float(np.max(np.abs(measured - analytic)))
     drift = float(np.max(np.abs(output - output[0])))
@@ -567,57 +560,73 @@ def _run_discontinuity(spec) -> ExperimentResult:
     return ExperimentResult(spec.name, [("gaps", header, rows)], claims)
 
 
+
 # -- the kinds --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Kind:
-    """One experiment kind: its fields {name: parser}, parsed in this order
-    (also the order in which random functions draw from spec.rng); `build`,
-    which checks them and stores the objects `run` uses on the spec; `run`."""
+    """One experiment kind: its table, read after the common fields; `build`,
+    which checks the rules that join fields and stores the objects `run`
+    uses on the spec; `run`."""
 
     fields: dict
     build: object
     run: object
 
 
-_COMMON = {"name", "kind", "seed", "nonlinearity"}  # read for every kind, first
-_PROBLEM = {"space": _space, "delay": _number(lambda s: s.space.R), "history": _history}
-_HORIZON = _number(lambda s: s.delay)
-_COUNT = _integer(12, 3, 40)
+class _Spec(SimpleNamespace):
+    @cached_property
+    def rng(self):  # the stream of the experiment's random functions
+        return np.random.default_rng(self.seed)
+
+
+_COMMON = {  # name and seed default to the experiment's position (`parse_experiment`)
+    "name": Field(str, None),
+    "kind": Field(str),
+    "seed": Field(int, None, "[0, 18446744073709551615]"),
+    "nonlinearity": Field({
+        "name": Field(str),
+        "params": Field({  # those of every registry map; `make` refuses another map's
+            "matrix": Field(list, None, _BOUNDED), "dim": Field(int, None, "[1, 16]"),
+            "beta": Field(float, None, _POSITIVE), "k": Field(int, None, "[1, 16]"),
+        }, {}),
+    }, make=_nonlinearity),
+}
+_SPACE = Field({
+    "R": Field(float, _REQUIRED, "[1e-6, 1e6]"),
+    "p": Field(float, _REQUIRED, "[1, 12]"),
+    "N": Field(int, 1, "[1, 16]"),
+}, make=lambda values, spec, label: HistoryConfig(**values))
+_PROBLEM = {"space": _SPACE, "delay": Field(float, lambda s: s.space.R, _POSITIVE), "history": _HISTORY}
+_HORIZON, _COUNT = Field(float, lambda s: s.delay, _POSITIVE), Field(int, 12, "[3, 40]")
+_SCHEDULE = {**_PROBLEM, "direction": _HISTORY, "horizon": _HORIZON, "count": _COUNT}
+_END = Field(float, _REQUIRED, _BOUNDED)  # of the composition domain
 _MAX_STEPS = 10**4  # method-of-steps steps of one solve: 50 times the benchmark's longest, 200
 
 _KIND_TABLE = {
     "solve": Kind(
-        {**_PROBLEM, "horizon": _number(), "grid": _integer(1001, 2, 10**6)},
+        {**_PROBLEM, "horizon": Field(float, _REQUIRED, _POSITIVE), "grid": Field(int, 1001, "[2, 1000000]")},
         _build_solve, _run_solve,
     ),
-    "dependence": Kind(
-        {**_PROBLEM, "direction": _history, "horizon": _HORIZON, "count": _COUNT},
-        _build_dependence, _run_dependence,
-    ),
+    "dependence": Kind(_SCHEDULE, _build_dependence, _run_dependence),
     "lipschitz": Kind(
-        {**_PROBLEM, "horizon": _HORIZON, "instances": _integer(20, 1, 10**4),
-         "scale": _number(1.0), "adversarial": _flag(True)},
+        {**_PROBLEM, "horizon": _HORIZON, "instances": Field(int, 20, "[1, 10000]"),
+         "scale": Field(float, 1.0, _POSITIVE), "adversarial": Field(bool, True)},
         _build_lipschitz, _run_lipschitz,
     ),
-    "smooth": Kind(
-        {**_PROBLEM, "direction": _history, "horizon": _HORIZON, "count": _COUNT,
-         "probes": _integer(12, 1, 64)},
-        _build_smooth, _run_smooth,
-    ),
+    "smooth": Kind(_SCHEDULE, _build_smooth, _run_smooth),
     "composition": Kind(
-        {"domain": _domain, "q": _number(2.0), "base": _domain_function(0.0),
-         "direction": _domain_function(1.0), "count": _COUNT},
+        {"domain": Field({"lower": _END, "upper": _END}, {"lower": 0.0, "upper": 1.0}, make=_domain),
+         "q": Field(float, 2.0, "[1, 4]"), "base": _function_field(0.0, _ON_DOMAIN),
+         "direction": _function_field(1.0, _ON_DOMAIN), "count": _COUNT},
         _build_composition, _run_composition,
     ),
-    # horizon is accepted and never read: bench/odd-exponent.json still sets it.
-    "semiflow": Kind(
-        {**_PROBLEM, "direction": _history, "horizon": _HORIZON, "count": _COUNT},
-        _build_semiflow, _run_semiflow,
-    ),
+    # horizon is accepted and never read: configs/verify.json and
+    # bench/odd-exponent.json set it.
+    "semiflow": Kind(_SCHEDULE, _build_semiflow, _run_semiflow),
     "discontinuity": Kind(
-        {"space": _space, "delay": _PROBLEM["delay"], "count": _discontinuity_count},
+        {"space": _SPACE, "delay": _PROBLEM["delay"], "count": Field(int, _discontinuity_count, "[3, 20]")},
         _build_discontinuity, _run_discontinuity,
     ),
 }
@@ -630,34 +639,23 @@ _DEMO = {
     "space": {"R": 1.0, "p": 1.0, "N": 1},
     "delay": 0.5,
 }
+_CONFIG = {"out": Field(str, None), "experiments": Field(object, [])}
 
 
 def parse_experiment(doc, index, global_seed) -> SimpleNamespace:
-    """One experiment: name, kind, seed, nl, rng, its kind's fields and the
-    objects its kind's build made."""
+    """One experiment: its fields, walked into a spec, and the objects its
+    kind's build made.  Every error past the kind and name names it."""
     _require(isinstance(doc, dict), "each experiment must be an object")
-    kind = doc.get("kind")
+    kind, name = doc.get("kind"), doc.get("name", f"exp{index + 1:02d}")
     _require(
         isinstance(kind, str) and kind in _KIND_TABLE,
         f"unknown experiment kind {kind!r}; choices: {tuple(_KIND_TABLE)}",
     )
-    entry = _KIND_TABLE[kind]
-    name = str(doc.get("name", f"exp{index + 1:02d}"))
-    _require(_NAME_RE.match(name), f"experiment name {name!r} is not filename-safe")
-    seed = _int_field(doc, "seed", (global_seed + index) % 2**64, 0, 2**64 - 1)
-    unknown = sorted(set(doc) - _COMMON - set(entry.fields))
-    _require(not unknown, f"{name}: unknown field(s) {unknown} for kind {kind!r}")
-    spec = SimpleNamespace(
-        name=name,
-        kind=kind,
-        seed=seed,
-        rng=np.random.default_rng(seed),
-        nl=_nonlinearity(doc.get("nonlinearity", {"name": "missing"})),
-    )
-    for key, parse in entry.fields.items():
-        setattr(spec, key, parse(doc, key, spec))
+    _require(isinstance(name, str) and _NAME_RE.match(name), f"experiment name {name!r} is not filename-safe")
+    spec = _Spec(name=name, seed=(global_seed + index) % 2**64)
     try:
-        entry.build(spec)
+        _walk({**_COMMON, **_KIND_TABLE[kind].fields}, doc, spec, spec.__dict__, "", f"for kind {kind!r}")
+        _KIND_TABLE[kind].build(spec)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     return spec
@@ -665,11 +663,10 @@ def parse_experiment(doc, index, global_seed) -> SimpleNamespace:
 
 def parse_config(doc, global_seed):
     _require(isinstance(doc, dict), "config root must be an object")
-    _require(isinstance(doc.get("out", "."), str), "out must be a string")
-    _require(doc.get("out") != "", "out must not be empty")
-    raw = doc.get("experiments", [])
-    _require(isinstance(raw, list), "experiments must be a list")
-    specs = [parse_experiment(entry, i, global_seed) for i, entry in enumerate(raw)]
+    root = _walk(_CONFIG, doc, None, {}, "", "in the config root")
+    _require(root.get("out") != "", "out must not be empty")
+    _require(isinstance(root["experiments"], list), "experiments must be a list")
+    specs = [parse_experiment(entry, i, global_seed) for i, entry in enumerate(root["experiments"])]
     names = [s.name for s in specs]
     _require(len(set(names)) == len(names), "experiment names must be unique")
     return specs
@@ -742,12 +739,13 @@ def main(argv=None) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             return _config_error(exc)
 
     try:
         specs = parse_config(doc, args.seed)
-    except ConfigError as exc:
+    # A list nested about a thousand deep outruns the recursion of json or of the walker.
+    except (ConfigError, RecursionError) as exc:
         return _config_error(exc)
     if args.command == "solve":
         specs = [s for s in specs if s.kind == "solve"]

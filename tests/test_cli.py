@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import config_sweep
 import oracles
 from ddehist import cli
 from ddehist.certify import certify_decay
@@ -343,6 +344,94 @@ class TestKindValidation:
                 {"experiments": [{k: v for k, v in SOLVE_EXPERIMENT.items() if k != "horizon"}]},
                 0,
             )
+
+
+SWEPT = {(stem, exp["name"]): exp for stem, exp in config_sweep.experiments()}
+
+
+@st.composite
+def swept_cases(draw):
+    """(config stem, experiment name, field path, value): one case of
+    tests/config_sweep.py."""
+    key = draw(st.sampled_from(sorted(SWEPT)))
+    path = draw(st.sampled_from(list(config_sweep.field_paths(SWEPT[key]))))
+    return (*key, path, draw(st.sampled_from(config_sweep.VALUES)))
+
+
+class TestConfigSchema:
+    # Each pinned case raised, timed out or (quad-smooth R = 1e308) passed
+    # on overflowed numbers before every field had a declared range; the
+    # last two, misspelled nested keys, were ignored.
+    @settings(max_examples=30, deadline=None)
+    @given(case=swept_cases())
+    @example(case=("verify", "ramp-solve", ("space", "N"), 2**70))
+    @example(case=("verify", "mg-dependence", ("space", "R"), 1e308))
+    @example(case=("verify", "mg-dependence", ("space", "p"), 1e6))
+    @example(case=("verify", "mg-dependence", ("space", "N"), 2**70))
+    @example(case=("verify", "sat-lipschitz", ("space", "N"), 2**70))
+    @example(case=("verify", "quad-smooth", ("space", "N"), 2**70))
+    @example(case=("verify", "quad-smooth", ("space", "R"), 1e308))
+    @example(case=("verify", "quad-smooth", ("space", "p"), 1e308))
+    @example(case=("verify", "quad-smooth", ("history", "constant"), 1e308))
+    @example(case=("verify", "quad-smooth", ("history", "constant", 0), 1e308))
+    @example(case=("verify", "quad-smooth", ("direction", "constant"), 1e308))
+    @example(case=("verify", "quad-smooth", ("direction", "constant", 0), 1e308))
+    @example(case=("verify", "mg-composition", ("q",), 1e6))
+    @example(case=("verify", "mg-composition", ("q",), 1e308))
+    @example(case=("verify", "mg-composition", ("domain", "lower"), -1e308))
+    @example(case=("verify", "mg-composition", ("domain", "upper"), 1e-13))
+    @example(case=("verify", "sat-semiflow", ("space", "R"), 1e308))
+    @example(case=("verify", "sat-semiflow", ("space", "p"), 1e6))
+    @example(case=("verify", "sat-semiflow", ("space", "N"), 2**70))
+    @example(case=("verify", "sat-semiflow", ("direction", "constant"), 1e308))
+    @example(case=("verify", "sat-semiflow", ("direction", "constant", 0), 1e308))
+    @example(case=("verify", "cubic-jump", ("space", "p"), 1e308))
+    @example(case=("odd-exponent", "quad-smooth-p3", ("space", "R"), 1e308))
+    @example(case=("odd-exponent", "mg-composition-q1.5", ("domain", "upper"), 1e308))
+    @example(case=("falsify-dependence", "gain3-pulse", ("space", "R"), 1e308))
+    @example(case=("verify", "sat-lipschitz", ("nonlinearity", "name_"), {}))
+    @example(case=("verify", "mg-dependence", ("history", "random", "scale_"), 3))
+    def test_one_field_set_to_any_swept_value_exits_cleanly(self, tmp_path_factory, case):
+        # main returns 0, 1 or 2 without raising, 1 only after claim lines,
+        # and 2 for a misspelled key or a value beyond every range.
+        stem, name, path, value = case
+        exp = SWEPT[stem, name]
+        code, output = config_sweep.run(config_sweep.mutated(exp, path, value), str(tmp_path_factory.mktemp("o")))
+        assert config_sweep.failure(code, output, config_sweep.refused(exp, path, value)) is None
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("nonlinearity", {"name": "saturating", "parms": {}}, "unknown field(s) ['parms'] in nonlinearity"),
+            ("history", {"random": {"peices": 4}}, "unknown field(s) ['peices'] in history random"),
+            ("history", {"constant": [1.0], "breakpoints": [-1.0, 0.0], "pieces": [[[1.0]]]}, "history needs exactly one"),
+            ("history", {"breakpoints": [-1.0, 0.0]}, "history needs exactly one"),
+            ("probes", 12, "unknown field(s) ['probes'] for kind 'smooth'"),
+        ],
+    )
+    def test_misspelled_and_doubled_keys_are_config_errors(self, tmp_path, capsys, field, value, error):
+        exp = dict(TestDeterminism.RANDOMIZED, name="quad", kind="smooth", nonlinearity={"name": "quadratic"})
+        exp[field] = value
+        cfg = write_config(tmp_path, [exp])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: quad: {error}" in capsys.readouterr().err
+
+    def test_misspelled_domain_and_root_keys_are_config_errors(self):
+        domain = {"kind": "composition", "nonlinearity": {"name": "mackey_glass"}, "domain": {"lower": 0.0, "uper": 1.0}}
+        with pytest.raises(ConfigError, match=r"unknown field\(s\) \['uper'\] in domain"):
+            parse_config({"experiments": [domain]}, 0)
+        with pytest.raises(ConfigError, match=r"unknown field\(s\) \['experiment'\] in the config root"):
+            parse_config({"experiment": []}, 0)
+
+    @pytest.mark.parametrize("depth", [900, 10**5])
+    def test_deeply_nested_lists_are_config_errors(self, tmp_path, capsys, depth):
+        # Each level of a nested list is one level of recursion in json and
+        # in the walker; running out of it is exit 2, not a traceback.
+        exp = dict(SOLVE_EXPERIMENT, history={"breakpoints": [-1.0, 0.0], "pieces": "X"})
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"experiments": [exp]}).replace('"X"', "[" * depth + "]" * depth))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "recursion" in capsys.readouterr().err
 
 
 class TestDirectionRule:
