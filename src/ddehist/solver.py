@@ -9,12 +9,14 @@ in closed form.  Because each step re-interpolates at a fixed node count, the
 polynomial degree of trajectory pieces never grows with the step index.
 
 Every delayed cut lies inside one piece of the previous step (or of the
-history).  All but the first cut when r < R and the last cut of a truncated
-step are, as a rule, that whole piece up to rounding, and read it at the
-fixed local nodes through one cached Chebyshev-Vandermonde product; the
-others map their points into it.  A step is that read, one call of f, two
-fixed matrix products and a cumulative sum of the cut increments.  The
-trajectory is assembled once, in one array, so a solve is linear in its steps.
+history).  Except on the first step when r < R and on a truncated last step,
+the delayed cuts are, as a rule, that window's breakpoints up to rounding, and
+the step reads the whole window at the fixed local nodes through one cached
+Chebyshev-Vandermonde product; other steps search each cut's piece and map
+points into it only when the cut is not that whole piece.  A step is that read,
+one call of f, one matrix product and a cumulative sum.  The defect is taken
+after the steps, over blocks of held steps, one product per block.  The
+trajectory is assembled once, in one array, so a solve is linear in steps.
 
 Interpolation nodes are strictly interior to the cut intervals, so the
 trajectory depends on the history only through its almost-everywhere class
@@ -70,8 +72,8 @@ class Trajectory:
 
     integration_defect is the largest sampled residual |x'(t) - f(x(t - r))|
     on the solved part: each cut's interpolant minus f at 5 Chebyshev probe
-    points of the cut, a direct measure of how well the interpolated
-    integrands matched the true ones.
+    points of the cut, taken over all cuts after the steps, in blocks; a
+    direct measure of how well the interpolated integrands matched the true ones.
     """
 
     problem: Problem
@@ -117,21 +119,29 @@ def solve(problem: Problem, T: float) -> Trajectory:
     integrate, probe = _step_matrices(n)[1:]
     # The known pieces a step reads: the history, then the previous step.
     window_bp, window, value = phi.breakpoints, phi.coeffs, phi.endpoint_value
-    breakpoints, blocks, defect = [phi.breakpoints], [], 0.0
+    breakpoints, blocks, held, starts, defect = [phi.breakpoints], [], [], [0], 0.0
     edges = step_edges(T, r)
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        tol = _scale_tol(phi.breakpoints[0], t1)
+    ends, start = edges.tolist(), float(phi.breakpoints[0])
+    for t0, t1 in zip(ends[:-1], ends[1:]):
+        tol = _scale_tol(start, t1)
         shifted = window_bp + r
-        inner = shifted[(shifted > t0 + tol) & (shifted < t1 - tol)]
+        inner = shifted[shifted.searchsorted(t0 + tol, "right") : shifted.searchsorted(t1 - tol)]
         cuts = np.concatenate(([t0], inner, [t1]))
         rhs = _delayed_rhs(problem, window_bp, window, cuts, n)
         # The antiderivative of each cut's interpolant, chained across the
         # cuts so that it starts from the value reached so far.
         integ = 0.5 * (cuts[1:] - cuts[:-1])[:, None, None] * (integrate @ rhs[:, :n])
-        chain = np.cumsum(np.concatenate((value[None], integ.sum(axis=1))), axis=0)
+        chain = np.concatenate((value[None], integ.sum(axis=1))).cumsum(axis=0)
         integ[:, 0] += chain[:-1]
         value = chain[-1]
-        defect = max(defect, float(np.abs(probe @ rhs[:, :n] - rhs[:, n:]).max()))
+        held.append(rhs)
+        starts.append(starts[-1] + len(rhs))  # the held steps' first cuts, then their end
+        if starts[-1] * rhs[0].size > 2**11 or t1 == ends[-1]:  # 16 KiB held, or the last step
+            # Each held step's largest |x' - f| at the probes; a max passes over NaN steps.
+            block = np.concatenate(held)
+            cut = np.abs(probe @ block[:, :n] - block[:, n:]).max(axis=(1, 2))
+            steps = np.maximum.reduceat(cut, starts[:-1])
+            defect, held, starts = max(defect, *steps.tolist()), [], [0]
         breakpoints.append(cuts[1:])
         blocks.append(integ)
         window_bp, window = cuts, integ
@@ -164,15 +174,20 @@ def _vandermonde(n: int, deg: int) -> np.ndarray:
 def _delayed_rhs(problem: Problem, bp: np.ndarray, coeffs: np.ndarray, cuts, n: int) -> np.ndarray:
     """f(x(t - r)) at the local points u of `_step_matrices(n)` on each cut,
     shape (cuts, n + 5, N), where x is the padded block (bp, coeffs) and holds
-    each delayed cut in one piece, found from the cut's midpoint.  A cut whose
-    ends are the piece's up to a few ulps reads it whole through one cached
-    Vandermonde product; the others map their points into the piece."""
-    delayed, mid = cuts - problem.r, 0.5 * (cuts[:-1] + cuts[1:])
-    piece = _piece_index(bp, mid - problem.r)
-    lo, hi = bp[piece], bp[piece + 1]
+    each delayed cut in one piece.  Delayed cuts that are bp up to a few ulps
+    read the block whole through one cached Vandermonde product; otherwise each
+    cut finds its piece from its midpoint and maps points into it unless whole."""
+    delayed = cuts - problem.r
     # A few ulps, not `_scale_tol`: at t = 200 that is 2e-10, and would take a
     # cut a real amount off its piece for the whole piece.
     tol = _ULPS * max(1.0, abs(bp[0]), abs(cuts[-1]))
+    if delayed.size == bp.size and np.abs(delayed - bp).max() <= tol:
+        # Contiguous, as `coeffs[piece]` is: a strided block takes another BLAS path.
+        vals = _vandermonde(n, coeffs.shape[1] - 1) @ np.ascontiguousarray(coeffs)
+        return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    piece = _piece_index(bp, mid - problem.r)
+    lo, hi = bp[piece], bp[piece + 1]
     moved = (np.maximum(np.abs(delayed[:-1] - lo), np.abs(delayed[1:] - hi)) > tol).nonzero()[0]
     vals = _vandermonde(n, coeffs.shape[1] - 1) @ coeffs[piece]
     if moved.size:

@@ -17,7 +17,9 @@ by one evaluation per bisection level.  The last two loops measure one
 function at a time, the reference for `funcrep.lp_norm` and `sup_norm`
 given a sequence of functions.  The delayed read at the end evaluates every
 cut of a solver step at points mapped into its piece, the read the solver
-keeps only for cuts that are not a whole piece.  The CSV cell formatter
+keeps only for cuts that are not a whole piece, and the reference solve
+after it is the solver's step loop as it read each cut and took each
+step's defect before the whole-window read.  The CSV cell formatter
 at the very end prints one cell at a time, the reference for the
 one-pass table formatting of `cli.write_csv`.
 """
@@ -304,6 +306,62 @@ def delayed_rhs(problem, bp, coeffs, cuts, u):
     lo, hi = bp[piece][:, None], bp[piece + 1][:, None]
     local = (2.0 * t - (lo + hi)) / (hi - lo)
     vals = np.stack([chebval(x, coeffs[i]).T for x, i in zip(local, piece)])
+    return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)
+
+
+def reference_solve(problem, T):
+    """`solver.solve` as it stepped before whole windows were read in one
+    product and the defect was taken in blocks: every step finds each cut's
+    piece, gathers its ends and tests each cut for a whole-piece read, and
+    takes its own defect.  The solver's results must equal it bit for bit."""
+    from ddehist import solver
+    from ddehist.funcrep import PiecewiseFunction, _scale_tol, _sealed
+
+    if not T > 0:
+        raise ValueError("horizon must be positive")
+    r, phi, n = problem.r, problem.phi, solver._NODES_PER_PIECE
+    integrate, probe = solver._step_matrices(n)[1:]
+    window_bp, window, value = phi.breakpoints, phi.coeffs, phi.endpoint_value
+    breakpoints, blocks, defect = [phi.breakpoints], [], 0.0
+    edges = solver.step_edges(T, r)
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        tol = _scale_tol(phi.breakpoints[0], t1)
+        shifted = window_bp + r
+        inner = shifted[(shifted > t0 + tol) & (shifted < t1 - tol)]
+        cuts = np.concatenate(([t0], inner, [t1]))
+        rhs = _reference_delayed_rhs(problem, window_bp, window, cuts, n)
+        integ = 0.5 * (cuts[1:] - cuts[:-1])[:, None, None] * (integrate @ rhs[:, :n])
+        chain = np.cumsum(np.concatenate((value[None], integ.sum(axis=1))), axis=0)
+        integ[:, 0] += chain[:-1]
+        value = chain[-1]
+        defect = max(defect, float(np.abs(probe @ rhs[:, :n] - rhs[:, n:]).max()))
+        breakpoints.append(cuts[1:])
+        blocks.append(integ)
+        window_bp, window = cuts, integ
+    bp = _sealed(np.concatenate(breakpoints))
+    coeffs = np.zeros((bp.size - 1, max(phi.degree, n) + 1, phi.n_components))
+    coeffs[: phi.n_pieces, : phi.degree + 1] = phi.coeffs
+    np.concatenate(blocks, out=coeffs[phi.n_pieces :, : n + 1])
+    x = PiecewiseFunction(bp, _sealed(coeffs), value)
+    return solver.Trajectory(problem, float(T), x, edges, defect)
+
+
+def _reference_delayed_rhs(problem, bp, coeffs, cuts, n):
+    """`solver._delayed_rhs` before the whole-window read: a piece search,
+    the piece ends gathered and a whole-piece test for every cut."""
+    from ddehist import solver
+    from ddehist.funcrep import _cheb_values, _piece_index
+
+    delayed, mid = cuts - problem.r, 0.5 * (cuts[:-1] + cuts[1:])
+    piece = _piece_index(bp, mid - problem.r)
+    lo, hi = bp[piece], bp[piece + 1]
+    tol = solver._ULPS * max(1.0, abs(bp[0]), abs(cuts[-1]))
+    moved = (np.maximum(np.abs(delayed[:-1] - lo), np.abs(delayed[1:] - hi)) > tol).nonzero()[0]
+    vals = solver._vandermonde(n, coeffs.shape[1] - 1) @ coeffs[piece]
+    if moved.size:
+        lo, hi, half = lo[moved, None], hi[moved, None], 0.5 * (cuts[moved + 1] - cuts[moved])[:, None]
+        t = (mid[moved, None] + half * solver._step_matrices(n)[0]) - problem.r
+        vals[moved] = _cheb_values(coeffs[piece[moved]], (2.0 * t - (lo + hi)) / (hi - lo))
     return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)
 
 

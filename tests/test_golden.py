@@ -1,8 +1,11 @@
-"""Golden test: `ddehist verify` on the shipped configs against stored outputs.
+"""Golden test: `ddehist verify` and `ddehist solve` against stored outputs.
 
 tests/golden holds the CSV tables and the claim lines that both shipped
 configs and `bench/odd-exponent.json` give at seed 7; the last holds the
 odd-p norm paths and the p = 2.5 semiflow tables to the same tolerance.
+tests/golden/long-horizon holds a `solve` config of its own, 200 delays from
+a discontinuous 3-piece history at r = R and at r < R with a truncated last
+step, with the trajectory tables and claim lines it gives.
 File names and CSV headers must match exactly.  Every numeric cell, and
 the measured value of every claim line, must agree within |a - b| <= 1e-12 + 1e-9 |b|, which absorbs last-digit differences
 between machines and numpy builds.  The rest of a claim line (verdict,
@@ -55,6 +58,16 @@ def read_csv(path):
 )
 def test_verify_reproduces_the_golden_outputs(tmp_path, capsys, config, golden, exit_code):
     argv = ["verify", "--config", str(CONFIGS / config), "--seed", "7", "--out", str(tmp_path)]
+    assert_golden_outputs(tmp_path, capsys, argv, golden, exit_code)
+
+
+@pytest.mark.parametrize("golden", ["long-horizon"])
+def test_solve_reproduces_the_golden_outputs(tmp_path, capsys, golden):
+    config = TESTS / "golden" / golden / "config.json"
+    assert_golden_outputs(tmp_path, capsys, ["solve", "--config", str(config), "--out", str(tmp_path)], golden, 0)
+
+
+def assert_golden_outputs(tmp_path, capsys, argv, golden, exit_code):
     assert main(argv) == exit_code
     expected = TESTS / "golden" / golden
     claims = (expected / "claims.txt").read_text().splitlines()

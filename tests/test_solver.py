@@ -6,6 +6,7 @@ independent numerical check for cases without a closed form.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -322,6 +323,11 @@ def test_random_problems_stay_consistent(seed, delay):
     assert seminorm(traj.history_at(0.0) - phi, SCALAR) < 1e-10
 
 
+OFF_PIECE = PiecewiseFunction.from_power(
+    [-1.0, -0.7 + 3e-13, -0.2, 0.0], [[[0.1]], [[0.5, 2.0, -3.0]], [[-0.4, 1.0]]], [0.2]
+)
+
+
 class TestWholePieceReads:
     """A delayed cut that is a whole piece is read through the cached
     Vandermonde product; only the other cuts map points into their piece."""
@@ -336,6 +342,15 @@ class TestWholePieceReads:
         assert len(calls) == T
         assert mapped == []
 
+    def test_a_delay_equal_to_the_memory_searches_for_no_piece_after_the_first_step(self):
+        # Every delayed window is the previous one up to rounding, so each
+        # step reads it whole, with no piece search.
+        pb = Problem(SCALAR, saturating(), 1.0, self.HISTORY)
+        with mock.patch.object(solver, "_piece_index", wraps=solver._piece_index) as search:
+            traj = solve(pb, 50.0)
+        assert traj.step_boundaries.size == 51
+        assert search.call_count <= 1
+
     def test_a_shorter_delay_maps_points_on_the_first_and_the_truncated_last_step(self):
         traj, calls, mapped = solve_reads(Problem(SCALAR, saturating(), 0.7, self.HISTORY), 20.0)
         edges = traj.step_boundaries
@@ -347,10 +362,7 @@ class TestWholePieceReads:
         # The breakpoint -0.7 + 3e-13, shifted by r = 0.7, falls within the
         # step's end tolerance of 0 and is not a cut, so the first delayed
         # cut [-0.7, -0.2] starts 3e-13 left of its piece: not a whole piece.
-        phi = PiecewiseFunction.from_power(
-            [-1.0, -0.7 + 3e-13, -0.2, 0.0], [[[0.1]], [[0.5, 2.0, -3.0]], [[-0.4, 1.0]]], [0.2]
-        )
-        pb = Problem(SCALAR, saturating(), 0.7, phi)
+        pb = Problem(SCALAR, saturating(), 0.7, OFF_PIECE)
         _, calls, mapped = solve_reads(pb, 1.4)
         assert mapped == [0.0]
         u = solver._step_matrices(solver._NODES_PER_PIECE)[0]
@@ -389,3 +401,78 @@ def test_delayed_read_matches_the_mapped_point_reference(seed, pieces, system, R
     for args, got in solve_reads(pb, steps * pb.r)[1]:
         want = oracles.delayed_rhs(*args[:4], u)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def bit_history(kind, seed, pieces, cfg):
+    """A random history on [-R, 0]; one whose coefficient block is strided,
+    as the x block of a doubled solve is, and of degree up to 16, where a
+    strided block takes a BLAS path with other bits at degrees such as 5, 9
+    and 13; or OFF_PIECE stretched to [-R, 0] with one copy per component."""
+    if kind == "off-piece":
+        return PiecewiseFunction(
+            cfg.R * OFF_PIECE.breakpoints,
+            np.repeat(OFF_PIECE.coeffs, cfg.N, axis=2),
+            np.repeat(OFF_PIECE.endpoint_value, cfg.N),
+        )
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_history(rng, cfg, n_pieces=pieces, max_degree=3, scale=0.8)
+    wide = random_history(rng, HistoryConfig(R=cfg.R, p=cfg.p, N=cfg.N + 1), n_pieces=pieces, max_degree=16, scale=0.8)
+    return PiecewiseFunction(wide.breakpoints, wide.coeffs[:, :, 1:], wide.endpoint_value[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pieces=st.integers(1, 4),
+    system=st.sampled_from(sorted(SYSTEMS)),
+    R=st.sampled_from([0.5, 1.0, 1.5]),
+    fraction=st.floats(0.05, 1.0),
+    steps=st.floats(0.1, 12.0),
+    history=st.sampled_from(["random", "strided", "off-piece"]),
+)
+# R = r over six whole steps: every step reads its whole window, the first
+# a strided block of degree 13.
+@example(seed=3, pieces=3, system="saturating", R=1.0, fraction=1.0, steps=6.0, history="strided")
+# r < R and a truncated last step: the first and last steps map points.
+@example(seed=7, pieces=4, system="quadratic-tangent", R=1.5, fraction=0.4, steps=4.5, history="random")
+# TestWholePieceReads' history, whose first delayed cut is 3e-13 off its piece.
+@example(seed=0, pieces=3, system="saturating", R=1.0, fraction=0.7, steps=2.0, history="off-piece")
+# An overflowing solve: the step whose defect is first NaN also has finite cuts
+# far above the defect so far, and the whole step is passed over.
+@example(seed=16, pieces=3, system="quadratic-tangent", R=1.5, fraction=1.0, steps=12.0, history="random")
+def test_solve_matches_the_per_cut_reference_bit_for_bit(seed, pieces, system, R, fraction, steps, history):
+    dim, build = SYSTEMS[system]
+    cfg = HistoryConfig(R=R, p=2.0, N=dim)
+    pb = Problem(cfg, build(), fraction * R, bit_history(history, seed, pieces, cfg))
+    # A quadratic tangent system can overflow within 12 steps; its NaNs must match too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = solve(pb, steps * pb.r), oracles.reference_solve(pb, steps * pb.r)
+    assert isinstance(got.integration_defect, float)
+    for a, b in [
+        (got.x.breakpoints, want.x.breakpoints),
+        (got.x.coeffs, want.x.coeffs),
+        (got.x.endpoint_value, want.x.endpoint_value),
+        (got.step_boundaries, want.step_boundaries),
+        (np.float64(got.integration_defect), np.float64(want.integration_defect)),
+    ]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_long_solve_holds_little_beside_its_trajectory():
+    # The defect is taken in blocks of held steps: holding every step's
+    # values to the end reads about 6 times the coefficients here.
+    phi = PiecewiseFunction.from_power(
+        [-1.0, -0.59375, -0.21875, 0.0],
+        [[[0.3, -0.4, 0.2, 0.1]], [[-0.45, 0.1, 0.5, -0.2]], [[0.4, 0.0, -0.3, 0.25]]],
+        [-0.15],
+    )
+    pb = Problem(SCALAR, make("mackey_glass"), 1.0, phi)
+    solve(pb, 2.0)  # builds the cached step matrices
+    tracemalloc.start()
+    try:
+        traj = solve(pb, 2000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * traj.x.coeffs.nbytes
