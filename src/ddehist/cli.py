@@ -272,15 +272,26 @@ def _indicator_width(R: float, r: float, k: int) -> float:
 # Their errors (ConfigError, or a ValueError of a constructor or `step_edges`) get the name prefixed.
 
 
-def _build_solve(spec):
-    spec.problem = Problem(spec.space, spec.nonlinearity, spec.delay, spec.history)
-    steps = math.ceil(spec.horizon / spec.delay)
+def _problem(spec, horizon: float) -> Problem:
+    """spec's Problem, if a solve to horizon takes at most _MAX_STEPS steps
+    and keeps the history breakpoints apart.  A step adds r to every cut,
+    moving two cuts together by at most an ulp of max(1, R, horizon), the
+    scale of `_scale_tol`: gaps above steps * 2^-52 of it stay open."""
+    problem, steps = Problem(spec.space, spec.nonlinearity, spec.delay, spec.history), math.ceil(horizon / spec.delay)
     _require(steps <= _MAX_STEPS, f"horizon/delay is {steps} method-of-steps steps, above the limit of {_MAX_STEPS}")
+    limit = steps * 2.0**-52 * max(1.0, spec.space.R, horizon)
+    gap = float(np.diff(spec.history.breakpoints).min())
+    _require(gap > limit, f"history breakpoints lie {gap:.3g} apart, not above {limit:.3g} for a solve to {horizon:g}")
+    return problem
+
+
+def _build_solve(spec):
+    spec.problem = _problem(spec, spec.horizon)
     step_edges(spec.horizon, spec.delay)
 
 
 def _build_dependence(spec):
-    spec.problem = Problem(spec.space, spec.nonlinearity, spec.delay, spec.history)
+    spec.problem = _problem(spec, spec.horizon)
     _require(spec.horizon <= spec.delay + 1e-12, "dependence probes need horizon <= delay")
     step_edges(spec.horizon, spec.delay)
     direction_size(spec.direction, lambda chi: seminorm(chi, spec.space))
@@ -295,12 +306,12 @@ def _build_lipschitz(spec):
     )
     _require(spec.horizon < spec.space.R, "horizon must satisfy 0 < T < R")
     _require(spec.horizon <= spec.delay <= spec.space.R + 1e-12, "delay must lie in [horizon, R]")
-    Problem(spec.space, spec.nonlinearity, spec.delay, spec.history)
+    _problem(spec, spec.horizon)
     step_edges(spec.horizon, spec.delay)
 
 
 def _build_smooth(spec):
-    spec.ctx = DerivativeContext(Problem(spec.space, spec.nonlinearity, spec.delay, spec.history), spec.horizon)
+    spec.ctx = DerivativeContext(_problem(spec, spec.horizon), spec.horizon)
     spec.ctx.require_one_step("smooth.gain-bound")
     step_edges(spec.horizon, spec.delay)
     direction_size(spec.direction, lambda chi: lp_norm(chi, spec.ctx.alpha + 1.0))
@@ -315,7 +326,8 @@ def _build_composition(spec):
 
 
 def _build_semiflow(spec):
-    spec.problem = Problem(spec.space, spec.nonlinearity, spec.delay, spec.history)
+    # A solve to 2r, then windows of it solved on by r: no more roundings than a solve to 4r.
+    spec.problem = _problem(spec, 4.0 * spec.delay)
     direction_size(spec.direction, lambda chi: seminorm(chi, spec.space))
 
 

@@ -233,7 +233,7 @@ def derivative_gap(
     probed = estimate_operator_norm(
         gap_image,
         norm_in=lambda h: lp_norm(h, p),
-        norm_out=lambda image: lp_norm(image, ctx.q),
+        norm_out=lambda images: np.array([lp_norm(image, ctx.q) for image in images]),
         span=(ctx.domain.lower, ctx.domain.upper),
         n_components=m,
         probes=probes,

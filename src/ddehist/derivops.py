@@ -140,18 +140,18 @@ def estimate_operator_norm(
     Probes are random piecewise-constant functions on span with n_components
     components (dense enough in every L^p and integrated exactly by the
     quadrature), plus any caller-supplied directions in extra.  On the span
-    (-R, 0) each probe is a history.
+    (-R, 0) each probe is a history.  norm_in and norm_out map a list to an
+    array of norms: one call measures every candidate, one their images.
     """
     rng = np.random.default_rng(seed)
     candidates = list(extra)
     for _ in range(int(probes)):
         candidates.append(piecewise_constant(rng, span, n_pieces=8, n_components=n_components))
+    sizes = np.asarray(norm_in(candidates), dtype=float)
+    kept = [i for i, size in enumerate(sizes.tolist()) if not size < ZERO_SIZE]
     best = 0.0
-    for chi in candidates:
-        size = norm_in(chi)
-        if size < ZERO_SIZE:
-            continue
-        best = max(best, norm_out(op(chi)) / size)
+    for ratio in (norm_out([op(candidates[i]) for i in kept]) / sizes[kept]).tolist():
+        best = max(best, ratio)
     return best
 
 

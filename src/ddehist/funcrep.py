@@ -158,6 +158,19 @@ def _cheb_values(coeffs: np.ndarray, u) -> np.ndarray:
     return vander.transpose(tuple(range(1, vander.ndim)) + (0,)) @ coeffs
 
 
+@lru_cache(maxsize=None)
+def _vandermonde(nodes: Callable[[int], np.ndarray], n: int, deg: int) -> np.ndarray:
+    """The Chebyshev-Vandermonde matrix of degree deg at fixed local points
+    nodes(n), none -0.0, in `_cheb_values`' recurrence and layout: a product
+    with it has the bits of `_cheb_values` at those points."""
+    return _sealed(_cheb.chebvander(nodes(n), deg))
+
+
+# Two node sets of `_vandermonde`: the Gauss-Legendre rule's, and -1 and 1.
+_gauss_nodes = lambda n: _gauss_rule(n)[0]
+_unit_ends = lambda _n: np.array([-1.0, 1.0])
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseFunction:
     """Vector-valued piecewise polynomial on [breakpoints[0], breakpoints[-1]].
@@ -250,12 +263,6 @@ class PiecewiseFunction:
     def piece_interval(self, i: int):
         return float(self.breakpoints[i]), float(self.breakpoints[i + 1])
 
-    def local_values(self, u) -> np.ndarray:
-        """Every piece at local coordinates u in [-1, 1], of shape (m,) for
-        the same points on each piece or (n_pieces, m) for points per piece;
-        returns (n_pieces, m, N)."""
-        return _cheb_values(self.coeffs, u)
-
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t):
@@ -285,51 +292,6 @@ class PiecewiseFunction:
             self.breakpoints + float(dt), self.coeffs, self.endpoint_value
         )
 
-    def _pieces_on(self, partition: np.ndarray) -> np.ndarray:
-        """Coefficients on the pieces of a partition each of whose pieces
-        lies inside one piece of self.  A piece whose interval is unchanged
-        is copied; the others are re-expanded at deg + 1 Chebyshev points
-        of their interval, all in one product."""
-        bp = self.breakpoints
-        if partition.size == bp.size and (partition == bp).all():
-            return self.coeffs
-        lo, hi = partition[:-1], partition[1:]
-        idx = _piece_index(bp, 0.5 * (lo + hi))
-        c, d = bp[idx], bp[idx + 1]
-        out = self.coeffs[idx]
-        moved = ((lo != c) | (hi != d)).nonzero()[0]
-        if moved.size:
-            n = self.degree + 1
-            lo, hi, c, d = lo[moved, None], hi[moved, None], c[moved, None], d[moved, None]
-            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _cheb_nodes(n)
-            vals = _cheb_values(out[moved], (2.0 * t - (c + d)) / (d - c))
-            out[moved] = _cheb_interp_matrix(n) @ vals
-        return out
-
-    def _value_at(self, t: float) -> np.ndarray:
-        """self(t) at one t in the domain, with its bits: the Chebyshev recurrence
-        on floats, then `__call__`'s product, on a contiguous block as there."""
-        bp = self.breakpoints
-        if t == bp[-1]:
-            return self.endpoint_value
-        i = int(_piece_index(bp, t))
-        lo, hi = float(bp[i]), float(bp[i + 1])
-        u = (2.0 * t - (lo + hi)) / (hi - lo)
-        row, two_u = [1.0, u], 2.0 * u
-        while len(row) <= self.degree:
-            row.append(row[-1] * two_u - row[-2])
-        return np.array(row[: self.degree + 1]) @ np.ascontiguousarray(self.coeffs[i])
-
-    def _cut(self, lo: float, hi: float):
-        """`restrict`'s partition of [lo, hi], coefficients and endpoint value."""
-        (a, b), bp = self.domain, self.breakpoints
-        lo, hi, tol = float(lo), float(hi), _scale_tol(a, b)
-        if lo < a - tol or hi > b + tol or not lo < hi:
-            raise DomainError("restriction interval must sit inside the domain")
-        lo, hi = max(lo, a), min(hi, b)
-        partition = np.concatenate(([lo], bp[(bp > lo + tol) & (bp < hi - tol)], [hi]))
-        return partition, self._pieces_on(partition), self._value_at(hi)
-
     def restrict(self, lo: float, hi: float) -> "PiecewiseFunction":
         """Restriction to [lo, hi] within the domain.
 
@@ -337,7 +299,7 @@ class PiecewiseFunction:
         with the bits of evaluation, so a restriction ending at an interior
         breakpoint takes it from the piece on the right, like evaluation.
         """
-        return PiecewiseFunction(*self._cut(lo, hi))
+        return restricted([self], lo, hi)[0]
 
     def refine(self, points) -> "PiecewiseFunction":
         """Insert extra breakpoints; the represented function is unchanged."""
@@ -350,7 +312,7 @@ class PiecewiseFunction:
         pts = pts[np.abs(pts[:, None] - self.breakpoints).min(axis=1) > tol]
         partition = _merge_partitions(self.breakpoints, pts, tol)
         return PiecewiseFunction(
-            partition, self._pieces_on(partition), self.endpoint_value
+            partition, _pieces_on(self.breakpoints, self.coeffs, partition), self.endpoint_value
         )
 
     def with_endpoint(self, values) -> "PiecewiseFunction":
@@ -408,6 +370,58 @@ def _snapped(bp: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.concatenate(([lo], bp[1:-1], [hi]))
 
 
+def _pieces_on(bp: np.ndarray, coeffs: np.ndarray, partition: np.ndarray) -> np.ndarray:
+    """Coefficients (..., pieces of bp, deg + 1, N) on the pieces of a
+    partition each of whose pieces lies inside one piece of bp.  A piece whose
+    interval is unchanged is copied; the others are re-expanded at deg + 1
+    Chebyshev points of their interval, all in one product."""
+    if partition.size == bp.size and (partition == bp).all():
+        return coeffs
+    lo, hi = partition[:-1], partition[1:]
+    idx = _piece_index(bp, 0.5 * (lo + hi))
+    c, d = bp[idx], bp[idx + 1]
+    out = coeffs[..., idx, :, :]
+    moved = ((lo != c) | (hi != d)).nonzero()[0]
+    if moved.size:
+        n = coeffs.shape[-2]
+        lo, hi, c, d = lo[moved, None], hi[moved, None], c[moved, None], d[moved, None]
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _cheb_nodes(n)
+        vals = _cheb_values(out[..., moved, :, :], (2.0 * t - (c + d)) / (d - c))
+        out[..., moved, :, :] = _cheb_interp_matrix(n) @ vals
+    return _sealed(out)
+
+
+def _cut(fs: Sequence[PiecewiseFunction], lo: float, hi: float):
+    """`restrict`'s partition of [lo, hi], and each f's coefficients on it
+    and value at hi (one Chebyshev row on floats times the piece's
+    contiguous block), for functions fs of one partition and degree."""
+    f = fs[0]
+    (a, b), bp = f.domain, f.breakpoints
+    if any(g.coeffs.shape != f.coeffs.shape or not np.array_equal(g.breakpoints, bp) for g in fs[1:]):
+        raise ValueError("functions cut together must share one partition and degree")
+    lo, hi, tol = float(lo), float(hi), _scale_tol(a, b)
+    if lo < a - tol or hi > b + tol or not lo < hi:
+        raise DomainError("restriction interval must sit inside the domain")
+    lo, hi = max(lo, a), min(hi, b)
+    partition = _sealed(np.concatenate(([lo], bp[(bp > lo + tol) & (bp < hi - tol)], [hi])))
+    block = f.coeffs[None] if len(fs) == 1 else _sealed(np.stack([g.coeffs for g in fs]))
+    coeffs = _pieces_on(bp, block, partition)
+    if hi == bp[-1]:
+        return partition, coeffs, [g.endpoint_value for g in fs]
+    i = int(_piece_index(bp, hi))
+    u = float((2.0 * hi - (bp[i] + bp[i + 1])) / (bp[i + 1] - bp[i]))
+    row, two_u = [1.0, u], 2.0 * u
+    while len(row) <= f.degree:
+        row.append(row[-1] * two_u - row[-2])
+    return partition, coeffs, np.array(row[: f.degree + 1]) @ np.ascontiguousarray(block[:, i])
+
+
+def restricted(fs: Sequence[PiecewiseFunction], lo: float, hi: float) -> list:
+    """f.restrict(lo, hi) for each f of fs, of one partition and degree, in one `_cut`."""
+    partition, coeffs, values = _cut(fs, lo, hi)
+    return [PiecewiseFunction(partition, c, v) for c, v in zip(coeffs, values)]
+
+
 def _merge_partitions(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     pts = np.sort(np.concatenate((np.asarray(a, float), np.asarray(b, float))))
     keep = [pts[0]]
@@ -424,6 +438,9 @@ def _merged_pieces(functions: Sequence[PiecewiseFunction]):
     one is kept, so on the sliver between them a function takes the value
     of its piece to the right.  Functions on the partition so far skip the
     merge, which would return it unchanged, and keep their coefficients."""
+    bp = functions[0].breakpoints
+    if all(np.array_equal(f.breakpoints, bp) for f in functions[1:]):
+        return bp, [f.coeffs for f in functions]
     lows, highs = zip(*[f.domain for f in functions])
     a, b = lows[0], highs[0]
     tol = _scale_tol(min(lows), max(highs))
@@ -434,7 +451,7 @@ def _merged_pieces(functions: Sequence[PiecewiseFunction]):
         if not np.array_equal(f.breakpoints, partition):
             partition = _merge_partitions(partition, f.breakpoints, tol)
     partition[0], partition[-1] = a, b
-    return partition, [f._pieces_on(partition) for f in functions]
+    return partition, [_pieces_on(f.breakpoints, f.coeffs, partition) for f in functions]
 
 
 def aligned(functions: Sequence[PiecewiseFunction]) -> list:
@@ -465,10 +482,6 @@ class LazyComposition:
     @property
     def n_pieces(self) -> int:
         return self.base.n_pieces
-
-    def local_values(self, u) -> np.ndarray:
-        vals = self.base.local_values(u)
-        return self.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape[:-1] + (self.n_out,))
 
     def __call__(self, t):
         t_in = np.asarray(t, dtype=float)
@@ -505,9 +518,10 @@ def lp_norm(
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
     if isinstance(f, LazyComposition):
-        u, w = _gauss_rule(_NODES_PER_PIECE)
-        radii = np.linalg.norm(f.local_values(u), axis=-1)
-        return float(0.5 * np.diff(f.breakpoints) @ (radii**p @ w)) ** (1.0 / p)
+        vals = _vandermonde(_gauss_nodes, _NODES_PER_PIECE, f.base.degree) @ f.base.coeffs
+        images = f.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape[:-1] + (f.n_out,))
+        radii = np.linalg.norm(images, axis=-1)
+        return float(0.5 * np.diff(f.breakpoints) @ (radii**p @ _gauss_rule(_NODES_PER_PIECE)[1])) ** (1.0 / p)
     single = isinstance(f, PiecewiseFunction)
     norms = _power_integrals([f] if single else f, p) ** (1.0 / p)
     return float(norms[0]) if single else norms
@@ -576,7 +590,7 @@ def _modulus_series(coeffs: np.ndarray):
     if coeffs.shape[2] == 1:
         return coeffs[:, :, 0], 1
     m = 2 * coeffs.shape[1] - 1
-    vals = _cheb_values(coeffs, _cheb_nodes(m))
+    vals = _vandermonde(_cheb_nodes, m, coeffs.shape[1] - 1) @ coeffs
     # One product per piece: in one BLAS call a row's result can depend on
     # how many rows share it.
     return (np.einsum("snj,snj->sn", vals, vals)[:, None] @ _cheb_interp_matrix(m).T)[:, 0], 2
@@ -688,7 +702,12 @@ def _degree_groups(fs: Sequence[PiecewiseFunction]):
     deg + 1, N) coefficients of the functions of that degree, the index in
     fs of each piece's function and each piece's half-width.  A function's
     norm is measured within its group, so it gets the same bits in a batch
-    as alone: padding to a larger degree would move it by rounding."""
+    as alone: padding to a larger degree would move it by rounding.  One
+    function is its own group, its coefficients contiguous as a batch's."""
+    if len(fs) == 1:
+        f = fs[0]
+        yield np.ascontiguousarray(f.coeffs), np.zeros(f.n_pieces, dtype=int), 0.5 * np.diff(f.breakpoints)
+        return
     degrees = np.array([f.degree for f in fs])
     for d in np.unique(degrees):
         at = np.flatnonzero(degrees == d)
@@ -721,10 +740,15 @@ def _power_integrals(fs: Sequence[PiecewiseFunction], p: float) -> np.ndarray:
     stuck, stuck_error = [np.zeros(0, dtype=int)], 0.0
     for coeffs, owner, scale in _degree_groups(fs):
         n = max(_NODES_PER_PIECE, math.ceil((p * (coeffs.shape[1] - 1) + 1.0) / 2.0))
-        even, none = p % 2.0 == 0.0, np.zeros(owner.size, dtype=int)
-        whole = np.arange(owner.size), none - 1.0, none + 1.0, none, none
-        piece, lo, hi, mlo, mhi = whole if even else _modulus_intervals(coeffs)
-        if even or (p == round(p) and coeffs.shape[2] == 1):
+        if p % 2.0 == 0.0:
+            # |f|^p is a polynomial of degree at most p * deg on every whole
+            # piece, and n Gauss-Legendre nodes are exact.
+            vals = _vandermonde(_gauss_nodes, n, coeffs.shape[1] - 1) @ coeffs
+            rest = (np.einsum("snj,snj->sn", vals, vals) ** (0.5 * p) * _gauss_rule(n)[1]).sum(axis=1)
+            total += np.bincount(owner, weights=scale * rest, minlength=len(fs))
+            continue
+        piece, lo, hi, mlo, mhi = _modulus_intervals(coeffs)
+        if p == round(p) and coeffs.shape[2] == 1:
             # The rest is a polynomial of degree at most p * deg: n nodes are
             # exact and there is nothing to check.
             rest = _jacobi_integrals(coeffs, piece, lo, hi, mlo, mhi, p, (n,))[0]
@@ -780,7 +804,7 @@ def sup_norm(f: PiecewiseFunction | Sequence[PiecewiseFunction]) -> float | np.n
     fs = [f] if single else f
     best = np.array([np.linalg.norm(g.endpoint_value) for g in fs])
     for coeffs, owner, _ in _degree_groups(fs):
-        ends = np.linalg.norm(_cheb_values(coeffs, np.array([-1.0, 1.0])), axis=-1)
+        ends = np.linalg.norm(_vandermonde(_unit_ends, 2, coeffs.shape[1] - 1) @ coeffs, axis=-1)
         np.maximum.at(best, owner, ends.max(axis=1))
         searched = np.flatnonzero(np.linalg.norm(np.abs(coeffs).sum(axis=1), axis=1) > best[owner])
         series, _ = _modulus_series(coeffs[searched])

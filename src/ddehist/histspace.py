@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcrep import DomainError, PiecewiseFunction, _sealed, _snapped, lp_norm
+from .funcrep import DomainError, PiecewiseFunction, _cut, _sealed, _snapped, lp_norm
 
 __all__ = [
     "HistoryConfig",
@@ -147,19 +147,25 @@ def prolongation_deviation(x: PiecewiseFunction, phi: PiecewiseFunction) -> Piec
     return PiecewiseFunction(x.breakpoints, _sealed(coeffs), x.endpoint_value - phi.endpoint_value)
 
 
-def history_segment(x: PiecewiseFunction, t: float, R: float) -> PiecewiseFunction:
-    """The history seen at time t: theta -> x(t + theta) on [-R, 0].
+def history_segment(x: PiecewiseFunction | Sequence[PiecewiseFunction], t: float, R: float):
+    """The history seen at time t: theta -> x(t + theta) on [-R, 0]; a list
+    of them for a sequence of functions of one partition and degree, all
+    cut in one pass (`funcrep._cut`), and a ValueError for two partitions.
 
     It is x.restrict(t - R, t).shift(-t) put on [-R, 0], bit for bit, in one
     construction.  Its value at 0 is x(t), so at a breakpoint of x it comes
     from the piece on the right, and at x's right end it is x's endpoint value.
     """
-    a, b = x.domain
+    single = isinstance(x, PiecewiseFunction)
+    xs = [x] if single else x
+    a, b = xs[0].domain
     tol = 1e-9 * max(1.0, abs(a), abs(b))
     if t - R < a - tol or t > b + tol:
         raise DomainError("segment window is not contained in the domain")
-    partition, coeffs, value = x._cut(max(t - R, a), min(t, b))
-    return PiecewiseFunction(_snapped(partition - float(t), -R, 0.0), coeffs, value)
+    partition, coeffs, values = _cut(xs, max(t - R, a), min(t, b))
+    partition = _sealed(_snapped(partition - float(t), -R, 0.0))
+    segments = [PiecewiseFunction(partition, c, v) for c, v in zip(coeffs, values)]
+    return segments[0] if single else segments
 
 
 def to_pair(phi: PiecewiseFunction) -> QuotientPair:

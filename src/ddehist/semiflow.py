@@ -31,7 +31,7 @@ from .derivops import (
     tangent_deviation,
     tangent_trajectory,
 )
-from .funcrep import PiecewiseFunction, lp_norm, sup_norm
+from .funcrep import PiecewiseFunction, lp_norm, restricted, sup_norm
 from .histspace import (
     HistoryConfig,
     history_segment,
@@ -112,8 +112,8 @@ def _modulus_table(cfg: HistoryConfig, t: float, sizes, rows) -> ModulusTable:
     # cut to [-R, t], so the bound is its deviation's sup over [0, t] only.
     window = regulation_constant(-cfg.R, 0.0, cfg.p)
     inflate = prolongation_constant(t, cfg.p)
-    gaps = [gap.restrict(gap.domain[0], t) for _, _, gap in rows]
-    outs = seminorm([history_segment(gap, t, cfg.R) for gap in gaps], cfg)
+    gaps = restricted([gap for _, _, gap in rows], rows[0][2].domain[0], t)
+    outs = seminorm(history_segment(gaps, t, cfg.R), cfg)
     ydiffs = [prolongation_deviation(gap, step) for gap, (_, step, _) in zip(gaps, rows)]
     bounds = window * sup_norm(ydiffs) + inflate * sizes
     return ModulusTable(t, GapTable(sizes, outs), bounds)
@@ -135,7 +135,7 @@ def _remainder_table(ctx: DerivativeContext, chi0: PiecewiseFunction, sizes, row
     # time_map_remainder at t = ctx.horizon, from the gaps of halving_solves along chi0.
     cfg, t = ctx.problem.cfg, ctx.horizon
     tangent0 = tangent_trajectory(ctx, chi0)
-    segs = [history_segment(gap - tangent0.scale(f), t, cfg.R) for f, _, gap in rows]
+    segs = history_segment([gap - tangent0.scale(f) for f, _, gap in rows], t, cfg.R)
     return RemainderTable(sizes, seminorm(segs, cfg))
 
 

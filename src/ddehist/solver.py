@@ -40,6 +40,7 @@ from .funcrep import (
     _piece_index,
     _scale_tol,
     _sealed,
+    _vandermonde,
 )
 from .histspace import HistoryConfig, _check, history_segment
 from .nonlinear import Nonlinearity
@@ -165,10 +166,7 @@ def _step_matrices(n: int):
     return _sealed(u), _sealed(integrate), _sealed(probe)
 
 
-@lru_cache(maxsize=None)
-def _vandermonde(n: int, deg: int) -> np.ndarray:
-    """The Chebyshev-Vandermonde matrix of degree deg at the local points u of `_step_matrices(n)`."""
-    return _sealed(_cheb.chebvander(_step_matrices(n)[0], deg))
+_step_nodes = lambda n: _step_matrices(n)[0]  # the points u, a node set of `funcrep._vandermonde`
 
 
 def _delayed_rhs(problem: Problem, bp: np.ndarray, coeffs: np.ndarray, cuts, n: int) -> np.ndarray:
@@ -183,13 +181,13 @@ def _delayed_rhs(problem: Problem, bp: np.ndarray, coeffs: np.ndarray, cuts, n: 
     tol = _ULPS * max(1.0, abs(bp[0]), abs(cuts[-1]))
     if delayed.size == bp.size and np.abs(delayed - bp).max() <= tol:
         # Contiguous, as `coeffs[piece]` is: a strided block takes another BLAS path.
-        vals = _vandermonde(n, coeffs.shape[1] - 1) @ np.ascontiguousarray(coeffs)
+        vals = _vandermonde(_step_nodes, n, coeffs.shape[1] - 1) @ np.ascontiguousarray(coeffs)
         return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     piece = _piece_index(bp, mid - problem.r)
     lo, hi = bp[piece], bp[piece + 1]
     moved = (np.maximum(np.abs(delayed[:-1] - lo), np.abs(delayed[1:] - hi)) > tol).nonzero()[0]
-    vals = _vandermonde(n, coeffs.shape[1] - 1) @ coeffs[piece]
+    vals = _vandermonde(_step_nodes, n, coeffs.shape[1] - 1) @ coeffs[piece]
     if moved.size:
         lo, hi, half = lo[moved, None], hi[moved, None], 0.5 * (cuts[moved + 1] - cuts[moved])[:, None]
         t = (mid[moved, None] + half * _step_matrices(n)[0]) - problem.r

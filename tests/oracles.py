@@ -19,9 +19,14 @@ given a sequence of functions.  The delayed read at the end evaluates every
 cut of a solver step at points mapped into its piece, the read the solver
 keeps only for cuts that are not a whole piece, and the reference solve
 after it is the solver's step loop as it read each cut and took each
-step's defect before the whole-window read.  The CSV cell formatter
-at the very end prints one cell at a time, the reference for the
-one-pass table formatting of `cli.write_csv`.
+step's defect before the whole-window read.  The restriction after it
+cuts one function at a time, with its own re-expansion and its own
+one-point read, the reference for the sequence cut of
+`funcrep.restricted` and `histspace.history_segment`.  The operator norm
+loop measures one candidate and one image per norm call, the reference
+for `derivops.estimate_operator_norm`.  The CSV cell formatter at the very
+end prints one cell at a time, the reference for the one-pass table
+formatting of `cli.write_csv`.
 """
 
 import numpy as np
@@ -350,19 +355,72 @@ def _reference_delayed_rhs(problem, bp, coeffs, cuts, n):
     """`solver._delayed_rhs` before the whole-window read: a piece search,
     the piece ends gathered and a whole-piece test for every cut."""
     from ddehist import solver
-    from ddehist.funcrep import _cheb_values, _piece_index
+    from ddehist.funcrep import _cheb_values, _piece_index, _vandermonde
 
     delayed, mid = cuts - problem.r, 0.5 * (cuts[:-1] + cuts[1:])
     piece = _piece_index(bp, mid - problem.r)
     lo, hi = bp[piece], bp[piece + 1]
     tol = solver._ULPS * max(1.0, abs(bp[0]), abs(cuts[-1]))
     moved = (np.maximum(np.abs(delayed[:-1] - lo), np.abs(delayed[1:] - hi)) > tol).nonzero()[0]
-    vals = solver._vandermonde(n, coeffs.shape[1] - 1) @ coeffs[piece]
+    vals = _vandermonde(solver._step_nodes, n, coeffs.shape[1] - 1) @ coeffs[piece]
     if moved.size:
         lo, hi, half = lo[moved, None], hi[moved, None], 0.5 * (cuts[moved + 1] - cuts[moved])[:, None]
         t = (mid[moved, None] + half * solver._step_matrices(n)[0]) - problem.r
         vals[moved] = _cheb_values(coeffs[piece[moved]], (2.0 * t - (lo + hi)) / (hi - lo))
     return problem.nl.fn(vals.reshape(-1, vals.shape[-1])).reshape(vals.shape)
+
+
+def restrict_one(f, lo, hi):
+    """(partition, coefficients, endpoint value) of f.restrict(lo, hi), one
+    function at a time: its pieces re-expanded on their own, and its value
+    at hi read with a Chebyshev row on floats and a product with the piece's
+    contiguous block, as `funcrep` cut one function before the sequence cut."""
+    from ddehist.funcrep import _cheb_interp_matrix, _cheb_nodes, _cheb_values, _piece_index, _scale_tol
+
+    (a, b), bp = f.domain, f.breakpoints
+    tol = _scale_tol(a, b)
+    lo, hi = max(float(lo), a), min(float(hi), b)
+    partition = np.concatenate(([lo], bp[(bp > lo + tol) & (bp < hi - tol)], [hi]))
+    if partition.size == bp.size and (partition == bp).all():
+        out = f.coeffs
+    else:
+        idx = _piece_index(bp, 0.5 * (partition[:-1] + partition[1:]))
+        c, d = bp[idx], bp[idx + 1]
+        out = f.coeffs[idx]
+        moved = ((partition[:-1] != c) | (partition[1:] != d)).nonzero()[0]
+        if moved.size:
+            n = f.degree + 1
+            lo_m, hi_m = partition[:-1][moved, None], partition[1:][moved, None]
+            t = 0.5 * (lo_m + hi_m) + 0.5 * (hi_m - lo_m) * _cheb_nodes(n)
+            vals = _cheb_values(out[moved], (2.0 * t - (c[moved, None] + d[moved, None])) / (d[moved, None] - c[moved, None]))
+            out[moved] = _cheb_interp_matrix(n) @ vals
+    if hi == bp[-1]:
+        return partition, out, f.endpoint_value
+    i = int(_piece_index(bp, hi))
+    u = (2.0 * hi - (float(bp[i]) + float(bp[i + 1]))) / (float(bp[i + 1]) - float(bp[i]))
+    row, two_u = [1.0, u], 2.0 * u
+    while len(row) <= f.degree:
+        row.append(row[-1] * two_u - row[-2])
+    return partition, out, np.array(row[: f.degree + 1]) @ np.ascontiguousarray(f.coeffs[i])
+
+
+def operator_norm_loop(op, norm_in, norm_out, span, n_components, probes=12, seed=0, extra=()):
+    """`derivops.estimate_operator_norm` as one norm_in and one norm_out call
+    per candidate, with the same candidates."""
+    from ddehist.corpus import piecewise_constant
+    from ddehist.derivops import ZERO_SIZE
+
+    rng = np.random.default_rng(seed)
+    candidates = list(extra)
+    for _ in range(int(probes)):
+        candidates.append(piecewise_constant(rng, span, n_pieces=8, n_components=n_components))
+    best = 0.0
+    for chi in candidates:
+        size = norm_in(chi)
+        if size < ZERO_SIZE:
+            continue
+        best = max(best, norm_out(op(chi)) / size)
+    return best
 
 
 def csv_cell(value) -> str:

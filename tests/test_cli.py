@@ -515,6 +515,24 @@ class TestBreakpointFunctions:
         assert f"{label} breakpoints must span" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_breakpoints_a_solve_would_round_together_are_a_config_error(self, tmp_path, capsys):
+        # Two ulps apart at -0.5: after three steps of r = 1 the cuts
+        # 2.5 + 2.2e-16 and 2.5 round onto one value, where the solver raised
+        # "breakpoints must be strictly increasing".  Three steps to 3 allow
+        # a gap of 3 * 2^-52 * 3 = 2.0e-15 at least.
+        pieces = [[[0.5]], [[1.0]], [[0.25]]]
+        history = {"breakpoints": [-1.0, -0.5, -0.49999999999999978, 0.0], "pieces": pieces}
+        solve = {"kind": "solve", "nonlinearity": {"name": "saturating"}, "space": {"R": 1.0, "p": 2.0, "N": 1},
+                 "delay": 1.0, "horizon": 3.0, "history": history}
+        cfg = write_config(tmp_path, [solve])
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "history breakpoints lie 2.22e-16 apart, not above 2e-15" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # Just above the limit the gaps stay open and the solve runs.
+        history["breakpoints"][2] = -0.5 + 2.2e-15
+        cfg = write_config(tmp_path, [solve], filename="apart.json")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "apart")]) == 0
+
 
 class TestSolveCommand:
     def test_frozen_trajectory_spot_value(self, tmp_path, capsys):

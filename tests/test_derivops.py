@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ddehist import cli, composition, derivops, funcrep, semiflow
 from ddehist.composition import CompositionContext, MeasureDomain, continuity_probe, smoothness_probe
 from ddehist.corpus import piecewise_constant, random_history, random_piecewise
@@ -286,6 +287,63 @@ class TestOperatorNormEstimate:
                 seed=seed,
             )
             assert probed <= tangent_deviation_bound(ctx) + 1e-8
+
+
+def _random_operator(kind, rng):
+    # A map of histories on [-1, 0]: linear, affine on another partition,
+    # the zero map, or the window at r of the integral part of a tangent solve.
+    if kind == "scale":
+        c = float(rng.normal())
+        return lambda chi: chi.scale(c)
+    if kind == "affine":
+        g = random_piecewise(rng, (-SCALAR.R, 0.0), 3, 2, 1)
+        return lambda chi: chi + g
+    if kind == "zero":
+        return lambda chi: PiecewiseFunction.constant([0.0], (-SCALAR.R, 0.0))
+    ctx = scalar_ctx(saturating(), phi_value=float(rng.normal()))
+    return lambda chi: history_segment(tangent_deviation(ctx, chi), 1.0, SCALAR.R)
+
+
+NORM_PAIRS = {
+    "lp-sup": (lambda chi: lp_norm(chi, 2.0), sup_norm),
+    "odd-lp": (lambda chi: lp_norm(chi, 1.5), lambda y: lp_norm(y, 3.0)),
+    "seminorm": (lambda chi: seminorm(chi, SCALAR), lambda y: seminorm(y, SCALAR)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["scale", "affine", "zero", "tangent"]),
+    pair=st.sampled_from(sorted(NORM_PAIRS)),
+    probes=st.integers(0, 6),
+    zero_extra=st.booleans(),
+)
+@example(seed=0, kind="zero", pair="lp-sup", probes=3, zero_extra=True)
+@example(seed=1, kind="tangent", pair="seminorm", probes=4, zero_extra=True)
+@example(seed=2, kind="scale", pair="odd-lp", probes=0, zero_extra=True)  # only a zero-size candidate
+def test_operator_norm_matches_the_per_probe_loop_in_one_call_per_norm(seed, kind, pair, probes, zero_extra):
+    rng = np.random.default_rng(seed)
+    op = _random_operator(kind, rng)
+    norm_in, norm_out = NORM_PAIRS[pair]
+    extra = [unit_direction(0.0)] * zero_extra + [random_piecewise(rng, (-SCALAR.R, 0.0), 2, 3, 1)]
+    if probes == 0 and zero_extra:
+        extra = extra[:1]
+    calls = []
+
+    def counted(norm, name):
+        def measure(fs):
+            calls.append(name)
+            return norm(fs)
+
+        return measure
+
+    args = ((-SCALAR.R, 0.0), SCALAR.N, probes, seed % 7, extra)
+    probed = estimate_operator_norm(op, counted(norm_in, "in"), counted(norm_out, "out"), *args)
+    assert probed == oracles.operator_norm_loop(op, norm_in, norm_out, *args)
+    assert calls == ["in", "out"]
+    if kind == "zero" or len(extra) + probes == zero_extra:
+        assert probed == 0.0
 
 
 class TestRemainder:

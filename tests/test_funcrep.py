@@ -833,3 +833,37 @@ def test_a_batch_warns_when_one_function_stops_short(monkeypatch):
         values = lp_norm([g, f], 1.5)
     assert values[0] == pytest.approx(alone, rel=1e-14)
     assert values[1] == pytest.approx(expected, rel=1e-3)
+
+
+# -------------------------------------------------- fixed-node Vandermonde
+
+
+def _node_sets():
+    from ddehist import solver
+
+    # The even-p rule sizes at p = 2, 4, 6 and 12 up to degree 16, the lazy
+    # rule's 16 nodes, the ends, the modulus series' points and the solver's.
+    for n in (16, 17, 33, 49, 97):
+        yield funcrep._gauss_nodes, n
+    yield funcrep._unit_ends, 2
+    for m in (1, 9, 21, 33):
+        yield funcrep._cheb_nodes, m
+    yield solver._step_nodes, funcrep._NODES_PER_PIECE
+
+
+@pytest.mark.parametrize("deg", range(17))
+def test_each_cached_vandermonde_product_has_the_bits_of_cheb_values(deg):
+    rng = np.random.default_rng(deg)
+    for nodes, n in _node_sets():
+        u = nodes(n)
+        matrix = funcrep._vandermonde(nodes, n, deg)
+        assert not matrix.flags.writeable
+        # The solver's matrix was numpy's chebvander of its points.
+        assert np.array_equal(matrix, chebyshev.chebvander(u, deg))
+        for n_components in (1, 2, 3):
+            coeffs = rng.normal(size=(7, deg + 1, n_components))
+            assert np.array_equal(matrix @ coeffs, funcrep._cheb_values(coeffs, u))
+            if nodes is funcrep._gauss_nodes:
+                # The even-p path read whole pieces at one row of points per piece.
+                rows = (0.5 * (np.ones(7) + -np.ones(7)))[:, None] + (0.5 * (np.ones(7) - -np.ones(7)))[:, None] * u
+                assert np.array_equal(matrix @ coeffs, funcrep._cheb_values(coeffs, rows))

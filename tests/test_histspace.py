@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from ddehist.corpus import (
     bump_history,
     indicator_history,
@@ -15,7 +16,7 @@ from ddehist.corpus import (
     random_history,
     random_piecewise,
 )
-from ddehist.funcrep import DomainError, PiecewiseFunction, lp_norm, sup_norm
+from ddehist.funcrep import DomainError, PiecewiseFunction, lp_norm, restricted, sup_norm
 from ddehist.histspace import (
     HistoryConfig,
     HistoryElement,
@@ -271,6 +272,74 @@ def test_history_segment_is_the_restricted_shifted_snapped_window(case):
     assert np.array_equal(seg.breakpoints, ref.breakpoints)
     assert np.array_equal(seg.coeffs, ref.coeffs)
     assert np.array_equal(seg.endpoint_value, ref.endpoint_value)
+
+
+@st.composite
+def cut_together(draw):
+    """(xs, t, R): one or two functions on one partition of [-1, 2], of one
+    degree 0..16 and N = 1 or 2, their coefficients contiguous or a strided
+    view as a solve's blocks are, and a window [t - R, t] in the domain."""
+    n, deg, pieces = draw(st.sampled_from([1, 2])), draw(st.integers(0, 16)), draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.floats(-0.99, 1.99), min_size=pieces - 1, max_size=pieces - 1, unique=True))
+    bp = np.concatenate(([-1.0], np.sort(cuts), [2.0]))
+    if np.diff(bp).min() < 1e-3:
+        bp = np.linspace(-1.0, 2.0, pieces + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strided = draw(st.booleans())
+    xs = []
+    for _ in range(draw(st.integers(1, 2))):
+        block = rng.normal(size=(pieces, deg + 1, 2 * n if strided else n))
+        block.flags.writeable = False  # so a view is kept, not copied
+        xs.append(PiecewiseFunction(bp, block[:, :, :n], rng.normal(size=n)))
+    R = draw(st.floats(0.05, 3.0))
+    return xs, draw(st.floats(R - 1.0, 2.0)), R
+
+
+def seamed(deg, strided=False):
+    block = np.arange(3.0 * (deg + 1) * 4).reshape(3, deg + 1, 4) / 7.0
+    block.flags.writeable = False
+    views = [block[:, :, k : k + 2] for k in (0, 2)]
+    return [PiecewiseFunction([-1.0, -0.25, 0.5, 2.0], v if strided else v.copy(), [0.5, -0.5]) for v in views]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=cut_together())
+@example(case=(seamed(16), 0.5, 1.0))  # t on a breakpoint
+@example(case=(seamed(13, strided=True), 0.5, 1.0))
+@example(case=(seamed(0), 2.0, 1.0))  # t at the domain end
+@example(case=(seamed(7, strided=True), 2.0, 2.5))
+@example(case=(seamed(16), 0.5 - 5e-10, 1.5))  # t - R 5e-10 before the domain start
+def test_a_sequence_is_cut_with_the_bits_of_each_function_alone(case):
+    # One pass over the sequence: each function gets the bits it gets alone
+    # and the bits of a cut made one function at a time.
+    xs, t, R = case
+    a, b = xs[0].domain
+    lo, hi = max(t - R, a), min(t, b)
+    segments, pieces = history_segment(xs, t, R), restricted(xs, lo, hi)
+    assert len(segments) == len(pieces) == len(xs)
+    for x, seg, piece in zip(xs, segments, pieces):
+        partition, coeffs, value = oracles.restrict_one(x, lo, hi)
+        alone = history_segment(x, t, R)
+        for got in (seg, alone):
+            assert got.domain == (-R, 0.0)
+            assert np.array_equal(got.breakpoints[1:-1], partition[1:-1] - t)
+            assert np.array_equal(got.coeffs, coeffs)
+            assert np.array_equal(got.endpoint_value, value)
+        for got in (piece, x.restrict(lo, hi)):
+            assert np.array_equal(got.breakpoints, partition)
+            assert np.array_equal(got.coeffs, coeffs)
+            assert np.array_equal(got.endpoint_value, value)
+
+
+def test_a_sequence_on_two_partitions_is_not_cut():
+    x = seamed(3)[0]
+    moved = PiecewiseFunction([-1.0, 0.0, 0.5, 2.0], x.coeffs, x.endpoint_value)
+    lower = PiecewiseFunction(x.breakpoints, x.coeffs[:, :2], x.endpoint_value)
+    for other in (moved, lower):
+        with pytest.raises(ValueError, match="one partition and degree"):
+            history_segment([x, other], 1.0, 1.0)
+        with pytest.raises(ValueError, match="one partition and degree"):
+            restricted([x, other], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------- quotient

@@ -369,21 +369,26 @@ class TestVerifyBattery:
         # The 16 direct times t + s, with the identity and 4 stage windows
         # among them, take 9 distinct values, each windowed once from the
         # solve to 2r; then 16 second-stage windows, 13 per modulus table at
-        # r/2 and r and 13 remainders: 64 windows in all.
+        # r/2 and r and 13 remainders: 64 windows in all.  Each table's 13
+        # rows are windowed in one call.
         from ddehist import semiflow
         from ddehist.histspace import history_segment
 
         pb = scalar_problem(saturating(), unit_history(0.4), r=0.8)
-        times = []
+        calls = []
 
         def counting_segment(x, t, R):
-            times.append((x.domain[1] == 1.6, t))
+            xs = [x] if isinstance(x, PiecewiseFunction) else x
+            calls.append([(each.domain[1] == 1.6, t) for each in xs])
             return history_segment(x, t, R)
 
         monkeypatch.setattr(semiflow, "history_segment", counting_segment)
         report = verify_semiflow(pb, unit_history(), count=12)
         assert report.remainder is not None
+        times = [window for call in calls for window in call]
         assert len(times) == 64
+        # The two modulus tables, at r/2 and r, then the remainder table at r.
+        assert [[t for _, t in call] for call in calls if len(call) > 1] == [[0.4] * 13, [0.8] * 13, [0.8] * 13]
         on_x = [t for whole, t in times if whole]
         assert len(on_x) == len(set(on_x)) == 9
         stages = (0.0, 0.3 * 0.8, 0.5 * 0.8, 0.8)
