@@ -7,7 +7,7 @@ perturbation sizes and requires the measured sequence to become monotone
 non-increasing and to fall at a fixed geometric rate from its early peak and
 over its second half.  Values that reach the noise floor of the arithmetic
 are treated as converged rather than compared.  Bound claims, a measured
-value against an analytic limit, are judged only by `cli.Claim.bound`.
+value against an analytic limit, are judged only by `cli.judge`.
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ class Certificate:
         v = self.values
         ref = v[self.reference_row]
         return float(v[-1] / ref) if ref > 0 else 0.0
+
+    @property
+    def judged(self) -> tuple:
+        """(measured, limit) of the relation the verdict judged: a table's
+        largest value against NOISE_FLOOR when all are at the floor."""
+        if np.all(self.values <= NOISE_FLOOR):
+            return float(self.values.max()), NOISE_FLOOR
+        return self.final_over_reference, self.final_limit
 
 
 def certify_decay(values) -> Certificate:

@@ -3,7 +3,10 @@
 A config holds a list of experiments.  Each experiment names a kind, builds
 a problem from registry nonlinearities and piecewise history specs, runs
 the matching certificate suite, and emits one CSV per table plus one
-summary line per claim.  Identical config and seed give byte-identical
+summary line per claim.  Each claim is declared once, in `_CLAIMS`, with
+its relation and a tolerance scaled by an operand of the data, so no
+verdict depends on the data's units; `judge` makes every verdict from the
+values a runner measured.  Identical config and seed give byte-identical
 CSV files: floats are printed with 17 significant digits and LF endings,
 and all randomness flows through per-experiment seeds.
 
@@ -67,7 +70,7 @@ def _require(cond, message):
 
 @dataclass(frozen=True)
 class Claim:
-    """One verdict line: a measured quantity against its certified limit."""
+    """One verdict line: measured against the limit it was judged by, and the scale of its tolerance."""
 
     experiment: str
     name: str
@@ -75,6 +78,7 @@ class Claim:
     limit: float
     passed: bool
     relation: str = "<="
+    scale: float = 1.0
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -83,23 +87,32 @@ class Claim:
             f"measured={self.measured:.6g} {self.relation} limit={self.limit:.6g}"
         )
 
-    @classmethod
-    def bound(cls, experiment, name, measured, limit, slack=0.0, relation="<="):
-        """measured <= limit + slack, or measured >= limit - slack."""
-        if relation == ">=":
-            passed = measured >= limit - slack
-        else:
-            passed = measured <= limit + slack
-        return cls(experiment, name, measured, limit, bool(passed), relation)
 
-    @classmethod
-    def decay(cls, experiment, name, *certs):
-        """The verdict of one or more decay certificates: it passes when all
-        pass, and reports the final ratio and limit of the one nearest its
-        limit."""
-        worst = max(certs, key=lambda c: c.final_over_reference / c.final_limit)
-        passed = all(c.passed for c in certs)
-        return cls(experiment, name, worst.final_over_reference, worst.final_limit, passed)
+@dataclass(frozen=True)
+class ClaimSpec:
+    """One row of the claim table.  A bound claim (relation "<=" or ">=") judges measured against
+    bound + tolerance * scale, where scale names an operand: "1" for a pure number, "bound" for the
+    claim's own bound, or a magnitude its runner reports by that name.  "decay" reads certificates."""
+
+    name: str
+    relation: str
+    tolerance: float = 0.0
+    scale: str = "1"
+
+
+def judge(experiment, spec: ClaimSpec, value, scales=None) -> Claim:
+    """The Claim of one table row on its runner's value: measured (against the bound 0) or
+    (measured, bound); or a certificate or a tuple of them, which passes when all pass and
+    prints the relation that the one nearest its limit judged (`Certificate.judged`)."""
+    if spec.relation == "decay":
+        certs = value if isinstance(value, tuple) else (value,)
+        worst = max(certs, key=lambda c: c.judged[0] / c.judged[1])
+        return Claim(experiment, spec.name, *worst.judged, all(c.passed for c in certs))
+    measured, bound = value if isinstance(value, tuple) else (value, 0.0)
+    scale = {"1": 1.0, "bound": bound, **(scales or {})}[spec.scale]
+    limit = bound + spec.tolerance * scale
+    passed = measured >= limit if spec.relation == ">=" else measured <= limit
+    return Claim(experiment, spec.name, measured, limit, bool(passed), spec.relation, scale)
 
 
 @dataclass(frozen=True)
@@ -273,27 +286,26 @@ def _indicator_width(R: float, r: float, k: int) -> float:
 
 
 def _problem(spec, horizon: float) -> Problem:
-    """spec's Problem, if a solve to horizon takes at most _MAX_STEPS steps
-    and keeps the history breakpoints apart.  A step adds r to every cut,
-    moving two cuts together by at most an ulp of max(1, R, horizon), the
-    scale of `_scale_tol`: gaps above steps * 2^-52 of it stay open."""
+    """spec's Problem, if a solve to horizon has a first cut (`step_edges`), takes at most
+    _MAX_STEPS steps and keeps the history breakpoints apart.  A step adds r to every cut,
+    moving two cuts together by at most an ulp of max(1, R, horizon), the scale of
+    `_scale_tol`: gaps above steps * 2^-52 of it stay open."""
     problem, steps = Problem(spec.space, spec.nonlinearity, spec.delay, spec.history), math.ceil(horizon / spec.delay)
     _require(steps <= _MAX_STEPS, f"horizon/delay is {steps} method-of-steps steps, above the limit of {_MAX_STEPS}")
     limit = steps * 2.0**-52 * max(1.0, spec.space.R, horizon)
     gap = float(np.diff(spec.history.breakpoints).min())
     _require(gap > limit, f"history breakpoints lie {gap:.3g} apart, not above {limit:.3g} for a solve to {horizon:g}")
+    step_edges(horizon, spec.delay)
     return problem
 
 
 def _build_solve(spec):
     spec.problem = _problem(spec, spec.horizon)
-    step_edges(spec.horizon, spec.delay)
 
 
 def _build_dependence(spec):
     spec.problem = _problem(spec, spec.horizon)
     _require(spec.horizon <= spec.delay + 1e-12, "dependence probes need horizon <= delay")
-    step_edges(spec.horizon, spec.delay)
     direction_size(spec.direction, lambda chi: seminorm(chi, spec.space))
 
 
@@ -307,13 +319,11 @@ def _build_lipschitz(spec):
     _require(spec.horizon < spec.space.R, "horizon must satisfy 0 < T < R")
     _require(spec.horizon <= spec.delay <= spec.space.R + 1e-12, "delay must lie in [horizon, R]")
     _problem(spec, spec.horizon)
-    step_edges(spec.horizon, spec.delay)
 
 
 def _build_smooth(spec):
     spec.ctx = DerivativeContext(_problem(spec, spec.horizon), spec.horizon)
-    spec.ctx.require_one_step("smooth.gain-bound")
-    step_edges(spec.horizon, spec.delay)
+    spec.ctx.require_one_step("the smooth gain bound")
     direction_size(spec.direction, lambda chi: lp_norm(chi, spec.ctx.alpha + 1.0))
 
 
@@ -380,32 +390,28 @@ def _linear_reference(matrix, phi: PiecewiseFunction, r: float, T: float, ts) ->
     return out
 
 
-# A linear solve's integrands are polynomials, interpolated exactly while
-# their degree is below the node count, so a correct solve meets the
-# reference to rounding: at most 2.1e-14 on random linear problems over 25
-# delays.  A delay read as 0.999 r gives 2.9e-4 on the ramp.
-_ORACLE_LIMIT = 1e-10
+def _size(x: PiecewiseFunction) -> float:
+    """The magnitude that rounding x scales with, a bound of sup |x| with no squares to under- or
+    overflow: the largest sum of |Chebyshev coefficients| of a piece over its components."""
+    return float(np.abs(x.coeffs).sum(axis=(1, 2)).max())
 
 
-def _run_solve(spec) -> ExperimentResult:
+def _run_solve(spec):
     traj = solve(spec.problem, spec.horizon)
     ts = np.linspace(-spec.space.R, spec.horizon, spec.grid)
     header = ["t"] + [f"x{j + 1}" for j in range(spec.space.N)]
     xs = traj.x(ts)
-    cont = traj.continuity_defect()
-    claims = [
-        Claim.bound(spec.name, "solve.continuity-defect", cont, 1e-9),
-        Claim.bound(spec.name, "solve.integration-defect", traj.integration_defect, 1e-6),
-    ]
+    oracle = None
     if spec.nonlinearity.name == "linear":
         ahead = ts >= 0.0
         ref = _linear_reference(spec.nonlinearity.params["matrix"], spec.history, spec.delay, spec.horizon, ts[ahead])
-        gap = float(np.abs(xs[ahead] - ref).max() / max(1.0, np.abs(ref).max()))
-        claims.append(Claim.bound(spec.name, "solve.oracle-gap", gap, _ORACLE_LIMIT))
-    return ExperimentResult(spec.name, [("trajectory", header, np.column_stack((ts, xs)))], claims)
+        gap = np.abs(xs[ahead] - ref).max()
+        oracle = float(gap / np.abs(ref).max()) if gap else 0.0
+    values = (traj.continuity_defect(), traj.integration_defect, oracle)
+    return [("trajectory", header, np.column_stack((ts, xs)))], values, {"size of x": _size(traj.x)}
 
 
-def _run_dependence(spec) -> ExperimentResult:
+def _run_dependence(spec):
     gap_in, rows = halving_solves(
         spec.problem, spec.direction, spec.horizon, spec.count, lambda chi: seminorm(chi, spec.space)
     )
@@ -415,15 +421,13 @@ def _run_dependence(spec) -> ExperimentResult:
     ygap = sup_norm([prolongation_deviation(gap, step) for step, gap in zip(steps, gaps)])
     base = aligned((steps[0], spec.history))[1]
     l1 = np.array([lp_norm(map_gap(spec.nonlinearity.fn, base, step), 1.0) for step in steps])
-    claims = [
-        Claim.decay(spec.name, "dependence.gap-decay", certify_decay(gap_out)),
-        Claim.bound(spec.name, "dependence.deviation-l1-bound", float(np.max(ygap - l1)), 1e-8),
-    ]
     header = ["scale", "input_gap", "output_gap", "deviation_gap_sup", "l1_bound"]
-    return ExperimentResult(spec.name, [("gaps", header, list(zip(factors, gap_in, gap_out, ygap, l1)))], claims)
+    tables = [("gaps", header, list(zip(factors, gap_in, gap_out, ygap, l1)))]
+    scale = max(_size(spec.history), float(l1.max()))
+    return tables, (certify_decay(gap_out), float(np.max(ygap - l1))), {"max(size of phi, l1_bound)": scale}
 
 
-def _run_lipschitz(spec) -> ExperimentResult:
+def _run_lipschitz(spec):
     lip = spec.nonlinearity.df_growth.c2
     T, R = spec.horizon, spec.space.R
     stated = lip * T / (T + R + 1.0) + (1.0 + T)
@@ -449,104 +453,62 @@ def _run_lipschitz(spec) -> ExperimentResult:
     ratios = gap_out / gap_in[kept]
     worst = float(np.max(ratios)) if kept.size else math.nan  # no instance kept: both claims fail
     rows = list(zip(kept.tolist(), gap_in[kept], gap_out, ratios))
-    claims = [
-        Claim.bound(spec.name, "lipschitz.stated-constant", worst, stated, slack=1e-8),
-        Claim.bound(spec.name, "lipschitz.corrected-constant", worst, corrected, slack=1e-8),
-    ]
-    header = ["instance", "input_gap", "output_gap", "ratio"]
-    return ExperimentResult(spec.name, [("ratios", header, rows)], claims)
+    tables = [("ratios", ["instance", "input_gap", "output_gap", "ratio"], rows)]
+    return tables, ((worst, stated), (worst, corrected)), {}
 
 
-def _run_smooth(spec) -> ExperimentResult:
+def _run_smooth(spec):
     ctx = spec.ctx
     table = remainder_schedule(ctx, spec.direction, spec.count)
     bound = tangent_deviation_bound(ctx)
     probed = estimate_operator_norm(
-        lambda chi: tangent_deviation(ctx, chi),
-        lambda chi: lp_norm(chi, ctx.alpha + 1.0),
-        sup_norm,
-        (-spec.space.R, 0.0),
-        spec.space.N,
-        seed=spec.seed,
-        extra=[spec.direction],
+        lambda chi: tangent_deviation(ctx, chi), lambda chi: lp_norm(chi, ctx.alpha + 1.0), sup_norm,
+        (-spec.space.R, 0.0), spec.space.N, seed=spec.seed, extra=[spec.direction],
     )
-    claims = [
-        Claim.decay(spec.name, "smooth.remainder-decay", table.certificate()),
-        Claim.bound(spec.name, "smooth.gain-bound", probed, bound, slack=1e-8),
-    ]
+    curvature = None
     if spec.nonlinearity.df_lipschitz is not None:
         bounds = halving(spec.count) ** 2 * curvature_remainder_bound(ctx, spec.direction)  # quadratic in chi
-        claims.append(Claim.bound(spec.name, "smooth.curvature-bound", float(np.max(table.remainders - bounds)), 1e-8))
-    header = ["scale", "remainder", "ratio"]
-    return ExperimentResult(spec.name, [("remainder", header, table.as_rows())], claims)
+        curvature = float(np.max(table.remainders - bounds))
+    tables = [("remainder", ["scale", "remainder", "ratio"], table.as_rows())]
+    scale = max(_size(spec.history), float(table.scales[0]))
+    return tables, (table.certificate(), (probed, bound), curvature), {"max(size of phi, row-0 size)": scale}
 
 
-def _run_composition(spec) -> ExperimentResult:
+def _run_composition(spec):
     ctx = spec.ctx
     report = compose(ctx, spec.base)
     gaps = continuity_probe(ctx, spec.base, spec.direction, spec.count)
     dreport = apply_derivative(ctx, spec.base, spec.direction)
     rtable = smoothness_probe(ctx, spec.base, spec.direction, spec.count)
-    claims = [
-        Claim.bound(
-            spec.name, "composition.image-power-bound",
-            report.norm**report.q, report.bound_power, slack=1e-8,
-        ),
-        Claim.decay(spec.name, "composition.gap-decay", gaps.certificate()),
-        Claim.bound(
-            spec.name, "composition.derivative-gain",
-            dreport.norm, dreport.gain_bound * dreport.direction_size, slack=1e-8,
-        ),
-        Claim.decay(spec.name, "composition.remainder-decay", rtable.certificate()),
-    ]
-    tables = [
-        ("continuity", ["input_gap", "output_gap"], gaps.as_rows()),
-        ("smoothness", ["scale", "remainder", "ratio"], rtable.as_rows()),
-    ]
-    return ExperimentResult(spec.name, tables, claims)
+    tables = [("continuity", ["input_gap", "output_gap"], gaps.as_rows())]
+    tables.append(("smoothness", ["scale", "remainder", "ratio"], rtable.as_rows()))
+    gain = (dreport.norm, dreport.gain_bound * dreport.direction_size)
+    return tables, ((report.norm**report.q, report.bound_power), gaps.certificate(), gain, rtable.certificate()), {}
 
 
-def _run_semiflow(spec) -> ExperimentResult:
+def _run_semiflow(spec):
     report = verify_semiflow(spec.problem, spec.direction, spec.count)
     rng = np.random.default_rng(spec.seed)
-    variant = null_set_variant(spec.history, rng)
-    qgap = quotient_invariance(spec.problem, spec.delay, variant)
-    worst_stage = float(np.max(report.composition_defects))
-    claims = [
-        Claim.bound(spec.name, "semiflow.identity-defect", report.identity_defect, 1e-12),
-        Claim.bound(spec.name, "semiflow.stage-split-defect", worst_stage, 1e-9),
-        Claim.bound(spec.name, "semiflow.quotient-invariance", qgap, 1e-10),
-    ]
-    axiom_rows = [
-        (t, s, float(d))
-        for (t, s), d in zip(report.stage_pairs, report.composition_defects)
-    ]
+    qgap = quotient_invariance(spec.problem, spec.delay, null_set_variant(spec.history, rng))
+    axiom_rows = [(t, s, float(d)) for (t, s), d in zip(report.stage_pairs, report.composition_defects)]
     tables = [("axioms", ["t", "s", "defect"], axiom_rows)]
-    worst_excess = -math.inf
     for i, mod in enumerate(report.modulus):
-        excess = float(np.max(mod.gaps.output_gaps - mod.bounds))
-        worst_excess = max(worst_excess, excess)
-        rows = [
-            (gin, gout, float(b))
-            for (gin, gout), b in zip(mod.gaps.as_rows(), mod.bounds)
-        ]
-        tables.append(
-            (f"modulus-{i + 1}", ["input_gap", "output_gap", "bound"], rows)
-        )
-    certs = [mod.gaps.certificate() for mod in report.modulus]
-    claims.append(Claim.decay(spec.name, "semiflow.modulus-decay", *certs))
-    claims.append(Claim.bound(spec.name, "semiflow.modulus-bound", worst_excess, 1e-8))
+        rows = [(gin, gout, float(b)) for (gin, gout), b in zip(mod.gaps.as_rows(), mod.bounds)]
+        tables.append((f"modulus-{i + 1}", ["input_gap", "output_gap", "bound"], rows))
     if report.remainder is not None:
-        claims.append(
-            Claim.decay(spec.name, "semiflow.remainder-decay", report.remainder.certificate())
-        )
-        tables.append(
-            ("remainder", ["scale", "remainder", "ratio"], report.remainder.as_rows())
-        )
-    return ExperimentResult(spec.name, tables, claims)
+        tables.append(("remainder", ["scale", "remainder", "ratio"], report.remainder.as_rows()))
+    values = (
+        report.identity_defect, float(np.max(report.composition_defects)), qgap,
+        tuple(mod.gaps.certificate() for mod in report.modulus),
+        max(float(np.max(mod.gaps.output_gaps - mod.bounds)) for mod in report.modulus),
+        report.remainder.certificate() if report.remainder is not None else None,
+    )
+    size = _size(report.trajectory)
+    bound = max(size, *(float(np.max(mod.bounds)) for mod in report.modulus))
+    return tables, values, {"size of x": size, "max(size of x, modulus bound)": bound}
 
 
-def _run_discontinuity(spec) -> ExperimentResult:
+def _run_discontinuity(spec):
     cfg, r = spec.space, spec.delay
     ks = range(spec.count + 1)
     indicators = [indicator_history(cfg, -r - 1.0 / 4**k, -r + 1.0 / 4**k) for k in ks]
@@ -557,20 +519,11 @@ def _run_discontinuity(spec) -> ExperimentResult:
     f0 = spec.nonlinearity(np.zeros(cfg.N))
     output = np.array([np.linalg.norm(spec.nonlinearity(phi_n(-r)) - f0) for phi_n in indicators])
     rows = list(zip([4**k for k in ks], measured, analytic, output))
-    analytic_err = float(np.max(np.abs(measured - analytic)))
-    drift = float(np.max(np.abs(output - output[0])))
-    floor = float(np.min(output))
-    claims = [
-        Claim.bound(spec.name, "discontinuity.input-gap-analytic", analytic_err, 1e-12),
-        Claim.decay(spec.name, "discontinuity.input-gap-decay", certify_decay(measured)),
-        Claim.bound(spec.name, "discontinuity.output-gap-constant", drift, 1e-12),
-        Claim.bound(
-            spec.name, "discontinuity.output-gap-positive", floor, 1e-9, relation=">="
-        ),
-    ]
-    header = ["n", "input_gap", "analytic_gap", "output_gap"]
-    return ExperimentResult(spec.name, [("gaps", header, rows)], claims)
-
+    values = (
+        float(np.max(np.abs(measured - analytic))), certify_decay(measured),
+        float(np.max(np.abs(output - output[0]))), float(np.min(output)),
+    )
+    return [("gaps", ["n", "input_gap", "analytic_gap", "output_gap"], rows)], values, {}
 
 
 # -- the kinds --------------------------------------------------------------
@@ -580,7 +533,7 @@ def _run_discontinuity(spec) -> ExperimentResult:
 class Kind:
     """One experiment kind: its table, read after the common fields; `build`,
     which checks the rules that join fields and stores the objects `run`
-    uses on the spec; `run`."""
+    uses on the spec; `run`, which returns tables, claim values and scales."""
 
     fields: dict
     build: object
@@ -616,6 +569,40 @@ _SCHEDULE = {**_PROBLEM, "direction": _HISTORY, "horizon": _HORIZON, "count": _C
 _END = Field(float, _REQUIRED, _BOUNDED)  # of the composition domain
 _MAX_STEPS = 10**4  # method-of-steps steps of one solve: 50 times the benchmark's longest, 200
 
+# -- the claims.  A runner returns its tables, its kind's claim values in table
+# order (None for a claim it does not make), and the magnitudes its scales name:
+# the `_size` of the trajectory x or the history phi, the first input size, and
+# the largest entry of a CSV column.  A tolerance is a unit-scale run's limit or
+# slack, times the magnitude its value rounds at: no `linear` verdict moves.
+
+_CLAIMS = (
+    ClaimSpec("solve.continuity-defect", "<=", 1e-9, "size of x"),
+    ClaimSpec("solve.integration-defect", "<=", 1e-6, "size of x"),
+    # |x - reference| / sup |reference| on the grid in [0, T]: at most 2.1e-14 on random
+    # linear problems over 25 delays, and 2.9e-4 on the ramp with the delay read as 0.999 r.
+    ClaimSpec("solve.oracle-gap", "<=", 1e-10),
+    ClaimSpec("dependence.gap-decay", "decay"),
+    ClaimSpec("dependence.deviation-l1-bound", "<=", 1e-8, "max(size of phi, l1_bound)"),
+    ClaimSpec("lipschitz.stated-constant", "<=", 1e-8),
+    ClaimSpec("lipschitz.corrected-constant", "<=", 1e-8),
+    ClaimSpec("smooth.remainder-decay", "decay"),
+    ClaimSpec("smooth.gain-bound", "<=", 1e-8, "bound"),
+    ClaimSpec("smooth.curvature-bound", "<=", 1e-8, "max(size of phi, row-0 size)"),
+    ClaimSpec("composition.image-power-bound", "<=", 1e-8, "bound"),
+    ClaimSpec("composition.gap-decay", "decay"),
+    ClaimSpec("composition.derivative-gain", "<=", 1e-8, "bound"),
+    ClaimSpec("composition.remainder-decay", "decay"),
+    ClaimSpec("semiflow.identity-defect", "<=", 1e-12, "size of x"),
+    ClaimSpec("semiflow.stage-split-defect", "<=", 1e-9, "size of x"),
+    ClaimSpec("semiflow.quotient-invariance", "<=", 1e-10, "size of x"),
+    ClaimSpec("semiflow.modulus-decay", "decay"),
+    ClaimSpec("semiflow.modulus-bound", "<=", 1e-8, "max(size of x, modulus bound)"),
+    ClaimSpec("semiflow.remainder-decay", "decay"),
+    ClaimSpec("discontinuity.input-gap-analytic", "<=", 1e-12),
+    ClaimSpec("discontinuity.input-gap-decay", "decay"),
+    ClaimSpec("discontinuity.output-gap-constant", "<=", 1e-12),
+    ClaimSpec("discontinuity.output-gap-positive", ">=", 1e-9),
+)
 _KIND_TABLE = {
     "solve": Kind(
         {**_PROBLEM, "horizon": Field(float, _REQUIRED, _POSITIVE), "grid": Field(int, 1001, "[2, 1000000]")},
@@ -642,6 +629,7 @@ _KIND_TABLE = {
         _build_discontinuity, _run_discontinuity,
     ),
 }
+_CLAIM_TABLE = {kind: tuple(c for c in _CLAIMS if c.name.split(".")[0] == kind) for kind in _KIND_TABLE}
 
 # `ddehist demo` without a config: the cubic's jump at r = 0.5 on L^1.
 _DEMO = {
@@ -685,7 +673,9 @@ def parse_config(doc, global_seed):
 
 
 def run_experiment(spec) -> ExperimentResult:
-    return _KIND_TABLE[spec.kind].run(spec)
+    tables, values, scales = _KIND_TABLE[spec.kind].run(spec)
+    claims = zip(_CLAIM_TABLE[spec.kind], values, strict=True)
+    return ExperimentResult(spec.name, tables, [judge(spec.name, c, v, scales) for c, v in claims if v is not None])
 
 
 # -- output -----------------------------------------------------------------

@@ -180,13 +180,14 @@ def time_map_derivative_gap(
 
 @dataclass(frozen=True, eq=False)
 class SemiflowReport:
-    """Bundle of the axiom, continuity, and smoothness evidence for one flow."""
+    """The axiom, continuity and smoothness evidence for one flow, and the solve of phi to 2r it read."""
 
     identity_defect: float
     composition_defects: np.ndarray
     stage_pairs: tuple
     modulus: tuple
     remainder: RemainderTable | None
+    trajectory: PiecewiseFunction
 
 
 def verify_semiflow(pb: Problem, direction: PiecewiseFunction, count: int = 12) -> SemiflowReport:
@@ -213,4 +214,4 @@ def verify_semiflow(pb: Problem, direction: PiecewiseFunction, count: int = 12) 
     differentiable = pb.nl.jac is not None and pb.nl.df_growth is not None
     if differentiable and cfg.p >= pb.nl.df_growth.alpha + 1 - 1e-12:
         remainder = _remainder_table(DerivativeContext(pb, r), direction, sizes, rows)
-    return SemiflowReport(identity, seminorm(gaps, cfg), tuple(pairs), modulus, remainder)
+    return SemiflowReport(identity, seminorm(gaps, cfg), tuple(pairs), modulus, remainder, x)

@@ -19,7 +19,7 @@ import config_sweep
 import oracles
 from ddehist import cli
 from ddehist.certify import certify_decay
-from ddehist.cli import Claim, ConfigError, main, parse_config, write_csv
+from ddehist.cli import ClaimSpec, ConfigError, judge, main, parse_config, write_csv
 
 SOLVE_EXPERIMENT = {
     "name": "ramp",
@@ -143,7 +143,7 @@ class TestKindValidation:
         }
         cfg = write_config(tmp_path, [exp])
         assert main(["verify", "--config", cfg]) == 2
-        assert "smooth.gain-bound is a one-step bound" in capsys.readouterr().err
+        assert "gain bound is a one-step bound" in capsys.readouterr().err
 
     def test_dependence_horizon_beyond_delay_rejected(self, tmp_path):
         exp = {
@@ -857,28 +857,62 @@ class TestDeterminism:
 
 
 class TestClaim:
+    # `judge` on table rows made here: a bound of 1 at the slack 1e-8.
+    SLACK = ClaimSpec("c", "<=", 1e-8)
+
     def test_measured_below_limit_passes(self):
-        claim = Claim.bound("e", "c", 0.97, 1.0, slack=1e-8)
+        claim = judge("e", self.SLACK, (0.97, 1.0))
         assert claim.passed
         assert claim.line() == "PASS e c measured=0.97 <= limit=1"
 
     def test_measured_above_limit_fails(self):
-        assert not Claim.bound("e", "c", 1.2, 1.0, slack=1e-8).passed
-        assert not Claim.bound("e", "c", 0.5, 1.0, relation=">=").passed
+        assert not judge("e", self.SLACK, (1.2, 1.0)).passed
+        assert not judge("e", ClaimSpec("c", ">="), (0.5, 1.0)).passed
 
     def test_slack_absorbs_rounding(self):
-        assert Claim.bound("e", "c", 1.0 + 5e-9, 1.0, slack=1e-8).passed
-        assert not Claim.bound("e", "c", 1.0 + 5e-9, 1.0).passed
+        assert judge("e", self.SLACK, (1.0 + 5e-9, 1.0)).passed
+        assert not judge("e", ClaimSpec("c", "<="), (1.0 + 5e-9, 1.0)).passed
+
+    def test_tolerance_scales_with_the_named_operand(self):
+        spec = ClaimSpec("c", "<=", 1e-9, "size")
+        claim = judge("e", spec, 5e-7, {"size": 1e3})
+        assert claim.passed and (claim.limit, claim.scale) == (1e-9 * 1e3, 1e3)
+        assert not judge("e", spec, 5e-7, {"size": 1.0}).passed
+        assert judge("e", ClaimSpec("c", "<=", 1e-8, "bound"), (1e6 + 5e-3, 1e6)).passed
 
     def test_decay_reports_the_certificate_nearest_its_limit(self):
+        spec = ClaimSpec("c", "decay")
         fast, slow = certify_decay(0.25 ** np.arange(13)), certify_decay(0.5 ** np.arange(13))
-        claim = Claim.decay("e", "c", fast, slow)
+        claim = judge("e", spec, (fast, slow))
         assert claim.passed
         assert (claim.measured, claim.limit) == (slow.final_over_reference, slow.final_limit)
         flat = certify_decay(np.ones(13))
-        claim = Claim.decay("e", "c", fast, flat, slow)
+        claim = judge("e", spec, (fast, flat, slow))
         assert not flat.passed and not claim.passed
         assert (claim.measured, claim.limit) == (1.0, flat.final_limit)
+
+    def test_a_noise_floor_pass_prints_the_relation_it_judged(self):
+        claim = judge("e", ClaimSpec("c", "decay"), certify_decay(np.array([3e-13, 9e-13, 1e-13, 2e-13])))
+        assert claim.passed
+        assert claim.line() == "PASS e c measured=9e-13 <= limit=1e-12"
+
+
+class TestScaledTolerances:
+    # cubic with R = delay = horizon = 1e6, p = 12, and history and direction
+    # 1e6: every field lies in its range, and the solution reaches about 1e24.
+    # The integration defect (2304) and the deviation excess (5.4e8) are
+    # rounding at that size, against limits of 1e18 and 7e16.
+    VAST = {"nonlinearity": {"name": "cubic"}, "space": {"R": 1e6, "p": 12.0, "N": 1}, "delay": 1e6, "horizon": 1e6,
+            "history": {"constant": [1e6]}}
+
+    def test_a_solution_of_size_1e24_passes_its_rounding_claims(self, tmp_path, capsys):
+        solve = dict(self.VAST, name="vast-solve", kind="solve")
+        dependence = dict(self.VAST, name="vast-dependence", kind="dependence", direction={"constant": [1e6]})
+        cfg = write_config(tmp_path, [solve, dependence])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "PASS vast-solve solve.integration-defect" in out
+        assert "PASS vast-dependence dependence.deviation-l1-bound" in out
 
 
 class TestFailurePropagation:
