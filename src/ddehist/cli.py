@@ -50,8 +50,8 @@ from .derivops import (
     tangent_deviation,
     tangent_deviation_bound,
 )
-from .funcrep import PiecewiseFunction, aligned, lp_norm, sup_norm
-from .histspace import HistoryConfig, endpoint_lp_norm, prolongation_deviation, seminorm
+from .funcrep import DomainError, PiecewiseFunction, _scale_tol, aligned, lp_norm, sup_norm
+from .histspace import HistoryConfig, HistoryElement, endpoint_lp_norm, prolongation_deviation, seminorm
 from .nonlinear import make
 from .semiflow import quotient_invariance, verify_semiflow
 from .solver import Problem, solve, step_edges
@@ -226,12 +226,12 @@ def _function_field(value, frame):
                 out = PiecewiseFunction.from_power(f["breakpoints"], f["pieces"], endpoint)
             except (KeyError, TypeError, ValueError, IndexError) as exc:
                 raise ConfigError(f"bad {label} pieces: {exc}") from exc
-            a, b = out.domain
-            tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-            _require(abs(a - lo) <= tol and abs(b - hi) <= tol, f"{label} breakpoints must span [{lo}, {hi}]")
+            if out.domain != (lo, hi):
+                try:  # ends within the snap tolerance are put on the field's domain
+                    out = out._snap_domain(lo, hi)
+                except DomainError:
+                    raise ConfigError(f"{label} breakpoints must span [{lo}, {hi}]") from None
             _require(out.n_components == n_components, f"{label} has wrong component count")
-            if (a, b) != (lo, hi):
-                out = out._snap_domain(lo, hi)
         else:
             opts = f["random"]
             out = random_piecewise(
@@ -285,17 +285,17 @@ def _indicator_width(R: float, r: float, k: int) -> float:
 # Their errors (ConfigError, or a ValueError of a constructor or `step_edges`) get the name prefixed.
 
 
-def _problem(spec, horizon: float) -> Problem:
+def _problem(spec, horizon: float, one_step: str = "") -> Problem:
     """spec's Problem, if a solve to horizon has a first cut (`step_edges`), takes at most
-    _MAX_STEPS steps and keeps the history breakpoints apart.  A step adds r to every cut,
-    moving two cuts together by at most an ulp of max(1, R, horizon), the scale of
-    `_scale_tol`: gaps above steps * 2^-52 of it stay open."""
+    _MAX_STEPS steps (one if one_step names a one-step bound) and keeps the history
+    breakpoints apart.  A step adds r to every cut, moving two cuts together by at most an
+    ulp of max(1, R, horizon), the scale of `_scale_tol`: gaps above steps * 2^-52 of it stay open."""
     problem, steps = Problem(spec.space, spec.nonlinearity, spec.delay, spec.history), math.ceil(horizon / spec.delay)
     _require(steps <= _MAX_STEPS, f"horizon/delay is {steps} method-of-steps steps, above the limit of {_MAX_STEPS}")
     limit = steps * 2.0**-52 * max(1.0, spec.space.R, horizon)
     gap = float(np.diff(spec.history.breakpoints).min())
     _require(gap > limit, f"history breakpoints lie {gap:.3g} apart, not above {limit:.3g} for a solve to {horizon:g}")
-    step_edges(horizon, spec.delay)
+    step_edges(horizon, spec.delay, one_step)
     return problem
 
 
@@ -304,26 +304,20 @@ def _build_solve(spec):
 
 
 def _build_dependence(spec):
-    spec.problem = _problem(spec, spec.horizon)
-    _require(spec.horizon <= spec.delay + 1e-12, "dependence probes need horizon <= delay")
+    spec.problem = _problem(spec, spec.horizon, "the deviation l1 bound")
     direction_size(spec.direction, lambda chi: seminorm(chi, spec.space))
 
 
 def _build_lipschitz(spec):
     _require(spec.space.p == 1.0, "the dependence constant is stated for p = 1")
     growth = spec.nonlinearity.df_growth
-    _require(
-        growth is not None and growth.c1 == 0.0,
-        "needs a globally Lipschitz map (constant Jacobian bound)",
-    )
+    _require(growth is not None and growth.c1 == 0.0, "needs a globally Lipschitz map (constant Jacobian bound)")
     _require(spec.horizon < spec.space.R, "horizon must satisfy 0 < T < R")
-    _require(spec.horizon <= spec.delay <= spec.space.R + 1e-12, "delay must lie in [horizon, R]")
-    _problem(spec, spec.horizon)
+    _problem(spec, spec.horizon, "the dependence constant")
 
 
 def _build_smooth(spec):
-    spec.ctx = DerivativeContext(_problem(spec, spec.horizon), spec.horizon)
-    spec.ctx.require_one_step("the smooth gain bound")
+    spec.ctx = DerivativeContext(_problem(spec, spec.horizon, "the smooth gain bound"), spec.horizon)
     direction_size(spec.direction, lambda chi: lp_norm(chi, spec.ctx.alpha + 1.0))
 
 
@@ -342,11 +336,10 @@ def _build_semiflow(spec):
 
 
 def _build_discontinuity(spec):
-    _require(spec.delay <= spec.space.R + 1e-12, "delay must lie in (0, R]")
-    n, dim = spec.space.N, spec.nonlinearity.dim
-    _require(dim == n, f"nonlinearity dimension {dim} does not match the space's N = {n}")
     R, r, count = spec.space.R, spec.delay, spec.count
-    width, tol = _indicator_width(R, r, count), 1e-12 * max(1.0, R)
+    # The functional jumps at the zero history: its Problem checks the delay and the dimension.
+    Problem(spec.space, spec.nonlinearity, r, HistoryElement.constant(np.zeros(spec.space.N), R))
+    width, tol = _indicator_width(R, r, count), _scale_tol(R)
     _require(
         width > tol,
         f"at count = {count} the last indicator around -r = {-r:g} on [-R, 0] = "

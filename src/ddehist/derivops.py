@@ -26,7 +26,7 @@ from .corpus import piecewise_constant
 from .funcrep import LazyComposition, PiecewiseFunction, aligned, lp_norm, stack, sup_norm
 from .histspace import HistoryConfig, prolongation_deviation
 from .nonlinear import holder_conjugate, spectral_norm, tangent_system
-from .solver import Problem, solve
+from .solver import Problem, solve, step_edges
 
 __all__ = [
     "ZERO_SIZE",
@@ -53,10 +53,10 @@ ZERO_SIZE = 1e-13  # a direction or probe smaller than this in its norm counts a
 class DerivativeContext:
     """A problem together with the exponents used for differentiation.
 
-    horizon is the linearization window; the one-step bounds check that it
-    is at most one delay.  The exponent p of the problem's history space
-    must dominate alpha + 1, where alpha is the certified growth order of
-    the Jacobian.  q, the Hoelder conjugate of alpha + 1, is where Df along
+    horizon is the linearization window; the one-step bounds check that
+    `step_edges` cuts it as one step.  The exponent p of the problem's history
+    space must dominate alpha + 1, where alpha is the certified growth order
+    of the Jacobian.  q, the Hoelder conjugate of alpha + 1, is where Df along
     the base history must be integrable for the integral part to be bounded.
     """
 
@@ -81,12 +81,6 @@ class DerivativeContext:
     @property
     def q(self) -> float:
         return holder_conjugate(self.alpha + 1.0)
-
-    def require_one_step(self, bound: str) -> None:
-        """Raise unless horizon <= r, where the one-step bound named `bound` holds."""
-        r = self.problem.r
-        if self.horizon > r + 1e-12 * max(1.0, r):
-            raise ValueError(f"{bound} is a one-step bound: horizon must lie in (0, r]")
 
 
 def _doubled_solve(ctx: DerivativeContext, chi: PiecewiseFunction) -> tuple:
@@ -118,7 +112,7 @@ def tangent_deviation_bound(ctx: DerivativeContext) -> float:
     By Hoelder, the integral part is dominated in sup norm by this number
     times the L^(alpha+1) size of the direction.
     """
-    ctx.require_one_step("tangent_deviation_bound")
+    step_edges(ctx.horizon, ctx.problem.r, one_step="tangent_deviation_bound")
     pb = ctx.problem
     jac = pb.nl.jacobian
     gains = LazyComposition(pb.phi, lambda v: spectral_norm(jac(v))[:, None], 1)
@@ -246,7 +240,7 @@ def derivative_gap(
     histories.  That is what makes the derivative continuous in the base
     point.
     """
-    ctx.require_one_step("derivative_gap")
+    step_edges(ctx.horizon, ctx.problem.r, one_step="derivative_gap")
     pb = ctx.problem
     ctx0 = DerivativeContext(replace(pb, phi=phi0), ctx.horizon)
     bound = lp_norm(jacobian_gap(pb.nl.jac, pb.phi, phi0), ctx.q)

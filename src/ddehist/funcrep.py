@@ -57,8 +57,14 @@ class DomainError(ValueError):
 _NODES_PER_PIECE = 16
 
 
-def _scale_tol(a: float, b: float) -> float:
-    return 1e-12 * max(1.0, abs(a), abs(b))
+def _scale_tol(*ends: float) -> float:
+    """The breakpoint tolerance, 1e-12 max(1, |ends|): breakpoints closer than this are one."""
+    return 1e-12 * max(1.0, *map(abs, ends))
+
+
+def _snap_tol(*ends: float, unit: float = 1.0) -> float:
+    """The snap tolerance, 1e-9 max(unit, |ends|): an end this close to its target is put on it."""
+    return 1e-9 * max(unit, *map(abs, ends))
 
 
 @lru_cache(maxsize=None)
@@ -363,8 +369,8 @@ class PiecewiseFunction:
 
 
 def _snapped(bp: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """bp with its ends put on exact targets lo and hi, 1e-9 (relative) away at most."""
-    tol = 1e-9 * max(1.0, abs(bp[0]), abs(bp[-1]), abs(lo), abs(hi))
+    """bp with its ends put on exact targets lo and hi, `_snap_tol` away at most."""
+    tol = _snap_tol(bp[0], bp[-1], lo, hi)
     if abs(bp[0] - lo) > tol or abs(bp[-1] - hi) > tol:
         raise DomainError("snap targets too far from the actual domain")
     return np.concatenate(([lo], bp[1:-1], [hi]))

@@ -8,8 +8,8 @@ where phi(0) is the stored endpoint value, not an almost-everywhere limit.
 A history is any `PiecewiseFunction` on [-R, 0] with N components: a
 representative plus that endpoint value.  `Problem` and `seminorm` check
 both ends and N where a history enters.  `HistoryElement` is the
-PiecewiseFunction that puts a right end within 1e-9 of 0 onto 0, and
-`HistoryElement.constant(values, R)` builds a constant history.
+PiecewiseFunction that puts a right end within `funcrep._snap_tol` of 0
+onto 0, and `HistoryElement.constant(values, R)` builds a constant history.
 Identifying histories with seminorm-zero difference yields a product of an
 L^p class and a point value; `to_pair` / `from_pair` realize that isometry.
 The same endpoint-augmented norm on arbitrary intervals (`endpoint_lp_norm`)
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcrep import DomainError, PiecewiseFunction, _cut, _sealed, _snapped, lp_norm
+from .funcrep import DomainError, PiecewiseFunction, _cut, _sealed, _snap_tol, _snapped, lp_norm
 
 __all__ = [
     "HistoryConfig",
@@ -60,13 +60,13 @@ class HistoryConfig:
 
 
 class HistoryElement(PiecewiseFunction):
-    """A PiecewiseFunction built on [-R, 0]: a right end within 1e-9 of 0 is
-    put on 0, and its endpoint value plays the role of phi(0)."""
+    """A PiecewiseFunction built on [-R, 0]: a right end within `_snap_tol`
+    of 0 is put on 0, and its endpoint value plays the role of phi(0)."""
 
     def __post_init__(self):
         super().__post_init__()
         a, b = self.domain
-        if abs(b) > 1e-9 * max(1.0, abs(a)):
+        if abs(b) > _snap_tol(a):
             raise DomainError("histories must end at 0")
         if b != 0.0:
             object.__setattr__(self, "breakpoints", np.append(self.breakpoints[:-1], 0.0))
@@ -95,7 +95,7 @@ class QuotientPair:
 def _check(phi: PiecewiseFunction, cfg: HistoryConfig) -> None:
     # The solver starts its steps at exactly 0, where the history ends.
     a, b = phi.domain
-    if abs(a + cfg.R) > 1e-9 * max(1.0, cfg.R) or b != 0.0:
+    if abs(a + cfg.R) > _snap_tol(cfg.R) or b != 0.0:
         raise DomainError(f"history on [{a}, {b}] is not on [-R, 0] with R={cfg.R}")
     if phi.n_components != cfg.N:
         raise ValueError("history component count does not match config")
@@ -159,7 +159,7 @@ def history_segment(x: PiecewiseFunction | Sequence[PiecewiseFunction], t: float
     single = isinstance(x, PiecewiseFunction)
     xs = [x] if single else x
     a, b = xs[0].domain
-    tol = 1e-9 * max(1.0, abs(a), abs(b))
+    tol = _snap_tol(a, b)
     if t - R < a - tol or t > b + tol:
         raise DomainError("segment window is not contained in the domain")
     partition, coeffs, values = _cut(xs, max(t - R, a), min(t, b))

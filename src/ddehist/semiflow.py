@@ -31,7 +31,7 @@ from .derivops import (
     tangent_deviation,
     tangent_trajectory,
 )
-from .funcrep import PiecewiseFunction, lp_norm, restricted, sup_norm
+from .funcrep import PiecewiseFunction, _snap_tol, lp_norm, restricted, sup_norm
 from .histspace import (
     HistoryConfig,
     history_segment,
@@ -40,7 +40,7 @@ from .histspace import (
     regulation_constant,
     seminorm,
 )
-from .solver import Problem, solve
+from .solver import Problem, solve, step_edges
 
 __all__ = [
     "ModulusTable",
@@ -74,10 +74,11 @@ def semigroup_defect(pb: Problem, t: float, s: float) -> float:
 def quotient_invariance(pb: Problem, t: float, psi: PiecewiseFunction) -> float:
     """Evolution gap between pb.phi and another representative psi of its class.
 
-    The inputs must agree almost everywhere and at 0; the returned gap is
-    what makes the induced map on classes well defined.
+    The inputs must agree almost everywhere and at 0, to `_snap_tol` of their
+    seminorms; the returned gap is what makes the induced map on classes well defined.
     """
-    if seminorm(pb.phi - psi, pb.cfg) > 1e-9:
+    gap, *sizes = seminorm([pb.phi - psi, pb.phi, psi], pb.cfg)
+    if gap > _snap_tol(*sizes, unit=0.0):
         raise ValueError("histories are not representatives of the same class")
     moved_phi = evolve(pb, t)
     moved_psi = evolve(replace(pb, phi=psi), t)
@@ -156,7 +157,7 @@ def time_map_derivative_gap(
     """
     cfg = pb.cfg
     ctx = DerivativeContext(pb, float(t))
-    ctx.require_one_step("time_map_derivative_gap")
+    step_edges(ctx.horizon, pb.r, one_step="time_map_derivative_gap")
     ctx0 = DerivativeContext(replace(pb, phi=phi0), float(t))
     holder_gap = lp_norm(jacobian_gap(pb.nl.jac, pb.phi, phi0), ctx.q)
     bound = regulation_constant(-cfg.R, 0.0, cfg.p) * holder_gap
@@ -210,8 +211,9 @@ def verify_semiflow(pb: Problem, direction: PiecewiseFunction, count: int = 12) 
     gaps = [windows[t + s] - history_segment(staged[t], s, cfg.R) for t, s in pairs]
     sizes, rows = halving_solves(pb, direction, r, count, lambda chi: seminorm(chi, cfg))
     modulus = tuple(_modulus_table(cfg, t, sizes, rows) for t in (0.5 * r, r))
-    remainder = None
-    differentiable = pb.nl.jac is not None and pb.nl.df_growth is not None
-    if differentiable and cfg.p >= pb.nl.df_growth.alpha + 1 - 1e-12:
-        remainder = _remainder_table(DerivativeContext(pb, r), direction, sizes, rows)
+    try:
+        ctx = DerivativeContext(pb, r)
+    except ValueError:  # f is not differentiable on this space: no remainder table
+        ctx = None
+    remainder = None if ctx is None else _remainder_table(ctx, direction, sizes, rows)
     return SemiflowReport(identity, seminorm(gaps, cfg), tuple(pairs), modulus, remainder, x)

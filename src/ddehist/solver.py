@@ -60,10 +60,10 @@ class Problem:
     phi: PiecewiseFunction
 
     def __post_init__(self):
-        if not 0.0 < self.r <= self.cfg.R + 1e-12 * max(1.0, self.cfg.R):
+        if not 0.0 < self.r <= self.cfg.R + _scale_tol(self.cfg.R):
             raise ValueError("delay must satisfy 0 < r <= R")
         if self.nl.dim != self.cfg.N:
-            raise ValueError("nonlinearity dimension does not match the space")
+            raise ValueError(f"nonlinearity dimension {self.nl.dim} does not match the space's N = {self.cfg.N}")
         _check(self.phi, self.cfg)
 
 
@@ -97,18 +97,21 @@ class Trajectory:
         return float(max(final, gaps.max(initial=0.0)))
 
 
-def step_edges(T: float, r: float) -> np.ndarray:
-    """Partition of [0, T] at multiples of r, with a truncated last step; a
-    ValueError when T is within 1e-12 max(1, T) of 0 and so has no step."""
-    tol = 1e-12 * max(1.0, T)
-    count = int(np.floor(T / r + 1e-12))
+def step_edges(T: float, r: float, one_step: str = "") -> np.ndarray:
+    """Partition of [0, T] at multiples of r, the last put on T while its step stays within 8 ulps of T
+    of r (as `_delayed_rhs` allows), else followed by a shorter step; a ValueError when T < r is within
+    `_scale_tol(T)` of 0, or when one_step names a one-step bound and there is more than one step."""
+    tol = _scale_tol(T)
+    count = int(np.floor(T / r))
     edges = [i * r for i in range(count + 1)]
-    if T - edges[-1] > tol:
-        edges.append(T)
-    elif count:
+    if count and T - edges[-2] <= r + _ULPS * T:
         edges[-1] = T
+    elif count or T > tol:
+        edges.append(T)
     else:
         raise ValueError(f"horizon {T:g} is within {tol:g} of 0, too short for one method-of-steps cut")
+    if one_step and len(edges) > 2:
+        raise ValueError(f"{one_step} is a one-step bound: horizon must lie in (0, r]")
     return np.array(edges)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import config_sweep
@@ -20,6 +20,10 @@ import oracles
 from ddehist import cli
 from ddehist.certify import certify_decay
 from ddehist.cli import ClaimSpec, ConfigError, judge, main, parse_config, write_csv
+from ddehist.funcrep import _scale_tol
+from ddehist.histspace import HistoryConfig, HistoryElement
+from ddehist.nonlinear import linear
+from ddehist.solver import Problem, step_edges
 
 SOLVE_EXPERIMENT = {
     "name": "ramp",
@@ -344,6 +348,83 @@ class TestKindValidation:
                 {"experiments": [{k: v for k, v in SOLVE_EXPERIMENT.items() if k != "horizon"}]},
                 0,
             )
+
+
+def builds(exp) -> bool:
+    """Whether parse_config accepts the one experiment exp."""
+    try:
+        parse_config({"experiments": [exp]}, 0)
+    except ConfigError:
+        return False
+    return True
+
+
+@st.composite
+def near_one_delay(draw):
+    """(R, r, T): R from 1e-6 to 1e6, a delay r <= R from 1e-12, and a
+    horizon T within two breakpoint tolerances of r, T <= 1e6."""
+    R = min(max(10.0 ** draw(st.floats(-6.0, 6.0)), 1e-6), 1e6)
+    r = min(R, 10.0 ** draw(st.floats(-12.0, 6.0)))
+    return R, r, min(1e6, r + draw(st.floats(-2.0, 2.0)) * _scale_tol(r))
+
+
+ONE_STEP_KINDS = {  # a map and an exponent that each kind accepts
+    "dependence": ({"name": "saturating"}, 2.0),
+    "smooth": ({"name": "quadratic"}, 2.0),
+    "lipschitz": ({"name": "linear", "params": {"matrix": [[3.0]]}}, 1.0),
+}
+
+
+class TestOneDefinitionPerRule:
+    # Each kind's builder accepts exactly what the solver and `Problem` accept.
+    # The parent's builders restated the rules with tolerances of their own:
+    # dependence refused the solver's one step at R = 1e6, delay 999999.9999995,
+    # horizon 1e6 (which the solver now cuts as two), and lipschitz and
+    # discontinuity refused the delay 500000.00000025 at R = 5e5.
+
+    @pytest.mark.parametrize("kind", sorted(ONE_STEP_KINDS))
+    @settings(max_examples=60, deadline=None)
+    @given(case=near_one_delay())
+    @example(case=(1e6, 999999.9999995, 1e6))
+    @example(case=(1.0, 2e-12, 2.9e-12))
+    def test_one_step_kinds_accept_exactly_the_horizons_the_solver_cuts_as_one_step(self, kind, case):
+        R, r, T = case
+        assume(T > 0.0)
+        nonlinearity, p = ONE_STEP_KINDS[kind]
+        exp = {"kind": kind, "nonlinearity": nonlinearity, "space": {"R": R, "p": p, "N": 1}, "delay": r, "horizon": T}
+        try:
+            one_step = len(step_edges(T, r)) == 2
+        except ValueError:  # no step at all
+            one_step = False
+        assert builds(exp) == (one_step and (kind != "lipschitz" or T < R))  # lipschitz also needs T < R
+
+    @pytest.mark.parametrize("kind", ["discontinuity", "lipschitz", "solve"])
+    @settings(max_examples=60, deadline=None)
+    @given(R=st.floats(-6.0, math.log10(5e5)).map(lambda e: min(max(10.0**e, 1e-6), 5e5)), excess=st.floats(-2.0, 2.0))
+    @example(R=5e5, excess=0.5)  # the delay 500000.00000025
+    def test_kinds_with_a_delay_accept_exactly_the_delays_problem_accepts(self, kind, R, excess):
+        r = R + excess * _scale_tol(R)
+        try:
+            Problem(HistoryConfig(R, 1.0), linear(np.array([[3.0]])), r, HistoryElement.constant([1.0], R))
+            accepted = True
+        except ValueError:
+            accepted = False
+        exp = {"kind": kind, "nonlinearity": ONE_STEP_KINDS["lipschitz"][0], "space": {"R": R, "p": 1.0, "N": 1}}
+        exp.update({"delay": r, "count": 3} if kind == "discontinuity" else {"delay": r, "horizon": R / 2.0})
+        assert builds(exp) == accepted
+
+    @pytest.mark.parametrize("R, delay, horizon", [(1.0, 2e-12, 2.9e-12), (1e-6, 5e-13, 9.5e-13)])
+    def test_a_tail_under_the_tolerance_is_a_step_of_its_own(self, tmp_path, capsys, R, delay, horizon):
+        # A tail of 0.45 (0.9) delays, under the breakpoint tolerance 1e-12,
+        # joined the step before it: one step of 1.45 (1.9) delays read the
+        # history past 0, and the oracle gap was 9e-7 (4.5e-7).
+        exp = dict(
+            SOLVE_EXPERIMENT, nonlinearity={"name": "linear", "params": {"matrix": [[1e6]]}},
+            space={"R": R, "p": 2.0, "N": 1}, delay=delay, horizon=horizon,
+            history={"constant": [0.0], "endpoint": [1.0]},
+        )
+        assert main(["solve", "--config", write_config(tmp_path, [exp]), "--out", str(tmp_path / "o")]) == 0
+        assert "PASS ramp solve.oracle-gap" in capsys.readouterr().out
 
 
 SWEPT = {(stem, exp["name"]): exp for stem, exp in config_sweep.experiments()}

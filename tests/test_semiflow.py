@@ -154,6 +154,17 @@ class TestQuotientInvariance:
         with pytest.raises(ValueError):
             quotient_invariance(pb, 0.5, unit_history(1.0))
 
+    def test_the_class_check_is_relative_to_the_histories(self):
+        # The constants 1e-12 and 2e-12 differ by half their size: an
+        # absolute 1e-9 took them for one class.
+        pb = scalar_problem(saturating(), unit_history(1e-12))
+        with pytest.raises(ValueError, match="not representatives of the same class"):
+            quotient_invariance(pb, 0.5, unit_history(2e-12))
+        # A null-set variant of a history of size 1e6 differs by rounding only.
+        rng = np.random.default_rng(11)
+        phi = random_history(rng, SCALAR, scale=1e6)
+        assert quotient_invariance(scalar_problem(saturating(), phi, r=0.8), 1.3, null_set_variant(phi, rng)) <= 1e-10 * 1e6
+
 
 class TestContinuityModulus:
     def test_frozen_linear_gaps_and_bounds(self):

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -80,6 +80,28 @@ class TestStepEdges:
         # A delay below the tolerance still steps up to the horizon.
         np.testing.assert_array_equal(step_edges(1e-12, 5e-13), [0.0, 5e-13, 1e-12])
         assert solve(growth_problem(), 2e-12).x.domain == (-1.0, 2e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_r=st.floats(-13.0, 6.0), whole=st.integers(0, 9999), part=st.floats(0.0, 1.0))
+    @example(log_r=math.log10(2e-12), whole=1, part=0.45)  # a tail 0.45 r, under the tolerance
+    @example(log_r=math.log10(5e-13), whole=1, part=0.9)
+    @example(log_r=math.log10(999999.9999995), whole=1, part=5e-13)
+    @example(log_r=math.log10(0.1), whole=3, part=0.0)
+    def test_steps_cover_the_horizon_and_none_outruns_the_delay(self, log_r, whole, part):
+        # T = (whole + part) r from 1e-13 to 1e6: at most 10^4 steps, each
+        # at multiples of r and no longer than r beyond rounding, 8 ulps of T.
+        r = 10.0**log_r
+        T = (whole + part) * r
+        assume(1e-13 <= T <= 1e6)
+        if T <= 1e-12 and T < r:
+            with pytest.raises(ValueError, match="too short for one method-of-steps cut"):
+                step_edges(T, r)
+            return
+        edges = step_edges(T, r)
+        steps = np.diff(edges)
+        assert edges[0] == 0.0 and edges[-1] == T and steps.min() > 0.0
+        assert steps.size <= whole + 1 and steps.max() <= r + 2.0**-49 * T
+        np.testing.assert_array_equal(edges[:-1], np.arange(steps.size) * r)
 
 
 class TestClosedForms:
