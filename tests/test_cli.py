@@ -376,11 +376,11 @@ ONE_STEP_KINDS = {  # a map and an exponent that each kind accepts
 
 
 class TestOneDefinitionPerRule:
-    # Each kind's builder accepts exactly what the solver and `Problem` accept.
-    # The parent's builders restated the rules with tolerances of their own:
-    # dependence refused the solver's one step at R = 1e6, delay 999999.9999995,
-    # horizon 1e6 (which the solver now cuts as two), and lipschitz and
-    # discontinuity refused the delay 500000.00000025 at R = 5e5.
+    # Each kind's builder accepts exactly what the solver and `Problem` accept,
+    # with no tolerance of its own. Pinned: at R = 1e6, delay 999999.9999995
+    # and horizon 1e6 the solver cuts two steps, so no one-step kind builds;
+    # at R = 5e5 the delay 500000.00000025 is within R's breakpoint tolerance,
+    # so every kind with a delay builds.
 
     @pytest.mark.parametrize("kind", sorted(ONE_STEP_KINDS))
     @settings(max_examples=60, deadline=None)
@@ -415,9 +415,9 @@ class TestOneDefinitionPerRule:
 
     @pytest.mark.parametrize("R, delay, horizon", [(1.0, 2e-12, 2.9e-12), (1e-6, 5e-13, 9.5e-13)])
     def test_a_tail_under_the_tolerance_is_a_step_of_its_own(self, tmp_path, capsys, R, delay, horizon):
-        # A tail of 0.45 (0.9) delays, under the breakpoint tolerance 1e-12,
-        # joined the step before it: one step of 1.45 (1.9) delays read the
-        # history past 0, and the oracle gap was 9e-7 (4.5e-7).
+        # A tail of 0.45 (0.9) delays lies under the breakpoint tolerance 1e-12
+        # and is a step of its own: merged, one step of 1.45 (1.9) delays would
+        # read the history past 0, with an oracle gap of 9e-7 (4.5e-7).
         exp = dict(
             SOLVE_EXPERIMENT, nonlinearity={"name": "linear", "params": {"matrix": [[1e6]]}},
             space={"R": R, "p": 2.0, "N": 1}, delay=delay, horizon=horizon,

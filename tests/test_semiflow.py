@@ -156,7 +156,7 @@ class TestQuotientInvariance:
 
     def test_the_class_check_is_relative_to_the_histories(self):
         # The constants 1e-12 and 2e-12 differ by half their size: an
-        # absolute 1e-9 took them for one class.
+        # absolute 1e-9 would take them for one class.
         pb = scalar_problem(saturating(), unit_history(1e-12))
         with pytest.raises(ValueError, match="not representatives of the same class"):
             quotient_invariance(pb, 0.5, unit_history(2e-12))
